@@ -10,7 +10,6 @@ two components are proportional.
 
 from .errors import (
     BranchTrackingError,
-    ClassificationConflictError,
     ClassificationConflictWarning,
     ConfigError,
     ContourThroughZeroError,
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .monodromy import (
     monodromy_grid,
-    picard_monodromy,
     propagate,
     trace_t2,
     wronskian_defect,
@@ -48,6 +46,7 @@ from .periodic_eigen import (
     asymptotic_residuals,
     count_in_disk,
     d_pm,
+    d_pm_from_traces,
     d_pm_grid,
     eigenvalues_in_window,
     find_cluster_onset,

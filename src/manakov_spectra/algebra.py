@@ -1,15 +1,12 @@
 """Small dense linear algebra used by the spectral machinery.
 
-Everything here is fixed-size (3x3, occasionally n x n for internal block
-constructions) and batch-friendly: the hot paths operate on stacks of shape
-(..., 3, 3) so that grid sweeps over many spectral parameters amortize numpy
+Everything here is fixed-size (3x3 matrices, monic cubics) and
+batch-friendly: the hot paths operate on stacks of shape (..., 3, 3) so that grid sweeps over many spectral parameters amortize numpy
 dispatch overhead.
 
 Contents:
 
-* ``expm3`` / ``expm_stack3`` -- matrix exponential by Pade-13 scaling and
-  squaring (never eigendecomposition; generators in this package are
-  non-normal for complex spectral parameters).
+* ``det3`` / ``adj3`` -- determinant and adjugate of (..., 3, 3) stacks.
 * ``cubic_roots`` -- closed-form monic-cubic solver with one mandatory Newton
   polish per root and a deflation fallback for badly scaled root sets.
 * ``winding_count`` -- discrete argument-principle winding number with
@@ -36,9 +33,6 @@ __all__ = [
     "cubic_roots",
     "cubic_roots_stack",
     "det3",
-    "expm3",
-    "expm_stack3",
-    "solve3",
     "winding_count",
 ]
 
@@ -83,125 +77,6 @@ def adj3(m: np.ndarray) -> np.ndarray:
     out[..., 2, 1] = b * g - a * h
     out[..., 2, 2] = a * e - b * d
     return out
-
-
-def solve3(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Solve ``q @ x = p`` for (..., 3, 3) stacks via the adjugate.
-
-    Intended for well-conditioned systems (Pade denominators); avoids the
-    per-matrix LAPACK dispatch cost of ``np.linalg.solve`` on large stacks.
-    """
-    a = adj3(q)
-    d = det3(q)
-    return np.matmul(a, p) / d[..., None, None]
-
-
-# ----------------------------------------------------------------------------
-# matrix exponential: Pade-13 scaling and squaring
-# ----------------------------------------------------------------------------
-
-# Degree-13 diagonal Pade coefficients for exp, and the matching 1-norm
-# threshold for double precision.
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
-def _pade13_stack(a: np.ndarray, a2: np.ndarray | None = None) -> np.ndarray:
-    """Unscaled Pade-13 approximant for a (..., 3, 3) stack with ||a|| <= theta."""
-    b = _PADE13_B
-    eye = np.zeros_like(a)
-    eye[..., 0, 0] = 1.0
-    eye[..., 1, 1] = 1.0
-    eye[..., 2, 2] = 1.0
-    if a2 is None:
-        a2 = np.matmul(a, a)
-    a4 = np.matmul(a2, a2)
-    a6 = np.matmul(a2, a4)
-    w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
-    w2 = b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-    u = np.matmul(a, np.matmul(a6, w1) + w2)
-    z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
-    v = np.matmul(a6, z1) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    return solve3(v - u, v + u)
-
-
-def expm_stack3(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a (..., 3, 3) complex stack.
-
-    Scaling and squaring with the degree-13 diagonal Pade approximant.  The
-    squaring count is chosen per matrix from its 1-norm; matrices sharing a
-    count are processed together.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[-2:] != (3, 3):
-        raise ValueError(f"expected trailing (3, 3) shape, got {a.shape}")
-    flat = a.reshape(-1, 3, 3)
-    norms = np.abs(flat).sum(axis=-2).max(axis=-1)
-    s = np.zeros(flat.shape[0], dtype=np.int64)
-    big = norms > _PADE13_THETA
-    s[big] = np.ceil(np.log2(norms[big] / _PADE13_THETA)).astype(np.int64)
-    out = np.empty_like(flat)
-    for sv in np.unique(s):
-        idx = np.nonzero(s == sv)[0]
-        block = flat[idx] * (0.5**sv)
-        e = _pade13_stack(block)
-        for _ in range(int(sv)):
-            e = np.matmul(e, e)
-        out[idx] = e
-    return out.reshape(a.shape)
-
-
-def expm3(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a single 3x3 complex matrix.
-
-    Raises ``NonFiniteError`` if the input or result is not finite.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (3, 3):
-        raise ValueError(f"expm3 expects a (3, 3) matrix, got {a.shape}")
-    ensure_finite(a, "expm3 input")
-    e = expm_stack3(a[None, :, :])[0]
-    ensure_finite(e, "expm3 result")
-    return e
-
-
-def expm_dense(a: np.ndarray) -> np.ndarray:
-    """Pade-13 scaling-and-squaring exponential for one n x n matrix.
-
-    Internal helper for block constructions (e.g. iterated-integral
-    propagators); not size-specialized, so it uses ``np.linalg.solve``.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    norm = np.abs(a).sum(axis=0).max() if n else 0.0
-    s = 0 if norm <= _PADE13_THETA else int(np.ceil(np.log2(norm / _PADE13_THETA)))
-    x = a * (0.5**s)
-    b = _PADE13_B
-    eye = np.eye(n, dtype=np.complex128)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x2 @ x4
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
-    e = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        e = e @ e
-    return e
 
 
 # ----------------------------------------------------------------------------
@@ -456,6 +331,3 @@ class Contour:
 
     def with_samples(self, samples: int) -> "Contour":
         return Contour(self.center, self.radius, samples)
-
-    def with_radius(self, radius: float) -> "Contour":
-        return Contour(self.center, radius, self.samples)

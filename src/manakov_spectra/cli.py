@@ -31,7 +31,7 @@ from .multipliers import (
 )
 from .periodic_eigen import (
     asymptotic_residuals,
-    d_pm_grid,
+    d_pm_from_traces,
     eigenvalues_in_window,
     recover_traces,
     table_csv_rows,
@@ -151,11 +151,20 @@ def _check_finite(node, path="$"):
         raise NumericalError(f"non-finite value at {path}")
 
 
+def _as_number(cell):
+    """A CSV cell as the float it spells, or unchanged when it spells none."""
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return cell
+
+
 def _csv_text(rows) -> str:
+    rows = list(rows)
+    _check_finite([[_as_number(c) for c in row] for row in rows], "csv")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -305,8 +314,9 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
         ("derived-identities", float(max(np.max(ids["dd1"]), np.max(ids["dd2"]))), 1e-8)
     )
 
-    dp = d_pm_grid(p, lam, +1)
-    dm = d_pm_grid(p, lam, -1)
+    # D(+-1) from the unperturbed traces, so --corrupt shows in the recovery
+    dp = d_pm_from_traces(g["trace"], g["trace_conj"], lam, +1)
+    dm = d_pm_from_traces(g["trace"], g["trace_conj"], lam, -1)
     t_r, s_r = recover_traces(dp, dm, lam)
     e_rec = np.maximum(np.abs(t_r - t), np.abs(s_r - s)) / grow
     checks.append(("trace-recovery", float(e_rec.max()), 1e-10))

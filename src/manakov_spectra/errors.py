@@ -45,15 +45,11 @@ class BranchTrackingError(NumericalError):
     """Branch continuity lost while following a quantity along a path (branch-tracking)."""
 
 
-class ClassificationConflictError(NumericalError):
-    """Discriminant sign and unimodular-multiplier count disagree (classification-conflict)."""
-
-
 class ClassificationConflictWarning(UserWarning):
-    """Same disagreement as :class:`ClassificationConflictError` at diagnostic severity.
+    """Discriminant sign and unimodular-multiplier count disagree (classification-conflict).
 
-    Emitted by per-point classification, where a disagreement near a band edge
-    is recorded but must not abort a whole scan.
+    A diagnostic, never an error: a disagreement near a band edge is recorded
+    but must not abort a whole scan.
     """
 
 

@@ -6,19 +6,14 @@ two components of ``v``; equivalently ``y' = A(x) y`` with
 ``A = -i J (lam - V)``.  On the canonical step grid the propagator over one
 period is an ordered product of matrix exponentials, one per constant run.
 
-Two step kernels are provided:
-
-* ``"pade"``     -- scaling-and-squaring Pade-13 on the stacked generators
-  (the reference path; works for any generator);
-* ``"spectral"`` -- evaluates the same exponential as the quadratic
-  interpolation polynomial of exp on the generator's characteristic roots
-  ``{-lam, +w, -w}`` with ``w^2 = lam^2 - |v|^2``, using series-stabilized
-  divided differences.  No eigenvectors are involved, so conditioning does
-  not degrade for non-normal generators or coalescing roots; it is several
-  times faster and is the default for grid sweeps.
-
-Both kernels are cross-validated against each other in the test suite over
-the operating envelope.
+Each step exponential is evaluated as the quadratic interpolation polynomial
+of exp on the generator's characteristic roots ``{-lam, +w, -w}`` with
+``w^2 = lam^2 - |v|^2``, using series-stabilized divided differences.  No
+eigenvectors are involved, so conditioning does not degrade for non-normal
+generators or coalescing roots.  The test suite cross-validates this kernel
+against a Pade-13 scaling-and-squaring oracle and checks the second-order
+trace term against the iterated-integral (Picard) expansion; both oracles
+live with the tests, not in the package.
 
 The conjugate trace (trace of the inverse propagator) is computed from a
 propagation at the conjugated spectral parameter rather than from adjugate
@@ -32,17 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adj3, det3, ensure_finite, expm_dense, expm_stack3
+from .algebra import adj3, det3, ensure_finite
 from .errors import RangeOverflowError
-from .potential import Potential
+from .potential import Potential, _e1
 
 __all__ = [
     "IM_LIMIT",
     "J3",
     "MonodromyResult",
-    "PicardResult",
     "monodromy_grid",
-    "picard_monodromy",
     "propagate",
     "trace_t2",
     "wronskian_defect",
@@ -53,8 +46,6 @@ J3 = np.diag([1.0, -1.0, -1.0]).astype(np.complex128)
 #: largest tolerated |Im lam|; beyond this the period propagator overflows doubles.
 IM_LIMIT = 700.0
 _ADJ_IM_LIMIT = 6.0
-
-DEFAULT_STEPPER = "spectral"
 
 _CHUNK_TARGET = 1 << 18  # lam-chunk size is chosen so lam*steps ~ this many matrices
 
@@ -186,29 +177,6 @@ def _steps_spectral(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
     return e, det3(e)
 
 
-def _steps_pade(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
-    """Same contract as ``_steps_spectral`` but via Pade-13 scaling/squaring."""
-    length, runs = len(lam), len(widths)
-    a = np.zeros((length, runs, 3, 3), dtype=np.complex128)
-    lam2 = lam[:, None]
-    v1 = vals[None, :, 0]
-    v2 = vals[None, :, 1]
-    w = widths[None, :]
-    iw = -1j * w
-    a[..., 0, 0] = iw * lam2
-    a[..., 0, 1] = -iw * np.conj(v1)
-    a[..., 0, 2] = -iw * np.conj(v2)
-    a[..., 1, 0] = iw * v1
-    a[..., 1, 1] = -iw * lam2
-    a[..., 2, 0] = iw * v2
-    a[..., 2, 2] = -iw * lam2
-    e = expm_stack3(a)
-    return e, det3(e)
-
-
-_STEPPERS = {"spectral": _steps_spectral, "pade": _steps_pade}
-
-
 def _tree_product(steps: np.ndarray) -> np.ndarray:
     """Ordered product steps[:, R-1] @ ... @ steps[:, 0] by pairwise reduction."""
     cur = steps
@@ -256,10 +224,9 @@ def _split_runs(vals, widths, im_max):
     return np.repeat(vals, reps, axis=0), np.repeat(widths / reps, reps)
 
 
-def _raw_grid(p: Potential, lam: np.ndarray, stepper: str):
+def _raw_grid(p: Potential, lam: np.ndarray):
     """psi, trace, det for a 1-D array of spectral parameters."""
     vals, widths = _runs_of(p)
-    step_fn = _STEPPERS[stepper]
     chunk = max(1, _CHUNK_TARGET // len(widths))
     psis = np.empty((len(lam), 3, 3), dtype=np.complex128)
     dets = np.empty(len(lam), dtype=np.complex128)
@@ -267,19 +234,14 @@ def _raw_grid(p: Potential, lam: np.ndarray, stepper: str):
         sl = slice(lo, lo + chunk)
         im_max = float(np.abs(lam[sl].imag).max()) if len(lam[sl]) else 0.0
         v_c, w_c = _split_runs(vals, widths, im_max)
-        e, sd = step_fn(lam[sl], v_c, w_c)
+        e, sd = _steps_spectral(lam[sl], v_c, w_c)
         psis[sl] = _tree_product(e)
         dets[sl] = np.prod(sd, axis=1)
     traces = psis[:, 0, 0] + psis[:, 1, 1] + psis[:, 2, 2]
     return psis, traces, dets
 
 
-def monodromy_grid(
-    p: Potential,
-    lam,
-    stepper: str | None = None,
-    want_psi: bool = False,
-) -> dict:
+def monodromy_grid(p: Potential, lam, *, want_psi: bool = False) -> dict:
     """Vectorized monodromy data over an array of spectral parameters.
 
     Returns a dict with keys ``trace`` (T), ``trace_conj`` (the trace of the
@@ -287,9 +249,6 @@ def monodromy_grid(
     parameters the conjugate trace costs a second propagation at the
     conjugated parameters; on the real axis it is free.
     """
-    stepper = stepper or DEFAULT_STEPPER
-    if stepper not in _STEPPERS:
-        raise ValueError(f"unknown stepper {stepper!r}")
     lam = np.atleast_1d(np.asarray(lam, dtype=np.complex128)).ravel()
     _check_range(lam)
     # Moderately off-axis, the inverse trace comes from the adjugate of the
@@ -301,7 +260,7 @@ def monodromy_grid(
         lam_full = np.concatenate([lam, np.conj(lam[big])])
     else:
         lam_full = lam
-    psis, traces, dets = _raw_grid(p, lam_full, stepper)
+    psis, traces, dets = _raw_grid(p, lam_full)
     n = len(lam)
     t = traces[:n]
     tt = np.conj(t).copy()
@@ -328,13 +287,13 @@ class MonodromyResult:
     det: complex  # accumulated product of per-step determinants
 
 
-def propagate(p: Potential, lam: complex, stepper: str | None = None) -> MonodromyResult:
+def propagate(p: Potential, lam: complex) -> MonodromyResult:
     """Monodromy matrix and trace data at one spectral parameter.
 
     ``|Im lam|`` must stay within ``IM_LIMIT``; beyond that the propagator
     cannot be represented in doubles and a range-overflow error is raised.
     """
-    g = monodromy_grid(p, [lam], stepper=stepper, want_psi=True)
+    g = monodromy_grid(p, [lam], want_psi=True)
     psi = g["psi"][0]
     ensure_finite(psi, "monodromy matrix")
     return MonodromyResult(
@@ -346,88 +305,22 @@ def propagate(p: Potential, lam: complex, stepper: str | None = None) -> Monodro
     )
 
 
-def wronskian_defect(p: Potential, lam: complex, stepper: str | None = None) -> float:
+def wronskian_defect(p: Potential, lam: complex) -> float:
     """Max-entry defect of the J-unitarity relation of the propagator.
 
     The propagator at ``lam`` and the conjugated propagator at
     ``conj(lam)`` satisfy ``psi(conj lam)^* J psi(lam) = J``; the returned
     number is the largest entry of the difference.
     """
-    a = propagate(p, lam, stepper).psi
-    b = a if np.imag(lam) == 0.0 else propagate(p, np.conj(lam), stepper).psi
+    a = propagate(p, lam).psi
+    b = a if np.imag(lam) == 0.0 else propagate(p, np.conj(lam)).psi
     defect = np.conj(b.T) @ J3 @ a - J3
     return float(np.abs(defect).max())
 
 
 # ----------------------------------------------------------------------------
-# iterated-integral (power series in the potential) cross-check
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class PicardResult:
-    """Potential-power-series data for the period propagator.
-
-    ``orders[n]`` is the exact order-n term (a 3x3 matrix); ``partial`` is
-    their sum through the requested order.
-    """
-
-    lam: complex
-    order: int
-    orders: list
-    partial: np.ndarray
-
-
-def picard_monodromy(p: Potential, lam: complex, order: int = 6) -> PicardResult:
-    """Terms of the propagator's expansion in powers of the potential.
-
-    Exact per step: the order-n term over a constant run is the (0, n) block
-    of the exponential of the block-bidiagonal matrix with the free generator
-    on the diagonal and the coupling term on the superdiagonal; runs are then
-    chained by block multiplication.  Practical through order ~12.
-    """
-    if not 0 <= order <= 12:
-        raise ValueError("order must lie in [0, 12]")
-    _check_range(np.asarray([lam], dtype=np.complex128))
-    vals, widths = _runs_of(p)
-    nb = order + 1
-    dim = 3 * nb
-    total = np.eye(dim, dtype=np.complex128)
-    for (v1, v2), w in zip(vals, widths):
-        a0 = -1j * np.array(
-            [[lam, 0, 0], [0, -lam, 0], [0, 0, -lam]], dtype=np.complex128
-        )
-        a1 = 1j * np.array(
-            [
-                [0, np.conj(v1), np.conj(v2)],
-                [-v1, 0, 0],
-                [-v2, 0, 0],
-            ],
-            dtype=np.complex128,
-        )  # i J V, the coupling part of the generator
-        g = np.zeros((dim, dim), dtype=np.complex128)
-        for b in range(nb):
-            g[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = a0
-            if b + 1 < nb:
-                g[3 * b : 3 * b + 3, 3 * (b + 1) : 3 * (b + 1) + 3] = a1
-        total = expm_dense(g * w) @ total
-    orders = [total[0:3, 3 * n : 3 * n + 3].copy() for n in range(nb)]
-    partial = np.sum(orders, axis=0)
-    return PicardResult(lam=complex(lam), order=order, orders=orders, partial=partial)
-
-
-# ----------------------------------------------------------------------------
 # closed-form second-order trace term
 # ----------------------------------------------------------------------------
-
-
-def _e1(z):
-    small = np.abs(z) < 1e-6
-    zs = np.where(small, 1.0, z)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct = (np.exp(zs) - 1.0) / zs
-    series = 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-    return np.where(small, series, direct)
 
 
 def _e2(z):

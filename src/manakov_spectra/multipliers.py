@@ -133,7 +133,6 @@ def multiplier_triple(
     lam: complex,
     labeling: str = "asymptotic",
     previous: MultiplierTriple | None = None,
-    stepper: str | None = None,
 ) -> MultiplierTriple:
     """Labeled multiplier triple at one spectral parameter.
 
@@ -143,7 +142,7 @@ def multiplier_triple(
     labels continue the limit from the upper half plane.  Continuity labeling
     permutes the triple to track *previous*.
     """
-    g = monodromy_grid(p, [lam], stepper=stepper)
+    g = monodromy_grid(p, [lam])
     tau = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])[0]
     lam = complex(lam)
     if labeling == "unordered":
@@ -155,9 +154,7 @@ def multiplier_triple(
     if labeling != "asymptotic":
         raise ValueError(f"unknown labeling {labeling!r}")
     if abs(lam.imag) <= _REAL_AXIS_TOL:
-        ref = multiplier_triple(
-            p, lam + 1j * _REAL_LABEL_OFFSET, labeling="asymptotic", stepper=stepper
-        )
+        ref = multiplier_triple(p, lam + 1j * _REAL_LABEL_OFFSET, labeling="asymptotic")
         return MultiplierTriple(lam, _match(tau, ref.tau), labeling)
     return MultiplierTriple(lam, _label_complex(tau, lam), labeling)
 

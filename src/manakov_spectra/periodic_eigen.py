@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import Contour, winding_count
 from .errors import (
+    ConfigError,
     ContourThroughZeroError,
     UndersampledContourError,
     WindowTooSmallError,
@@ -30,6 +31,7 @@ __all__ = [
     "EigenvalueTable",
     "d_pm",
     "d_pm_grid",
+    "d_pm_from_traces",
     "count_in_disk",
     "eigenvalues_in_window",
     "find_cluster_onset",
@@ -49,14 +51,18 @@ _RADIUS_NUDGES = (1.0, 1.05, 0.95, 1.10, 0.90)
 _MAX_CIRCLE_SAMPLES = 8192
 
 
-def d_pm_grid(p: Potential, lam, sign: int) -> np.ndarray:
-    """Characteristic function D(sign, lam) on an array of parameters."""
-    g = monodromy_grid(p, lam)
-    t, s, z = g["trace"], g["trace_conj"], g["lam"]
-    e = np.exp(1j * z)
+def d_pm_from_traces(t, s, lam, sign: int) -> np.ndarray:
+    """Characteristic function D(sign, lam) from the trace pair at *lam*."""
+    e = np.exp(1j * lam)
     if sign > 0:
         return (t - 1.0) - e * (s - 1.0)
     return (t + 1.0) + e * (s + 1.0)
+
+
+def d_pm_grid(p: Potential, lam, sign: int) -> np.ndarray:
+    """Characteristic function D(sign, lam) on an array of parameters."""
+    g = monodromy_grid(p, lam)
+    return d_pm_from_traces(g["trace"], g["trace_conj"], g["lam"], sign)
 
 
 def d_pm(p: Potential, lam: complex, sign: int) -> complex:
@@ -496,7 +502,7 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
     searched; per-root failures never abort the window.
     """
     if n_max < n_min:
-        raise ValueError(f"empty index window [{n_min}, {n_max}]")
+        raise ConfigError(f"empty index window [{n_min}, {n_max}]")
     failures: list[str] = []
     notes: list[str] = []
     entries: list[EigenEntry] = []
@@ -665,20 +671,3 @@ def table_csv_rows(table: EigenvalueTable):
             e.parity,
             f"{e.residual:.6g}",
         ]
-
-
-def table_json_doc(table: EigenvalueTable) -> dict:
-    return {
-        "window": [table.window[0], table.window[1]],
-        "entries": [
-            {
-                "n": e.n,
-                "j": e.j,
-                "z": [e.z.real, e.z.imag],
-                "parity": e.parity,
-                "residual": e.residual,
-            }
-            for e in table.entries
-        ],
-        "failures": list(table.failures),
-    }

@@ -17,9 +17,7 @@ propagator second-order accurate in 1/M.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,21 +28,14 @@ __all__ = [
     "Potential",
     "PotentialMoments",
     "StepGrid",
-    "canonicalize",
     "fourier_hat",
     "is_rank_one",
     "moments",
-    "potential_from_json",
-    "potential_hash",
-    "potential_to_json",
-    "rank_one_direction",
 ]
 
 _DEFAULT_RESOLUTION = 512
 _MIN_RESOLUTION = 32
 _MAX_RESOLUTION = 1 << 15
-
-JSON_FORMAT_TAG = "manakov-potential/1"
 
 
 def _is_pow2(n: int) -> bool:
@@ -208,11 +199,6 @@ class Potential:
 # ----------------------------------------------------------------------------
 
 
-def canonicalize(p: Potential) -> StepGrid:
-    """Uniform-grid step form of *p* (cached on the potential)."""
-    return p.canonical()
-
-
 @dataclass(frozen=True)
 class PotentialMoments:
     """Quadratic moments and the derived pencil invariants.
@@ -298,105 +284,3 @@ def is_rank_one(p: Potential, tol: float | None = None) -> bool:
         tol = 1e-6 if p.kind == "samples" else 1e-10
     mom = moments(p)
     return mom.b1 <= tol * max(1.0, mom.b3)
-
-
-def rank_one_direction(p: Potential) -> tuple[np.ndarray, np.ndarray, float]:
-    """Factor ``v(x) = u(x) * e`` for a (numerically) rank-one potential.
-
-    Returns ``(e, u, defect)``: the unit direction ``e`` (first nonzero entry
-    real positive), the scalar step profile ``u`` on the canonical grid, and
-    the relative L2 defect of the factorization.  The defect is meaningful for
-    callers that want to assert rank-one-ness themselves.
-    """
-    g = p.canonical()
-    v = g.values
-    mom = moments(p)
-    if mom.b3 == 0.0:
-        return np.array([1.0, 0.0], dtype=np.complex128), np.zeros(len(v), dtype=np.complex128), 0.0
-    if mom.c1 >= mom.c2:
-        alpha = np.conj(mom.c12) / mom.c1 if mom.c1 > 0 else 0.0
-        e_raw = np.array([1.0, alpha], dtype=np.complex128)
-        nrm = float(np.linalg.norm(e_raw))
-        e = e_raw / nrm
-        u = v[:, 0] * nrm
-    else:
-        beta = mom.c12 / mom.c2
-        e_raw = np.array([beta, 1.0], dtype=np.complex128)
-        nrm = float(np.linalg.norm(e_raw))
-        e = e_raw / nrm
-        if abs(beta) > 1e-14:
-            phase = np.conj(beta) / abs(beta)
-            e = e * phase
-            u = v[:, 1] * nrm * np.conj(phase)
-        else:
-            u = v[:, 1] * nrm
-    resid = v - np.outer(u, e)
-    defect = float(g.h * np.sum(np.abs(resid) ** 2) / max(mom.b3, np.finfo(float).tiny))
-    return e, u, defect
-
-
-# ----------------------------------------------------------------------------
-# JSON round trip
-# ----------------------------------------------------------------------------
-
-
-def potential_to_json(p: Potential) -> dict:
-    """JSON-safe dict; floats survive a dump/load round trip bit-exactly."""
-    out: dict = {"format": JSON_FORMAT_TAG, "type": p.kind, "resolution": p.resolution}
-    if p.kind == "piecewise":
-        v = p.data["values"]
-        out["breakpoints"] = [float(x) for x in p.data["breakpoints"]]
-        out["values"] = [[z.real, z.imag] for z in v.reshape(-1)]
-    elif p.kind == "fourier":
-        out["modes"] = [
-            [n, c[0].real, c[0].imag, c[1].real, c[1].imag]
-            for n, c in sorted(p.data["modes"].items())
-        ]
-    else:
-        v = p.data["values"]
-        out["values"] = [[z.real, z.imag] for z in v.reshape(-1)]
-    return out
-
-
-def _pairs_to_complex(pairs, label) -> np.ndarray:
-    try:
-        arr = np.asarray(pairs, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] % 2 != 0:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError(f"malformed {label} in potential JSON") from None
-    z = arr[:, 0] + 1j * arr[:, 1]
-    return z.reshape(-1, 2)
-
-
-def potential_from_json(doc: dict) -> Potential:
-    if not isinstance(doc, dict):
-        raise ConfigError("potential JSON must be an object")
-    if doc.get("format") != JSON_FORMAT_TAG:
-        raise ConfigError(f"unsupported potential format {doc.get('format')!r}")
-    kind = doc.get("type")
-    resolution = doc.get("resolution", _DEFAULT_RESOLUTION)
-    try:
-        if kind == "piecewise":
-            return Potential.from_piecewise(
-                doc["breakpoints"], _pairs_to_complex(doc["values"], "values"), resolution
-            )
-        if kind == "fourier":
-            modes = {}
-            for row in doc["modes"]:
-                n, re1, im1, re2, im2 = row
-                modes[int(n)] = np.array([re1 + 1j * im1, re2 + 1j * im2])
-            return Potential.from_fourier(modes, resolution)
-        if kind == "samples":
-            return Potential.from_samples(_pairs_to_complex(doc["values"], "values"))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed potential JSON: {exc}") from None
-    raise ConfigError(f"unknown potential type {kind!r}")
-
-
-def potential_hash(p: Potential) -> str:
-    """Stable content hash used to stamp CLI outputs."""
-    text = json.dumps(potential_to_json(p), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
 from .errors import BranchTrackingError, ConfigError, WindowTooSmallError
 from .monodromy import monodromy_grid
-from .multipliers import derived_grid, lyapunov_triple, multipliers_from_traces
+from .multipliers import _match, derived_grid, lyapunov_triple, multipliers_from_traces
 from .potential import Potential
 from .spectrum import SpectralScan
 
@@ -41,8 +40,6 @@ EDGE_MARGIN = math.pi
 # fraction of the total that the edge gaps may carry before the window is
 # declared too small to trust the integral
 EDGE_FRACTION = 0.01
-
-_PERMS = tuple(permutations(range(3)))
 
 
 def eps_map(z):
@@ -261,9 +258,7 @@ def _match_rows(delta: np.ndarray) -> np.ndarray:
     """Reorder each row of a (n, 3) array to follow its predecessor."""
     out = delta.copy()
     for i in range(1, len(out)):
-        prev = out[i - 1]
-        best = min(_PERMS, key=lambda pm: np.sum(np.abs(out[i, list(pm)] - prev)))
-        out[i] = out[i, list(best)]
+        out[i] = _match(out[i], out[i - 1])
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .monodromy import _sinch, monodromy_grid
 from .multipliers import derived_grid, multipliers_from_traces
-from .periodic_eigen import d_pm_grid
+from .periodic_eigen import d_pm_from_traces
 from .potential import Potential, fourier_hat, is_rank_one, moments
 from .quasimomentum import eps_map
 
@@ -241,8 +241,8 @@ def reduction_check(p: Potential, lam_grid, tol: float = 1e-7) -> ReductionRepor
     disc_ref = 0.25 * (1.0 - delta**2) * (delta - np.cos(lam)) ** 2
     err_disc = np.abs(der["disc"] - disc_ref) / np.maximum(1.0, np.abs(disc_ref))
 
-    dp = d_pm_grid(p, lamc, +1)
-    dm = d_pm_grid(p, lamc, -1)
+    dp = d_pm_from_traces(g["trace"], g["trace_conj"], g["lam"], +1)
+    dm = d_pm_from_traces(g["trace"], g["trace_conj"], g["lam"], -1)
     dp_ref = 2.0 * (1.0 - delta) * (ep - 1.0)
     dm_ref = 2.0 * (1.0 + delta) * (ep + 1.0)
     err_dp = np.abs(dp - dp_ref) / np.maximum(1.0, np.abs(dp_ref))

@@ -1,4 +1,5 @@
-"""Kernel-level checks: cubic solver, winding counts, 3x3 exponentials.
+"""Kernel-level checks: cubic solver, winding counts, 3x3 primitives and the
+Pade exponential oracles.
 
 The cubic solver is the piece everything downstream leans on, so it gets the
 heaviest treatment here, including the two historical failure modes: Newton
@@ -18,11 +19,9 @@ from manakov_spectra.algebra import (
     cubic_roots,
     cubic_roots_stack,
     det3,
-    expm_dense,
-    expm_stack3,
-    solve3,
     winding_count,
 )
+from oracles import expm_dense, expm_stack3, solve3
 
 
 def coeffs_from_roots(r1, r2, r3):

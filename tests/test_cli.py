@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from manakov_spectra.cli import main
+from manakov_spectra import NumericalError
+from manakov_spectra.cli import _csv_text, main
 
 CONST = '{"kind":"constant","value":[0.9,0.0],"resolution":64}'
 ZERO = '{"kind":"zero","resolution":64}'
@@ -187,6 +188,22 @@ def test_config_errors_exit_two(capsys):
         capsys,
     )
     assert rc == 2
+
+
+def test_reversed_eigen_window_exit_two(capsys):
+    rc, out, err = run_main(
+        ["eigen", "--potential", CONST, "--window", "10", "5"], capsys
+    )
+    assert rc == 2
+    assert out == ""
+    assert "configuration error: empty index window" in err
+
+
+def test_csv_rejects_non_finite_cells():
+    assert _csv_text([["lam", "q"], ["0.5", "1.25"]]) == "lam,q\n0.5,1.25\n"
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(NumericalError, match=r"csv\[1\]\[1\]"):
+            _csv_text([["lam", "q"], ["0.5", bad]])
 
 
 def test_module_entry_point():

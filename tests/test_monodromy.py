@@ -2,8 +2,8 @@
 
 The rank-one constant case has a fully explicit propagator (2x2 block plus a
 plane-wave factor), which pins the trace to machine precision; everything
-else is cross-checked between independent code paths (two steppers, the
-series expansion, the conjugate-parameter route).
+else is cross-checked between independent code paths (the Pade step
+oracle, the series expansion, the conjugate-parameter route).
 """
 
 import numpy as np
@@ -13,12 +13,12 @@ from manakov_spectra import (
     Potential,
     RangeOverflowError,
     monodromy_grid,
-    picard_monodromy,
     propagate,
     trace_t2,
     wronskian_defect,
 )
 from conftest import random_potential
+from oracles import pade_psi, picard_monodromy
 
 
 def free_trace(lam):
@@ -82,8 +82,8 @@ def test_trace_conj_route_consistency(rng):
 def test_two_steppers_agree(rng):
     p = random_potential(rng, max_norm=1.5)
     for lam in (0.9, -3.7, 1.5 + 2.0j):
-        a = propagate(p, lam, stepper="spectral").psi
-        b = propagate(p, lam, stepper="pade").psi
+        a = propagate(p, lam).psi
+        b = pade_psi(p, lam)
         assert np.abs(a - b).max() <= 1e-11 * max(1.0, np.abs(a).max())
 
 
