@@ -27,12 +27,9 @@ from .monodromy import (
     monodromy_grid,
     propagate,
     trace_t2,
-    wronskian_defect,
 )
 from .multipliers import (
-    DerivedScalars,
     MultiplierTriple,
-    derived,
     derived_grid,
     identity_suite,
     lyapunov_triple,
@@ -76,13 +73,11 @@ from .spectrum import (
 from .zs_oracle import (
     GapLengthReport,
     ReductionReport,
-    ZSResult,
     gap_length_estimate,
     reduction_check,
     scalar_reduction,
     zs_delta_grid,
     zs_gaps,
-    zs_monodromy,
     zs_q0_integral,
 )
 

@@ -133,6 +133,34 @@ def _cardano(c2, c1, c0):
     return np.stack([r0, r1, r2], axis=-1)
 
 
+def _ldexp(z, k):
+    """``z * 2**k`` for complex *z*, exactly, even where ``2**k`` overflows."""
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, k)
+    out.imag = np.ldexp(z.imag, k)
+    return out
+
+
+def _pair_roots(ssum, prod):
+    """Roots of ``x**2 - ssum x + prod``, the larger one first.
+
+    The pair is solved at unit scale: both coefficients are rescaled by a
+    power of two, which is exact.  Unscaled, a subnormal pair loses its
+    square to underflow, and numpy's complex division by a subnormal root
+    overflows to NaN.
+    """
+    k = np.frexp(np.maximum(np.abs(ssum), np.sqrt(np.abs(prod))))[1]
+    s = _ldexp(ssum, -k)
+    q = _ldexp(prod, -2 * k)
+    disc = np.sqrt(s * s - 4.0 * q)
+    plus = s + disc
+    minus = s - disc
+    t1 = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
+    t1_nz = np.abs(t1) > 0
+    t2 = np.where(t1_nz, q / np.where(t1_nz, t1, 1.0), s / 2.0)
+    return _ldexp(t1, k), _ldexp(t2, k)
+
+
 def _deflate(c2, c1, c0, roots):
     """Recompute the two smaller roots from the dominant one via coefficient ratios.
 
@@ -148,12 +176,7 @@ def _deflate(c2, c1, c0, roots):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         prod = -c0 / r_big
         ssum = (c1 - prod) / r_big
-        disc = np.sqrt(ssum * ssum - 4.0 * prod)
-        plus = ssum + disc
-        minus = ssum - disc
-        t1 = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
-        t1_nz = np.abs(t1) > 0
-        t2 = np.where(t1_nz, prod / np.where(t1_nz, t1, 1.0), ssum / 2.0)
+        t1, t2 = _pair_roots(ssum, prod)
     t1 = _newton_step(c2, c1, c0, t1)
     t2 = _newton_step(c2, c1, c0, t2)
     return np.stack([r_big, t1, t2], axis=-1)
@@ -166,7 +189,7 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
     roots, repeated according to multiplicity).  Closed form plus one Newton
     polish per root; a deflation pass handles root sets whose magnitudes
     spread over more than ~6 decades.  Raises ``RootResidualError`` if any
-    residual exceeds its bound afterwards.
+    residual exceeds its bound afterwards, or is NaN.
     """
     c2, c1, c0 = np.broadcast_arrays(
         np.asarray(c2, dtype=np.complex128),
@@ -187,7 +210,8 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
     mags = np.abs(roots)
     tiny = np.finfo(float).tiny
     spread = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), tiny)
-    bad = np.any(resid > bound, axis=-1) | (spread > 1e6)
+    # written as "not <=" so that a NaN residual counts as bad
+    bad = ~np.all(resid <= bound, axis=-1) | (spread > 1e6)
     if np.any(bad):
         alt = _deflate(c2[bad], c1[bad], c0[bad], roots[bad])
         roots = roots.copy()
@@ -242,18 +266,14 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
             sum_b = np.where(ok_iso, (c1s - prod) / np.where(ok_iso, r_iso, 1.0), sum_a)
             err_b = (np.abs(c1s) + np.abs(prod)) / np.maximum(np.abs(r_iso), tiny)
         ssum = np.where(err_a <= err_b, sum_a, sum_b)
-        disc = np.sqrt(ssum * ssum - 4.0 * prod)
-        big = np.where(np.abs(ssum + disc) >= np.abs(ssum - disc), ssum + disc, ssum - disc)
-        t1 = big / 2.0
-        t1_nz = np.abs(t1) > 0
-        t2 = np.where(t1_nz, prod / np.where(t1_nz, t1, 1.0), ssum / 2.0)
+        t1, t2 = _pair_roots(ssum, prod)
         rebuilt = np.stack([r_iso, t1, t2], axis=-1)
         keep = ok_iso[..., None] & np.all(np.isfinite(rebuilt), axis=-1, keepdims=True)
         roots[close] = np.where(keep, rebuilt, sub)
         bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
         resid = np.abs(_horner(c2e, c1e, c0e, roots))
 
-    if np.any(resid > bound):
+    if not np.all(resid <= bound):
         worst = float(np.max(resid / np.maximum(bound, tiny)))
         raise RootResidualError(f"cubic root residual {worst:.3g}x over bound")
     return roots

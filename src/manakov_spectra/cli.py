@@ -54,11 +54,18 @@ DEFAULT_NU = (12.0, 16.0, 20.0, 26.0, 34.0)
 # ----------------------------------------------------------------------------
 
 
+def _as_float(x) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"expected a number, got {x!r}") from exc
+
+
 def _as_complex(x) -> complex:
     if isinstance(x, (int, float)):
         return complex(x, 0.0)
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
+        return complex(_as_float(x[0]), _as_float(x[1]))
     raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
 
 
@@ -66,6 +73,19 @@ def _as_pair(x) -> tuple[complex, complex]:
     if not isinstance(x, (list, tuple)) or len(x) != 2:
         raise ConfigError(f"expected a two-component value, got {x!r}")
     return _as_complex(x[0]), _as_complex(x[1])
+
+
+def _as_resolution(x) -> int:
+    if isinstance(x, (int, float, str)) and _as_float(x).is_integer():
+        return int(float(x))
+    raise ConfigError(f"resolution must be an integer, got {x!r}")
+
+
+def _as_list(doc: dict, key: str) -> list:
+    x = doc.get(key, [])
+    if not isinstance(x, list):
+        raise ConfigError(f"{key!r} must be an array, got {x!r}")
+    return x
 
 
 def potential_from_doc(doc: dict, resolution: int | None = None) -> Potential:
@@ -81,7 +101,7 @@ def potential_from_doc(doc: dict, resolution: int | None = None) -> Potential:
         raise ConfigError("potential description must be a JSON object")
     kind = doc.get("kind")
     res = resolution if resolution is not None else doc.get("resolution")
-    kw = {} if res is None else {"resolution": int(res)}
+    kw = {} if res is None else {"resolution": _as_resolution(res)}
     if kind == "zero":
         return Potential.zero(**kw)
     if kind == "constant":
@@ -96,10 +116,11 @@ def potential_from_doc(doc: dict, resolution: int | None = None) -> Potential:
             raise ConfigError(f"mode keys must be integers: {exc}") from exc
         return Potential.from_fourier(clean, **kw)
     if kind == "piecewise":
-        values = [_as_pair(v) for v in doc.get("values", [])]
-        return Potential.from_piecewise(doc.get("breakpoints", []), values, **kw)
+        values = [_as_pair(v) for v in _as_list(doc, "values")]
+        breakpoints = [_as_float(b) for b in _as_list(doc, "breakpoints")]
+        return Potential.from_piecewise(breakpoints, values, **kw)
     if kind == "samples":
-        values = [_as_pair(v) for v in doc.get("values", [])]
+        values = [_as_pair(v) for v in _as_list(doc, "values")]
         return Potential.from_samples(values)
     raise ConfigError(f"unknown potential kind {kind!r}")
 
@@ -272,9 +293,10 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     lam_cx = np.array([1.3 + 0.8j, -2.2 + 1.7j, 0.4 - 1.1j, 3.7 + 2.5j])
     lam = np.concatenate([lam_re.astype(np.complex128), lam_cx])
     g = monodromy_grid(p, lam, want_psi=True)
-    gc = monodromy_grid(p, np.conj(lam), want_psi=True)
+    # a real point is its own conjugate: only the non-real ones propagate again
+    gc = monodromy_grid(p, np.conj(lam_cx), want_psi=True)
     psi = g["psi"]
-    psi_c = gc["psi"]
+    psi_c = np.concatenate([psi[: len(lam_re)], gc["psi"]])
     if corrupt:
         psi = psi.copy()
         psi[..., 0, 0] *= 1.0 + 2e-6
@@ -331,23 +353,10 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     ]
     if is_rank_one(p):
         rep = reduction_check(p, lam_re)
-        worst = float(
-            max(
-                rep.err_multiplier.max(),
-                rep.err_average.max(),
-                rep.err_disc.max(),
-                rep.err_dplus.max(),
-                rep.err_dminus.max(),
-            )
-        )
-        out.append(
-            {
-                "name": "rank-one-reduction",
-                "worst": worst,
-                "tol": rep.tol,
-                "status": "PASS" if rep.ok else "FAIL",
-            }
-        )
+        errors = (rep.err_multiplier, rep.err_average, rep.err_disc, rep.err_dplus, rep.err_dminus)
+        worst = max(float(e.max()) for e in errors)
+        status = "PASS" if rep.ok else "FAIL"
+        out.append({"name": "rank-one-reduction", "worst": worst, "tol": rep.tol, "status": status})
     else:
         out.append({"name": "rank-one-reduction", "worst": None, "tol": None, "status": "SKIP"})
     return out
@@ -356,8 +365,8 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
 def cmd_verify(args) -> int:
     p = load_potential(args.potential, args.resolution)
     rows = _verify_checks(p, corrupt=args.corrupt)
+    ok = all(r["status"] != "FAIL" for r in rows)
     if args.format == "json":
-        ok = all(r["status"] != "FAIL" for r in rows)
         doc = {
             "command": "verify",
             "metadata": _metadata(p),
@@ -374,10 +383,9 @@ def cmd_verify(args) -> int:
                 lines.append(
                     f"{r['status']} {r['name']}  worst={r['worst']:.3g}  tol={r['tol']:.3g}"
                 )
-        ok = all(r["status"] != "FAIL" for r in rows)
         lines.append("all checks passed" if ok else "FAILURES present")
         _write("\n".join(lines) + "\n", args.out)
-    return 0 if all(r["status"] != "FAIL" for r in rows) else 3
+    return 0 if ok else 3
 
 
 def cmd_qmomentum(args) -> int:

@@ -38,7 +38,6 @@ __all__ = [
     "monodromy_grid",
     "propagate",
     "trace_t2",
-    "wronskian_defect",
 ]
 
 J3 = np.diag([1.0, -1.0, -1.0]).astype(np.complex128)
@@ -303,19 +302,6 @@ def propagate(p: Potential, lam: complex) -> MonodromyResult:
         trace_conj=complex(g["trace_conj"][0]),
         det=complex(g["det"][0]),
     )
-
-
-def wronskian_defect(p: Potential, lam: complex) -> float:
-    """Max-entry defect of the J-unitarity relation of the propagator.
-
-    The propagator at ``lam`` and the conjugated propagator at
-    ``conj(lam)`` satisfy ``psi(conj lam)^* J psi(lam) = J``; the returned
-    number is the largest entry of the difference.
-    """
-    a = propagate(p, lam).psi
-    b = a if np.imag(lam) == 0.0 else propagate(p, np.conj(lam)).psi
-    defect = np.conj(b.T) @ J3 @ a - J3
-    return float(np.abs(defect).max())
 
 
 # ----------------------------------------------------------------------------

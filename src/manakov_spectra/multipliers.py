@@ -37,10 +37,8 @@ from .monodromy import monodromy_grid
 from .potential import Potential
 
 __all__ = [
-    "DerivedScalars",
     "MultiplierTriple",
     "char_poly",
-    "derived",
     "derived_grid",
     "identity_suite",
     "lyapunov_triple",
@@ -164,18 +162,6 @@ def multiplier_triple(
 # ----------------------------------------------------------------------------
 
 
-@dataclass
-class DerivedScalars:
-    lam: complex
-    disc: complex
-    phi: complex
-    tcal: complex
-    t1: complex
-    det_lambda: complex
-    rho: complex
-    delta: np.ndarray | None = None
-
-
 def derived_grid(t, s, lam) -> dict:
     """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
     t = np.asarray(t, dtype=np.complex128)
@@ -231,27 +217,6 @@ def lyapunov_triple(t, s, lam) -> np.ndarray:
     c0 = -d["det_lambda"] / unit**3
     roots = cubic_roots_stack(c2, c1, c0)
     return roots * unit[..., None]
-
-
-def derived(
-    t: complex, s: complex, lam: complex, taus: np.ndarray | None = None
-) -> DerivedScalars:
-    """Derived scalars at one parameter; attach Lyapunov averages if *taus* given."""
-    d = derived_grid(t, s, lam)
-    delta = None
-    if taus is not None:
-        taus = np.asarray(taus, dtype=np.complex128)
-        delta = (taus + 1.0 / taus) / 2.0
-    return DerivedScalars(
-        lam=complex(lam),
-        disc=complex(d["disc"]),
-        phi=complex(d["phi"]),
-        tcal=complex(d["tcal"]),
-        t1=complex(d["t1"]),
-        det_lambda=complex(d["det_lambda"]),
-        rho=complex(d["rho"]),
-        delta=delta,
-    )
 
 
 def identity_suite(t, s, lam) -> dict:

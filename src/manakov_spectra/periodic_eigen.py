@@ -184,19 +184,6 @@ def _windings_batch(p: Potential, cells: list[_Cell], parity: int) -> list[int |
     return out
 
 
-def _winding_single(p: Potential, c: _Cell, parity: int, per_edge: int) -> int | None:
-    while per_edge <= 256:
-        pts = _cell_contour(c, per_edge)
-        vals = d_pm_grid(p, pts, parity)
-        try:
-            return _winding_normalized(vals, pts)
-        except UndersampledContourError:
-            per_edge *= 2
-        except ContourThroughZeroError:
-            return None
-    return None
-
-
 def _children(c: _Cell, r: float) -> list[_Cell]:
     sx, sy = c.wx * r, c.wy * r
     return [
@@ -510,16 +497,19 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
         ns = [n for n in range(n_min, n_max + 1) if (n % 2 == 0) == (parity > 0)]
         if not ns:
             continue
-        tops: list[_Cell] = []
+        counted: list[tuple[int, str | None]] = []
         for n in ns:
-            center = np.pi * n
             try:
-                cnt = count_in_disk(p, center, 0.5, parity)
+                counted.append((count_in_disk(p, np.pi * n, 0.5, parity), None))
             except ContourThroughZeroError as exc:
-                failures.append(f"disk n={n}: {exc}")
-                cnt = -1
-            cell = _Cell(n, center - 0.5, -0.5, 1.0, 1.0, 0)
-            w = _winding_single(p, cell, parity, 16)
+                counted.append((-1, f"disk n={n}: {exc}"))
+        # the enclosing squares of all disks of this parity share one batch
+        squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n in ns]
+        winds = _windings_batch(p, squares, parity)
+        tops: list[_Cell] = []
+        for n, (cnt, error), cell, w in zip(ns, counted, squares, winds):
+            if error is not None:
+                failures.append(error)
             if w is None:
                 failures.append(f"disk n={n}: enclosing square contour through zero")
                 continue

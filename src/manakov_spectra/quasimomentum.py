@@ -6,7 +6,9 @@ averages through it gives per-branch magnitudes ``q_j = log|eps(delta_j)|``
 that vanish identically on triple-covered bands and open like square roots
 inside gaps.  Only moduli are used on the real line; the phase of ``eps`` is
 tracked just once, along the imaginary axis, where the large-parameter fit
-needs a continuous branch.
+needs a continuous branch.  The magnitude profile reuses the multipliers the
+band/gap scan already holds for its grid and propagates only the extra
+samples it places inside gaps.
 
 The integrated gap mass (the ``1/pi`` integral of the averaged magnitude) is
 computed twice by design: once by per-gap quadrature with a substitution that
@@ -60,15 +62,8 @@ def eps_map(z):
     return out
 
 
-def branch_magnitudes(p: Potential, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch magnitudes ``q_j`` and their average at real sample points.
-
-    Returns ``(q, q_avg)`` with ``q`` of shape ``(n, 3)``.  All entries are
-    clipped at zero; the map guarantees nonnegativity up to rounding.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    g = monodromy_grid(p, lam.astype(np.complex128))
-    taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
+def _magnitudes(taus, disc, trace) -> tuple[np.ndarray, np.ndarray]:
+    """``(q, q_avg)`` from real-axis multipliers, discriminant and trace."""
     delta = 0.5 * (taus + 1.0 / taus)
     q = np.log(np.abs(eps_map(delta)))
     np.clip(q, 0.0, None, out=q)
@@ -78,12 +73,25 @@ def branch_magnitudes(p: Potential, lam: np.ndarray) -> tuple[np.ndarray, np.nda
     # noise floor that near-double multiplier roots would otherwise leave
     # behind.  The sign test carries a tolerance scaled like the discriminant
     # expression itself, because degenerate potentials make it identically
-    # zero and rounding then flips its sign at random.
-    d = derived_grid(g["trace"], g["trace_conj"], g["lam"])
-    scale = (1.0 + np.abs(g["trace"])) ** 2 * (1.0 + np.abs(g["trace_conj"])) ** 2
-    band = d["disc"].real >= -5e-14 * scale / 64.0
+    # zero and rounding then flips its sign at random.  On the real axis the
+    # inverse trace is conj(trace), so both trace factors share one modulus.
+    factor = (1.0 + np.abs(trace)) ** 2
+    band = disc >= -5e-14 * (factor * factor) / 64.0
     q[band, :] = 0.0
     return q, q.mean(axis=-1)
+
+
+def branch_magnitudes(p: Potential, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-branch magnitudes ``q_j`` and their average at real sample points.
+
+    Returns ``(q, q_avg)`` with ``q`` of shape ``(n, 3)``.  All entries are
+    clipped at zero; the map guarantees nonnegativity up to rounding.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    g = monodromy_grid(p, lam.astype(np.complex128))
+    taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
+    d = derived_grid(g["trace"], g["trace_conj"], g["lam"])
+    return _magnitudes(taus, d["disc"].real, g["trace"])
 
 
 @dataclass
@@ -111,22 +119,28 @@ def _endpoint_graded(a: float, b: float, m: int) -> np.ndarray:
 def q_profile(p: Potential, sc: SpectralScan, endpoint_points: int = 16) -> QProfile:
     """Magnitude profile on the scan grid, refined inside every open gap.
 
-    The scan grid alone undersamples the square-root openings at gap ends, so
-    each gap contributes ``endpoint_points`` extra samples graded toward its
-    endpoints before the batched evaluation.
+    The grid samples come from the scan's own multipliers, discriminant and
+    trace, so the scan grid is not propagated again.  The scan grid alone
+    undersamples the square-root openings at gap ends, so each gap
+    contributes ``endpoint_points`` extra samples graded toward its
+    endpoints; only those that are not grid points are propagated, in one
+    batch, and merged into the sorted grid.
     """
-    pieces = [np.asarray(sc.lam, dtype=np.float64)]
-    for a, b in sc.gaps:
-        pieces.append(_endpoint_graded(a, b, endpoint_points))
-    grid = np.unique(np.concatenate(pieces))
-    q, q_avg = branch_magnitudes(p, grid)
+    q, _ = _magnitudes(sc.taus, sc.disc, sc.trace)
+    grid = np.array(sc.lam, dtype=np.float64)
+    if sc.gaps:
+        graded = [_endpoint_graded(a, b, endpoint_points) for a, b in sc.gaps]
+        extra = np.setdiff1d(np.concatenate(graded), grid)
+        at = np.searchsorted(grid, extra)
+        grid = np.insert(grid, at, extra)
+        q = np.insert(q, at, branch_magnitudes(p, extra)[0], axis=0)
     attribution = np.full(grid.shape, -1, dtype=np.int64)
     for k, (a, b) in enumerate(sc.gaps):
         attribution[(grid > a) & (grid < b)] = k
     return QProfile(
         grid=grid,
         q_branches=q,
-        q_avg=q_avg,
+        q_avg=q.mean(axis=-1),
         gap_attribution=attribution,
         gaps=list(sc.gaps),
         potential=p,
@@ -333,7 +347,7 @@ def discriminant_bounds_check(
     if not np.any(mask):
         return BoundsReport(0, skipped, True, 0.0, 0.0)
     lam = sc.lam[mask]
-    q_branch, _ = branch_magnitudes(p, lam)
+    q_branch, _ = _magnitudes(sc.taus[mask], sc.disc[mask], sc.trace[mask])
     q = q_branch.max(axis=-1)
     absd = np.abs(sc.disc[mask])
     lower = 0.25 * np.sinh(q) ** 2 * (np.cosh(q) - 1.0) ** 2

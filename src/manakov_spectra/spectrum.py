@@ -49,7 +49,7 @@ _NEIGHBOR_H = 1e-4
 
 
 def _line_data(p: Potential, lam: np.ndarray) -> dict:
-    """Discriminant, trace asymmetry, traces and unimodular counts on real lam."""
+    """Discriminant, trace asymmetry, traces, multipliers and unimodular counts on real lam."""
     g = monodromy_grid(p, lam)
     d = derived_grid(g["trace"], g["trace_conj"], g["lam"])
     taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
@@ -129,6 +129,14 @@ def classify(p: Potential, lam: float) -> Classification:
 
 @dataclass
 class SpectralScan:
+    """Samples of one scan grid, the gap list and the scan's diagnostics.
+
+    ``trace`` and ``taus`` (the multiplier triples, shape ``(n, 3)``) are the
+    propagated data behind ``disc``, ``phi`` and ``unimodular``; later stages
+    such as the magnitude profile read them here instead of propagating the
+    grid again.
+    """
+
     interval: tuple[float, float]
     grid_step: float
     lam: np.ndarray
@@ -137,6 +145,7 @@ class SpectralScan:
     multiplicity: np.ndarray
     unimodular: np.ndarray
     trace: np.ndarray
+    taus: np.ndarray
     gaps: list[tuple[float, float]]
     kissing_points: list[float] = field(default_factory=list)
     conflicts: int = 0
@@ -163,12 +172,11 @@ def _resolve_boundary(cls: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_sign_changes(
-    p: Potential, lo: np.ndarray, hi: np.ndarray, disc_lo: np.ndarray
-) -> np.ndarray:
-    """Bisect every bracketed sign change of the discriminant in parallel."""
-    lo = np.asarray(lo, dtype=np.float64).copy()
-    hi = np.asarray(hi, dtype=np.float64).copy()
+def _refine_sign_changes(p: Potential, brackets: list[tuple[float, float, float]]) -> np.ndarray:
+    """Bisect every bracketed sign change ``(lo, hi, disc_lo)`` of the discriminant in parallel."""
+    if not brackets:
+        return np.empty(0)
+    lo, hi, disc_lo = (np.array(x, dtype=np.float64) for x in zip(*brackets))
     sign_lo = np.sign(disc_lo)
     while float(np.max(hi - lo)) > ENDPOINT_ACCURACY:
         mid = 0.5 * (lo + hi)
@@ -193,26 +201,27 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
     if not 0.0 < step <= MAX_SCAN_STEP:
         raise ConfigError(f"scan step must lie in (0, {MAX_SCAN_STEP}], got {step}")
 
+    n = max(2, int(np.ceil((b - a) / step)) + 1)
+    eff_step = (b - a) / (n - 1)
+    lam = np.linspace(a, b, n)
     if moments(p).b3 < ZERO_POTENTIAL_TOL:
-        n = max(2, int(np.ceil((b - a) / step)) + 1)
-        lam = np.linspace(a, b, n)
         zeros = np.zeros(n)
+        # the free multipliers: e^{-i lam} once and e^{i lam} twice
+        em, ep = np.exp(-1j * lam), np.exp(1j * lam)
         return SpectralScan(
             interval=(a, b),
-            grid_step=(b - a) / (n - 1),
+            grid_step=eff_step,
             lam=lam,
             disc=zeros,
             phi=zeros.copy(),
             multiplicity=np.full(n, 3, dtype=np.int64),
             unimodular=np.full(n, 3, dtype=np.int64),
-            trace=np.exp(-1j * lam) + 2.0 * np.exp(1j * lam),
+            trace=em + 2.0 * ep,
+            taus=np.stack([em, ep, ep], axis=-1),
             gaps=[],
             notes=["zero potential: the whole line is the multiplicity-3 band"],
         )
 
-    n = max(2, int(np.ceil((b - a) / step)) + 1)
-    eff_step = (b - a) / (n - 1)
-    lam = np.linspace(a, b, n)
     data = _line_data(p, lam)
     disc = data["disc"]
     tol = _local_tol(disc)
@@ -253,26 +262,8 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
             order.append((1, len(close_br)))
             close_br.append((lam[i], lam[j], disc[i]))
 
-    refined_open = (
-        _refine_sign_changes(
-            p,
-            np.array([x[0] for x in open_br]),
-            np.array([x[1] for x in open_br]),
-            np.array([x[2] for x in open_br]),
-        )
-        if open_br
-        else np.empty(0)
-    )
-    refined_close = (
-        _refine_sign_changes(
-            p,
-            np.array([x[0] for x in close_br]),
-            np.array([x[1] for x in close_br]),
-            np.array([x[2] for x in close_br]),
-        )
-        if close_br
-        else np.empty(0)
-    )
+    refined_open = _refine_sign_changes(p, open_br)
+    refined_close = _refine_sign_changes(p, close_br)
 
     gaps: list[tuple[float, float]] = []
     pending_left: float | None = None
@@ -322,6 +313,7 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
         multiplicity=resolved,
         unimodular=counts,
         trace=data["trace"],
+        taus=data["taus"],
         gaps=gaps,
         kissing_points=kissing,
         conflicts=conflicts,

@@ -28,7 +28,6 @@ from .potential import Potential, fourier_hat, is_rank_one, moments
 from .quasimomentum import eps_map
 
 ENDPOINT_TOL = 1e-12
-DET_TOL = 1e-11
 
 
 def scalar_reduction(p: Potential) -> tuple[np.ndarray, np.ndarray]:
@@ -106,29 +105,6 @@ def zs_propagator_grid(u: np.ndarray, lam) -> np.ndarray:
     out[..., 1, 0] = y21
     out[..., 1, 1] = y22
     return out
-
-
-@dataclass
-class ZSResult:
-    """One-point evaluation of the 2x2 reference problem."""
-
-    y1: np.ndarray
-    delta_zs: complex
-    q_zs: float
-    det_y1: complex
-    gaps: list[tuple[float, float]] = field(default_factory=list)
-
-
-def zs_monodromy(u: np.ndarray, lam: complex) -> ZSResult:
-    y = zs_propagator_grid(u, np.asarray([lam], dtype=np.complex128))[0]
-    delta = 0.5 * (y[0, 0] + y[1, 1])
-    q = float(np.log(np.abs(eps_map(delta))))
-    return ZSResult(
-        y1=y,
-        delta_zs=complex(delta),
-        q_zs=max(q, 0.0),
-        det_y1=complex(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0]),
-    )
 
 
 def zs_gaps(u: np.ndarray, lo: float, hi: float, step: float = 0.01) -> list[tuple[float, float]]:

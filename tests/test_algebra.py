@@ -9,11 +9,12 @@ the pairwise-sum symmetric function near root collisions.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manakov_spectra.algebra import (
     Contour,
     ContourThroughZeroError,
+    RootResidualError,
     UndersampledContourError,
     adj3,
     cubic_roots,
@@ -102,6 +103,7 @@ def test_cubic_symmetric_functions_tight_near_collision():
         st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
     )
 )
+@example((1.0 + 0j, 2.2e-309 + 0j, 0j))
 def test_cubic_residual_property(roots):
     c2, c1, c0 = coeffs_from_roots(*roots)
     z = cubic_roots(c2, c1, c0)
@@ -110,6 +112,21 @@ def test_cubic_residual_property(roots):
     scale = max(1.0, abs(c2), abs(c1), abs(c0)) * max(1.0, np.abs(z).max()) ** 3
     resid = np.abs(((z + c2) * z + c1) * z + c0)
     assert resid.max() <= 1e-9 * scale
+
+
+def test_cubic_subnormal_root_stays_finite():
+    # roots 1, 2.2e-309 and 0: the deflated small pair once came back as
+    # [1.1e-309, nan], because its square underflows and numpy's complex
+    # division by a subnormal overflows
+    z = cubic_roots_stack(-1.0, 2.2e-309, 0.0)
+    assert np.all(np.isfinite(z))
+    assert multiset_distance(z, np.array([1.0, 2.2e-309, 0.0])) <= 1e-300
+
+
+def test_cubic_nan_residual_raises():
+    # a NaN residual is not under any bound
+    with pytest.raises(RootResidualError):
+        cubic_roots_stack(np.nan, 0.0, 0.0)
 
 
 # -- winding counts --------------------------------------------------------

@@ -1,16 +1,21 @@
 """Command-line surface: exit codes, formats, determinism, diagnostics."""
 
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from manakov_spectra import NumericalError
+from manakov_spectra import NumericalError, monodromy
 from manakov_spectra.cli import _csv_text, main
 
 CONST = '{"kind":"constant","value":[0.9,0.0],"resolution":64}'
 ZERO = '{"kind":"zero","resolution":64}'
+FOURIER = (
+    '{"kind":"fourier","modes":{"1":[[0.25,0.0],[0.1,0.0]],'
+    '"-1":[[0.0,0.0],[0.2,0.0]]},"resolution":64}'
+)
 RANK1_FOURIER = (
     '{"kind":"fourier","modes":{"0":[[0.35,0.0],[0.0,0.0]],'
     '"1":[[0.2,0.0],[0.0,0.0]]},"resolution":128}'
@@ -188,6 +193,17 @@ def test_config_errors_exit_two(capsys):
         capsys,
     )
     assert rc == 2
+    # malformed fields of a well-formed JSON document
+    for doc in (
+        '{"kind":"zero","resolution":"abc"}',
+        '{"kind":"zero","resolution":[64]}',
+        '{"kind":"zero","resolution":64.7}',
+        '{"kind":"piecewise","breakpoints":[0,1],"values":5}',
+        '{"kind":"piecewise","breakpoints":[0,"x",1],"values":[[0,0],[0,0]]}',
+    ):
+        rc, out, err = run_main(["verify", "--potential", doc], capsys)
+        assert rc == 2, doc
+        assert out == "" and err.startswith("configuration error:"), doc
 
 
 def test_reversed_eigen_window_exit_two(capsys):
@@ -225,3 +241,27 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["gaps"] == []
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "command,args",
+    [("qmomentum", ["--interval", "-16", "16", "--step", "0.05"]), ("verify", [])],
+)
+def test_each_real_point_propagated_once(command, args, monkeypatch, capsys):
+    # every later stage reuses the samples an earlier stage propagated
+    real_points = []
+    propagate = monodromy.monodromy_grid
+
+    def recording(p, lam, **kwargs):
+        g = propagate(p, lam, **kwargs)
+        real_points.extend(float(x.real) for x in g["lam"] if x.imag == 0.0)
+        return g
+
+    for name in ("cli", "multipliers", "periodic_eigen", "quasimomentum", "spectrum", "zs_oracle"):
+        module = importlib.import_module(f"manakov_spectra.{name}")
+        monkeypatch.setattr(module, "monodromy_grid", recording)
+    rc, _, _ = run_main([command, "--potential", FOURIER, *args], capsys)
+    assert rc == 0
+    assert real_points
+    assert len(set(real_points)) == len(real_points)

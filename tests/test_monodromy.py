@@ -15,8 +15,8 @@ from manakov_spectra import (
     monodromy_grid,
     propagate,
     trace_t2,
-    wronskian_defect,
 )
+from manakov_spectra.monodromy import J3
 from conftest import random_potential
 from oracles import pade_psi, picard_monodromy
 
@@ -60,8 +60,12 @@ def test_determinant_identity_random(rng):
 
 def test_wronskian_defect_small(rng):
     p = random_potential(rng, max_norm=1.0)
-    for lam in (0.7, -5.3, 2.0 + 1.0j, -1.0 - 2.5j):
-        assert wronskian_defect(p, lam) <= 1e-10 * np.exp(2 * abs(np.imag(lam)))
+    # psi(conj lam)^* J psi(lam) = J, entry by entry
+    lam = np.array([0.7, -5.3, 2.0 + 1.0j, -1.0 - 2.5j])
+    a = monodromy_grid(p, lam, want_psi=True)["psi"]
+    b = monodromy_grid(p, np.conj(lam), want_psi=True)["psi"]
+    defect = np.abs(np.conj(np.swapaxes(b, -1, -2)) @ J3 @ a - J3).max(axis=(-2, -1))
+    assert np.all(defect <= 1e-10 * np.exp(2 * np.abs(lam.imag)))
 
 
 def test_trace_conj_route_consistency(rng):

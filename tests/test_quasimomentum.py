@@ -20,7 +20,7 @@ from manakov_spectra import (
     scan,
     zs_q0_integral,
 )
-from manakov_spectra.quasimomentum import profile_csv_rows
+from manakov_spectra.quasimomentum import branch_magnitudes, profile_csv_rows
 
 
 def test_eps_map_contracts(rng):
@@ -42,6 +42,21 @@ def test_free_profile_identically_zero(pot_zero):
     prof = q_profile(pot_zero, sc)
     assert np.all(prof.q_avg == 0.0)
     assert np.all(prof.q_branches == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["pot_const", "pot_two_mode"])
+def test_profile_reuses_scan_samples_bit_for_bit(name, request):
+    # the grid samples come from the scan, the gap samples from their own
+    # batch; together they equal one propagation of the whole profile grid
+    p = request.getfixturevalue(name)
+    sc = scan(p, -7.5, 7.5, step=0.01)
+    prof = q_profile(p, sc)
+    assert sc.gaps
+    assert prof.grid.size > sc.lam.size
+    q, q_avg = branch_magnitudes(p, prof.grid)
+    assert np.array_equal(prof.q_branches, q)
+    assert np.array_equal(prof.q_avg, q_avg)
 
 
 def test_constant_gap_center_exponents(pot_const):

@@ -18,10 +18,10 @@ from manakov_spectra import (
     scalar_reduction,
     zs_delta_grid,
     zs_gaps,
-    zs_monodromy,
     zs_q0_integral,
 )
 from manakov_spectra.multipliers import derived_grid
+from manakov_spectra.zs_oracle import zs_propagator_grid
 
 
 def test_free_delta_is_cosine():
@@ -41,9 +41,9 @@ def test_constant_delta_closed_form():
 
 def test_unit_determinant_random(rng):
     u = 0.5 * (rng.normal(size=128) + 1j * rng.normal(size=128))
-    for lam in (0.3, -2.7, 1.1 + 0.8j):
-        res = zs_monodromy(u, lam)
-        assert abs(res.det_y1 - 1.0) <= 1e-11
+    y = zs_propagator_grid(u, np.array([0.3, -2.7, 1.1 + 0.8j]))
+    det = y[:, 0, 0] * y[:, 1, 1] - y[:, 0, 1] * y[:, 1, 0]
+    assert np.abs(det - 1.0).max() <= 1e-11
 
 
 def test_delta_real_on_real_axis(rng):
