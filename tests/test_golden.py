@@ -1,14 +1,20 @@
-"""Golden outputs: every command's JSON on three small inputs, pinned.
+"""Golden outputs: every command on three small inputs, pinned in both formats.
 
-The files under ``tests/golden/`` were written by the CLI itself.  A run
-must reproduce them with integers, booleans, strings and nulls exact and
-floats to 1e-12 relative.  Regenerate them, after a deliberate change of
-results only, with ``PYTHONPATH=src python tests/test_golden.py``.
+The files under ``tests/golden/`` were written by the CLI itself.  A JSON
+run must reproduce its ``.json`` file with integers, booleans, strings and
+nulls exact and floats to 1e-12 relative.  A ``--format csv`` run must
+reproduce its ``.csv`` file byte for byte, and the ``diagnostic:`` and
+``report:`` lines it prints on stderr must equal its ``.err`` file.
+Regenerate them, after a deliberate change of results only, with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
+import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,6 +23,7 @@ from manakov_spectra.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
+STDERR_PREFIXES = ("diagnostic: ", "report: ")
 
 INPUTS = {
     "const": '{"kind":"constant","value":[0.9,0.0],"resolution":64}',
@@ -42,8 +49,18 @@ COMMANDS = {
 CASES = [(name, cmd) for name in INPUTS for cmd in COMMANDS]
 
 
-def _run(name: str, cmd: str, out: Path) -> int:
-    return main([cmd, "--potential", INPUTS[name], *COMMANDS[cmd], "--out", str(out)])
+def _run(name: str, cmd: str, out: Path, *extra: str) -> int:
+    return main([cmd, "--potential", INPUTS[name], *COMMANDS[cmd], *extra, "--out", str(out)])
+
+
+def _run_csv(name: str, cmd: str, out: Path) -> tuple[int, str]:
+    """Exit code and the ``diagnostic:``/``report:`` stderr lines of a CSV run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = _run(name, cmd, out, "--format", "csv")
+    lines = err.getvalue().splitlines(keepends=True)
+    return rc, "".join(line for line in lines if line.startswith(STDERR_PREFIXES))
 
 
 def _mismatches(got, want, path="$"):
@@ -77,8 +94,21 @@ def test_golden_output(name, cmd, tmp_path):
     assert bad == [], bad[:10]
 
 
+@pytest.mark.parametrize("name,cmd", CASES)
+def test_golden_csv_output(name, cmd, tmp_path):
+    out = tmp_path / "out.csv"
+    rc, err = _run_csv(name, cmd, out)
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}-{cmd}.csv").read_bytes()
+    assert err == (GOLDEN / f"{name}-{cmd}.err").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, cmd in CASES:
         if _run(name, cmd, GOLDEN / f"{name}-{cmd}.json") != 0:
             sys.exit(f"{name} {cmd}: nonzero exit")
+        rc, err = _run_csv(name, cmd, GOLDEN / f"{name}-{cmd}.csv")
+        if rc != 0:
+            sys.exit(f"{name} {cmd} csv: nonzero exit")
+        (GOLDEN / f"{name}-{cmd}.err").write_text(err, encoding="utf-8")
