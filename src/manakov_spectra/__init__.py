@@ -23,11 +23,7 @@ from .errors import (
     WindowTooSmallError,
     ZeroAtOriginError,
 )
-from .monodromy import (
-    monodromy_grid,
-    propagate,
-    trace_t2,
-)
+from .monodromy import monodromy_grid, trace_t2
 from .multipliers import (
     MultiplierTriple,
     derived_grid,

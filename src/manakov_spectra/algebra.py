@@ -7,7 +7,7 @@ dispatch overhead.
 Contents:
 
 * ``det3`` / ``adj3`` -- determinant and adjugate of (..., 3, 3) stacks.
-* ``cubic_roots`` -- closed-form monic-cubic solver with one mandatory Newton
+* ``cubic_roots_stack`` -- closed-form monic-cubic solver with one mandatory Newton
   polish per root and a deflation fallback for badly scaled root sets.
 * ``winding_count`` -- discrete argument-principle winding number with
   explicit undersampling and zero-proximity guards.
@@ -30,7 +30,6 @@ from .errors import (
 __all__ = [
     "Contour",
     "adj3",
-    "cubic_roots",
     "cubic_roots_stack",
     "det3",
     "winding_count",
@@ -277,15 +276,6 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
         worst = float(np.max(resid / np.maximum(bound, tiny)))
         raise RootResidualError(f"cubic root residual {worst:.3g}x over bound")
     return roots
-
-
-def cubic_roots(c2: complex, c1: complex, c0: complex) -> np.ndarray:
-    """Roots (length-3 array, with multiplicity) of one monic cubic."""
-    return cubic_roots_stack(
-        np.asarray(c2, dtype=np.complex128),
-        np.asarray(c1, dtype=np.complex128),
-        np.asarray(c0, dtype=np.complex128),
-    )
 
 
 # ----------------------------------------------------------------------------

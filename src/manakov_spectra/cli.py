@@ -2,11 +2,16 @@
 
 Output is deterministic for a fixed configuration: grids are fixed by the
 flags, every pipeline is seedless, and JSON field order is fixed by
-construction.  CSV carries exactly the documented columns (see
-``docs/output-schema.md``); JSON mirrors the CSV payload and adds a metadata
-block (library version, canonical resolution, potential hash) plus a
-``diagnostics`` array that is never silently dropped.  Exit codes: 0 success,
-2 configuration problem, 3 numerical failure.
+construction.  Each ``cmd_*`` returns its JSON body, CSV rows, CSV-mode
+stderr lines and exit code; only ``main`` loads the potential, reads
+``--format`` and writes.  CSV carries exactly the documented columns (see
+``docs/output-schema.md``; ``verify`` writes a text report instead).  JSON
+adds the command name and a metadata block (library version, potential kind,
+declared resolution, potential hash).  ``scan``, ``eigen`` and ``qmomentum``
+also carry a ``diagnostics`` array, printed on stderr as ``diagnostic:``
+lines in CSV mode, where ``qmomentum`` adds ``report:`` lines; ``sheets``
+reports none of its scan's warnings and notes.  Exit codes: 0 success, 2
+configuration problem, 3 numerical failure or a failed ``verify`` check.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import io
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -34,16 +40,14 @@ from .periodic_eigen import (
     d_pm_from_traces,
     eigenvalues_in_window,
     recover_traces,
-    table_csv_rows,
 )
 from .potential import Potential, is_rank_one, moments
 from .quasimomentum import (
     herglotz_asymptotic,
-    profile_csv_rows,
     q0_integral,
     q_profile,
 )
-from .spectrum import scan, scan_csv_rows, scan_json_doc, sheet_count
+from .spectrum import scan, sheet_count
 from .zs_oracle import reduction_check, scalar_reduction, zs_q0_integral
 
 DEFAULT_NU = (12.0, 16.0, 20.0, 26.0, 34.0)
@@ -202,31 +206,25 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _print_diagnostics(items) -> None:
-    for item in items:
-        print(f"diagnostic: {item}", file=sys.stderr)
-
-
 # ----------------------------------------------------------------------------
-# commands
+# commands (long CSV row lists are lazy, so a JSON run formats none of them)
 # ----------------------------------------------------------------------------
 
 
-def cmd_scan(args) -> int:
-    p = load_potential(args.potential, args.resolution)
+def cmd_scan(p: Potential, args):
     lo, hi = args.interval
     sc = scan(p, lo, hi, step=args.step)
     diagnostics = list(sc.warnings) + list(sc.notes)
     if sc.conflicts:
         diagnostics.append(f"{sc.conflicts} classification conflict(s)")
-    if args.format == "csv":
-        _write(_csv_text(scan_csv_rows(sc)), args.out)
-        _print_diagnostics(diagnostics)
-        return 0
-    doc = {
-        "command": "scan",
-        "metadata": _metadata(p),
-        **scan_json_doc(sc),
+    body = {
+        "interval": [sc.interval[0], sc.interval[1]],
+        "grid_step": sc.grid_step,
+        "gaps": [[a, b] for a, b in sc.gaps],
+        "kissing_points": list(sc.kissing_points),
+        "conflicts": sc.conflicts,
+        "warnings": list(sc.warnings),
+        "notes": list(sc.notes),
         "samples": {
             "lam": [float(x) for x in sc.lam],
             "disc": [float(x) for x in sc.disc],
@@ -235,35 +233,24 @@ def cmd_scan(args) -> int:
         },
         "diagnostics": diagnostics,
     }
-    _write(_json_text(doc), args.out)
-    return 0
+    rows = chain(
+        [["lam", "disc", "phi", "multiplicity"]],
+        (
+            [f"{x:.12g}", f"{d:.12g}", f"{f:.12g}", str(int(m))]
+            for x, d, f, m in zip(sc.lam, sc.disc, sc.phi, sc.multiplicity)
+        ),
+    )
+    return body, rows, [f"diagnostic: {d}" for d in diagnostics], 0
 
 
-def cmd_eigen(args) -> int:
-    p = load_potential(args.potential, args.resolution)
+def cmd_eigen(p: Potential, args):
     n_min, n_max = args.window
     table = eigenvalues_in_window(p, n_min, n_max)
     res = asymptotic_residuals(table, p)
     devs = res["deviations"]
-
-    def dev_of(e):
-        arr = devs.get(e.n)
-        return float(arr[e.j - 1]) if arr is not None else None
-
+    dev = [float(devs[e.n][e.j - 1]) if e.n in devs else None for e in table.entries]
     diagnostics = list(table.failures) + list(table.notes)
-    if args.format == "csv":
-        rows = []
-        base = table_csv_rows(table)
-        rows.append(next(base) + ["dev_first_order"])
-        for e, row in zip(table.entries, base):
-            d = dev_of(e)
-            rows.append(row + ["" if d is None else f"{d:.12g}"])
-        _write(_csv_text(rows), args.out)
-        _print_diagnostics(diagnostics)
-        return 0
-    doc = {
-        "command": "eigen",
-        "metadata": _metadata(p),
+    body = {
         "window": [n_min, n_max],
         "entries": [
             {
@@ -272,9 +259,9 @@ def cmd_eigen(args) -> int:
                 "z": [e.z.real, e.z.imag],
                 "parity": e.parity,
                 "residual": e.residual,
-                "dev_first_order": dev_of(e),
+                "dev_first_order": d,
             }
-            for e in table.entries
+            for e, d in zip(table.entries, dev)
         ],
         "asymptotics": {
             "deviations": {str(n): [float(x) for x in arr] for n, arr in devs.items()},
@@ -284,8 +271,22 @@ def cmd_eigen(args) -> int:
         },
         "diagnostics": diagnostics,
     }
-    _write(_json_text(doc), args.out)
-    return 0
+    rows = chain(
+        [["n", "j", "re_z", "im_z", "parity", "residual", "dev_first_order"]],
+        (
+            [
+                str(e.n),
+                str(e.j),
+                f"{e.z.real:.15g}",
+                f"{e.z.imag:.15g}",
+                e.parity,
+                f"{e.residual:.6g}",
+                "" if d is None else f"{d:.12g}",
+            ]
+            for e, d in zip(table.entries, dev)
+        ),
+    )
+    return body, rows, [f"diagnostic: {d}" for d in diagnostics], 0
 
 
 def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
@@ -343,7 +344,10 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     e_rec = np.maximum(np.abs(t_r - t), np.abs(s_r - s)) / grow
     checks.append(("trace-recovery", float(e_rec.max()), 1e-10))
 
-    counts = unimodular_count(multipliers_from_traces(g["trace"], g["trace_conj"], lam)[: len(lam_re)])
+    if corrupt:
+        # the pattern reads the multipliers of the unperturbed traces
+        taus = multipliers_from_traces(g["trace"], g["trace_conj"], lam)
+    counts = unimodular_count(taus[: len(lam_re)])
     ok_counts = np.all((counts == 1) | (counts == 3))
     checks.append(("unimodular-pattern", 0.0 if ok_counts else 1.0, 0.5))
 
@@ -362,34 +366,20 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     return out
 
 
-def cmd_verify(args) -> int:
-    p = load_potential(args.potential, args.resolution)
-    rows = _verify_checks(p, corrupt=args.corrupt)
-    ok = all(r["status"] != "FAIL" for r in rows)
-    if args.format == "json":
-        doc = {
-            "command": "verify",
-            "metadata": _metadata(p),
-            "checks": rows,
-            "ok": ok,
-        }
-        _write(_json_text(doc), args.out)
-    else:
-        lines = []
-        for r in rows:
-            if r["status"] == "SKIP":
-                lines.append(f"SKIP {r['name']}")
-            else:
-                lines.append(
-                    f"{r['status']} {r['name']}  worst={r['worst']:.3g}  tol={r['tol']:.3g}"
-                )
-        lines.append("all checks passed" if ok else "FAILURES present")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 3
+def cmd_verify(p: Potential, args):
+    checks = _verify_checks(p, corrupt=args.corrupt)
+    ok = all(c["status"] != "FAIL" for c in checks)
+    lines = [
+        f"SKIP {c['name']}"
+        if c["status"] == "SKIP"
+        else f"{c['status']} {c['name']}  worst={c['worst']:.3g}  tol={c['tol']:.3g}"
+        for c in checks
+    ]
+    lines.append("all checks passed" if ok else "FAILURES present")
+    return {"checks": checks, "ok": ok}, lines, [], 0 if ok else 3
 
 
-def cmd_qmomentum(args) -> int:
-    p = load_potential(args.potential, args.resolution)
+def cmd_qmomentum(p: Potential, args):
     lo, hi = args.interval
     sc = scan(p, lo, hi, step=args.step)
     prof = q_profile(p, sc)
@@ -420,15 +410,7 @@ def cmd_qmomentum(args) -> int:
             "ratio": (mass.value / (2.0 * qzs / 3.0)) if qzs > 0 else None,
         }
     diagnostics = list(sc.warnings) + list(sc.notes) + list(mass.notes)
-    if args.format == "csv":
-        _write(_csv_text(profile_csv_rows(prof)), args.out)
-        _print_diagnostics(diagnostics)
-        for k, v in report.items():
-            print(f"report: {k} = {v}", file=sys.stderr)
-        return 0
-    doc = {
-        "command": "qmomentum",
-        "metadata": _metadata(p),
+    body = {
         "interval": [lo, hi],
         "grid_step": args.step,
         "profile": {
@@ -442,37 +424,41 @@ def cmd_qmomentum(args) -> int:
         "report": report,
         "diagnostics": diagnostics,
     }
-    _write(_json_text(doc), args.out)
-    return 0
+    rows = chain(
+        [["lam", "q1", "q2", "q3", "q_avg"]],
+        (
+            [f"{x:.12g}", f"{q1:.12g}", f"{q2:.12g}", f"{q3:.12g}", f"{a:.12g}"]
+            for x, (q1, q2, q3), a in zip(prof.grid, prof.q_branches, prof.q_avg)
+        ),
+    )
+    stderr = [f"diagnostic: {d}" for d in diagnostics]
+    stderr += [f"report: {k} = {v}" for k, v in report.items()]
+    return body, rows, stderr, 0
 
 
-def cmd_sheets(args) -> int:
-    p = load_potential(args.potential, args.resolution)
+def cmd_sheets(p: Potential, args):
     lo, hi = args.interval
     sc = scan(p, lo, hi, step=args.step)
     verdict = sheet_count(p, sc)
     m = moments(p)
-    doc = {
-        "command": "sheets",
-        "metadata": _metadata(p),
+    phi_sup = float(np.max(np.abs(sc.phi)))
+    body = {
         "interval": [lo, hi],
         "sheets": verdict.sheets,
         "evidence": verdict.evidence,
         "moments": {"b1": m.b1, "b2": m.b2, "b3": m.b3},
-        "phi_sup": float(np.max(np.abs(sc.phi))),
+        "phi_sup": phi_sup,
         "gaps": [[a, b] for a, b in sc.gaps],
     }
-    if args.format == "csv":
-        rows = [["key", "value"]]
-        rows.append(["sheets", str(verdict.sheets)])
-        rows.append(["b1", f"{m.b1:.12g}"])
-        rows.append(["b3", f"{m.b3:.12g}"])
-        rows.append(["phi_sup", f"{doc['phi_sup']:.12g}"])
-        rows.append(["n_gaps", str(len(sc.gaps))])
-        _write(_csv_text(rows), args.out)
-        return 0
-    _write(_json_text(doc), args.out)
-    return 0
+    rows = [
+        ["key", "value"],
+        ["sheets", str(verdict.sheets)],
+        ["b1", f"{m.b1:.12g}"],
+        ["b3", f"{m.b3:.12g}"],
+        ["phi_sup", f"{phi_sup:.12g}"],
+        ["n_gaps", str(len(sc.gaps))],
+    ]
+    return body, rows, [], 0
 
 
 # ----------------------------------------------------------------------------
@@ -527,7 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        p = load_potential(args.potential, args.resolution)
+        body, rows, stderr, code = args.func(p, args)
+        if args.format == "json":
+            doc = {"command": args.command, "metadata": _metadata(p), **body}
+            _write(_json_text(doc), args.out)
+            return code
+        if args.command == "verify":
+            # verify's CSV mode is its plain-text check report
+            _write("".join(f"{line}\n" for line in rows), args.out)
+        else:
+            _write(_csv_text(rows), args.out)
+        for line in stderr:
+            print(line, file=sys.stderr)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -23,20 +23,16 @@ while the conjugated propagation stays accurate at full scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import adj3, det3, ensure_finite
+from .algebra import adj3, det3
 from .errors import RangeOverflowError
 from .potential import Potential, _e1
 
 __all__ = [
     "IM_LIMIT",
     "J3",
-    "MonodromyResult",
     "monodromy_grid",
-    "propagate",
     "trace_t2",
 ]
 
@@ -273,35 +269,6 @@ def monodromy_grid(p: Potential, lam, *, want_psi: bool = False) -> dict:
     if want_psi:
         out["psi"] = psis[:n]
     return out
-
-
-@dataclass
-class MonodromyResult:
-    """Propagator over one period at a single spectral parameter."""
-
-    lam: complex
-    psi: np.ndarray  # (3, 3)
-    trace: complex  # T
-    trace_conj: complex  # trace of the inverse propagator
-    det: complex  # accumulated product of per-step determinants
-
-
-def propagate(p: Potential, lam: complex) -> MonodromyResult:
-    """Monodromy matrix and trace data at one spectral parameter.
-
-    ``|Im lam|`` must stay within ``IM_LIMIT``; beyond that the propagator
-    cannot be represented in doubles and a range-overflow error is raised.
-    """
-    g = monodromy_grid(p, [lam], want_psi=True)
-    psi = g["psi"][0]
-    ensure_finite(psi, "monodromy matrix")
-    return MonodromyResult(
-        lam=complex(lam),
-        psi=psi,
-        trace=complex(g["trace"][0]),
-        trace_conj=complex(g["trace_conj"][0]),
-        det=complex(g["det"][0]),
-    )
 
 
 # ----------------------------------------------------------------------------

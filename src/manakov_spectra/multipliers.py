@@ -75,9 +75,9 @@ def multipliers_from_traces(t, s, lam) -> np.ndarray:
     return cubic_roots_stack(c2, c1, c0)
 
 
-def unimodular_count(taus: np.ndarray, tol: float = UNIMODULAR_TOL) -> np.ndarray:
-    """How many of the (..., 3) multipliers lie on the unit circle within *tol*."""
-    return np.sum(np.abs(np.abs(taus) - 1.0) <= tol, axis=-1)
+def unimodular_count(taus: np.ndarray) -> np.ndarray:
+    """How many of the (..., 3) multipliers lie on the unit circle within ``UNIMODULAR_TOL``."""
+    return np.sum(np.abs(np.abs(taus) - 1.0) <= UNIMODULAR_TOL, axis=-1)
 
 
 @dataclass
@@ -85,10 +85,6 @@ class MultiplierTriple:
     lam: complex
     tau: np.ndarray  # (3,) complex
     labeling: str
-
-    @property
-    def delta(self) -> np.ndarray:
-        return (self.tau + 1.0 / self.tau) / 2.0
 
 
 def _label_complex(tau: np.ndarray, lam: complex) -> np.ndarray:

@@ -48,7 +48,12 @@ NEWTON_ACCEPT = 1e-11
 RESIDUAL_TOL = 1e-9
 _SPLIT_RATIOS = (0.5, 0.53, 0.47, 0.61)
 _RADIUS_NUDGES = (1.0, 1.05, 0.95, 1.10, 0.90)
+_DISK_SAMPLES = 64
 _MAX_CIRCLE_SAMPLES = 8192
+# largest n0 that the cluster-onset search tries
+ONSET_LIMIT = 12
+# exponent of the deviation sums in the asymptotic check
+SUMMABILITY_EXPONENT = 1.5
 
 
 def d_pm_from_traces(t, s, lam, sign: int) -> np.ndarray:
@@ -85,18 +90,16 @@ def _winding_normalized(vals: np.ndarray, pts: np.ndarray) -> int:
     return winding_count(vals / _envelope(pts))
 
 
-def count_in_disk(
-    p: Potential, center: float, radius: float, parity: int, samples: int = 64
-) -> int:
+def count_in_disk(p: Potential, center: float, radius: float, parity: int) -> int:
     """Number of zeros of D(parity) inside |lam - center| < radius.
 
-    The radius is nudged by +-5% then +-10% when the contour runs through a
-    zero; the sample count doubles (up to 8192) when the phase is
-    undersampled.
+    The circle starts with 64 samples.  The radius is nudged by +-5% then
+    +-10% when the contour runs through a zero; the sample count doubles (up
+    to 8192) when the phase is undersampled.
     """
     last: Exception | None = None
     for factor in _RADIUS_NUDGES:
-        c = Contour(center, radius * factor, samples)
+        c = Contour(center, radius * factor, _DISK_SAMPLES)
         while True:
             pts = c.points()
             vals = d_pm_grid(p, pts, parity)
@@ -474,12 +477,8 @@ class EigenvalueTable:
     def by_n(self, n: int) -> list[EigenEntry]:
         return [e for e in self.entries if e.n == n]
 
-    def roots(self, parity: str) -> np.ndarray:
-        return np.array([e.z for e in self.entries if e.parity == parity])
-
-    def ns(self, parity: str | None = None) -> list[int]:
-        seen = sorted({e.n for e in self.entries if parity is None or e.parity == parity})
-        return seen
+    def ns(self) -> list[int]:
+        return sorted({e.n for e in self.entries})
 
 
 def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTable:
@@ -539,9 +538,9 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
     return EigenvalueTable(entries, (n_min, n_max), failures, notes)
 
 
-def find_cluster_onset(p: Potential, n_limit: int = 12) -> int:
+def find_cluster_onset(p: Potential) -> int:
     """Smallest n0 whose next six disks (both signs) all count exactly 3 zeros."""
-    for n0 in range(n_limit + 1):
+    for n0 in range(ONSET_LIMIT + 1):
         good = True
         for n in range(n0, n0 + 6):
             for m in (n, -n):
@@ -558,7 +557,7 @@ def find_cluster_onset(p: Potential, n_limit: int = 12) -> int:
         if good:
             return n0
     raise WindowTooSmallError(
-        f"no stable counting onset found for n0 <= {n_limit}"
+        f"no stable counting onset found for n0 <= {ONSET_LIMIT}"
     )
 
 
@@ -567,12 +566,12 @@ def find_cluster_onset(p: Potential, n_limit: int = 12) -> int:
 # ----------------------------------------------------------------------------
 
 
-def asymptotic_residuals(table: EigenvalueTable, p: Potential, delta: float = 1.5) -> dict:
+def asymptotic_residuals(table: EigenvalueTable, p: Potential) -> dict:
     """Deviation of each cluster from the first-order pattern pi n + zeta |v^(pi n)|.
 
     zeta runs over (-1, 0, +1) matched to the sorted cluster.  Returns per-n
-    deviations, the running partial sums of deviation^delta ordered by |n|,
-    and an empirical decay exponent fitted on log-log scale.
+    deviations, the running partial sums of deviation**SUMMABILITY_EXPONENT
+    ordered by |n|, and an empirical decay exponent fitted on log-log scale.
     """
     ns = table.ns()
     devs: dict[int, np.ndarray] = {}
@@ -588,7 +587,7 @@ def asymptotic_residuals(table: EigenvalueTable, p: Potential, delta: float = 1.
         devs[n] = np.abs(zs - pred)
     order = sorted(devs, key=abs)
     flat = np.concatenate([devs[n] for n in order]) if order else np.empty(0)
-    partial = np.cumsum(flat**delta)
+    partial = np.cumsum(flat**SUMMABILITY_EXPONENT)
     rate = None
     large = [n for n in order if abs(n) >= 3 and devs[n].max() > 0]
     if len(large) >= 4:
@@ -599,7 +598,7 @@ def asymptotic_residuals(table: EigenvalueTable, p: Potential, delta: float = 1.
         "deviations": devs,
         "order": order,
         "partial_sums": partial,
-        "delta": delta,
+        "delta": SUMMABILITY_EXPONENT,
         "decay_exponent": rate,
     }
 
@@ -644,20 +643,3 @@ def recover_traces(dp: complex, dm: complex, lam: complex):
     s = (dm - dp) / (2.0 * e) - 1.0 / e
     return t, s
 
-
-# ----------------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------------
-
-
-def table_csv_rows(table: EigenvalueTable):
-    yield ["n", "j", "re_z", "im_z", "parity", "residual"]
-    for e in table.entries:
-        yield [
-            str(e.n),
-            str(e.j),
-            f"{e.z.real:.15g}",
-            f"{e.z.imag:.15g}",
-            e.parity,
-            f"{e.residual:.6g}",
-        ]

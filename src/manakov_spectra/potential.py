@@ -218,10 +218,6 @@ class PotentialMoments:
     b3: float
 
     @property
-    def norm_sq(self) -> float:
-        return self.b3
-
-    @property
     def norm(self) -> float:
         return float(np.sqrt(self.b3))
 
@@ -274,13 +270,12 @@ def fourier_hat(p: Potential, lam) -> np.ndarray:
     return out.reshape(np.asarray(lam).shape + (2,))
 
 
-def is_rank_one(p: Potential, tol: float | None = None) -> bool:
+def is_rank_one(p: Potential) -> bool:
     """Whether the two components are (numerically) proportional.
 
-    Tolerance defaults to 1e-10 of ``max(1, ||v||^2)`` for exact
-    representations (piecewise, fourier) and 1e-6 for sampled data.
+    The tolerance is 1e-10 of ``max(1, ||v||^2)`` for exact representations
+    (piecewise, fourier) and 1e-6 for sampled data.
     """
-    if tol is None:
-        tol = 1e-6 if p.kind == "samples" else 1e-10
+    tol = 1e-6 if p.kind == "samples" else 1e-10
     mom = moments(p)
     return mom.b1 <= tol * max(1.0, mom.b3)

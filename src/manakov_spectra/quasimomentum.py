@@ -43,6 +43,12 @@ EDGE_MARGIN = math.pi
 # declared too small to trust the integral
 EDGE_FRACTION = 0.01
 
+# extra profile samples per gap, graded toward its endpoints
+ENDPOINT_POINTS = 16
+
+# relaxation of both sides of the discriminant envelope check
+ENVELOPE_SLACK = 1e-8
+
 
 def eps_map(z):
     """Conformal map ``z + sqrt(z^2 - 1)`` on the branch with modulus >= 1.
@@ -116,20 +122,20 @@ def _endpoint_graded(a: float, b: float, m: int) -> np.ndarray:
     return a + (b - a) * np.sin(0.5 * theta) ** 2
 
 
-def q_profile(p: Potential, sc: SpectralScan, endpoint_points: int = 16) -> QProfile:
+def q_profile(p: Potential, sc: SpectralScan) -> QProfile:
     """Magnitude profile on the scan grid, refined inside every open gap.
 
     The grid samples come from the scan's own multipliers, discriminant and
     trace, so the scan grid is not propagated again.  The scan grid alone
     undersamples the square-root openings at gap ends, so each gap
-    contributes ``endpoint_points`` extra samples graded toward its
+    contributes ``ENDPOINT_POINTS`` extra samples graded toward its
     endpoints; only those that are not grid points are propagated, in one
     batch, and merged into the sorted grid.
     """
     q, _ = _magnitudes(sc.taus, sc.disc, sc.trace)
     grid = np.array(sc.lam, dtype=np.float64)
     if sc.gaps:
-        graded = [_endpoint_graded(a, b, endpoint_points) for a, b in sc.gaps]
+        graded = [_endpoint_graded(a, b, ENDPOINT_POINTS) for a, b in sc.gaps]
         extra = np.setdiff1d(np.concatenate(graded), grid)
         at = np.searchsorted(grid, extra)
         grid = np.insert(grid, at, extra)
@@ -145,15 +151,6 @@ def q_profile(p: Potential, sc: SpectralScan, endpoint_points: int = 16) -> QPro
         gaps=list(sc.gaps),
         potential=p,
     )
-
-
-def profile_csv_rows(profile: QProfile):
-    yield ["lam", "q1", "q2", "q3", "q_avg"]
-    for i in range(len(profile.grid)):
-        row = [f"{profile.grid[i]:.12g}"]
-        row.extend(f"{profile.q_branches[i, j]:.12g}" for j in range(3))
-        row.append(f"{profile.q_avg[i]:.12g}")
-        yield row
 
 
 @dataclass
@@ -175,16 +172,13 @@ def _quad_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, w
 
 
-def q0_integral(
-    profile: QProfile,
-    rel_tol: float = QUAD_REL_TOL,
-    max_nodes: int = QUAD_MAX_NODES,
-) -> GapMassResult:
+def q0_integral(profile: QProfile) -> GapMassResult:
     """Adaptive per-gap quadrature of the averaged magnitude.
 
     All still-active gaps share one batched evaluation per refinement round;
     a gap retires once doubling its node count moves its contribution by less
-    than ``rel_tol`` relative to the running total.  Gaps reaching within
+    than ``QUAD_REL_TOL`` relative to the running total, or once it reaches
+    ``QUAD_MAX_NODES`` nodes.  Gaps reaching within
     ``EDGE_MARGIN`` of the window edge are treated as cut off: their mass
     feeds the tail estimate, and if they carry more than ``EDGE_FRACTION`` of
     the total the window is rejected outright.
@@ -217,9 +211,9 @@ def q0_integral(
             prev = previous[k]
             contrib[k] = val
             previous[k] = val
-            if prev is not None and abs(val - prev) <= rel_tol * scale:
+            if prev is not None and abs(val - prev) <= QUAD_REL_TOL * scale:
                 del active[k]
-            elif active[k] >= max_nodes:
+            elif active[k] >= QUAD_MAX_NODES:
                 del active[k]
             else:
                 active[k] = active[k] * 2
@@ -263,8 +257,6 @@ class HerglotzFit:
     """Least-squares coefficient of the 1/nu decay of the averaged map."""
 
     q0: float
-    nu: np.ndarray
-    kappa: np.ndarray
     residual_rms: float
 
 
@@ -305,13 +297,10 @@ def herglotz_asymptotic(p: Potential, nu_list) -> HerglotzFit:
             % float(np.max(jumps))
         )
     mags = np.log(np.abs(eps))
-    unwrapped = np.unwrap(args, axis=0)
-    # value of the averaged map at i*nu: i*log eps averaged over branches
-    kappa = 1j * np.mean(mags, axis=1) - np.mean(unwrapped, axis=1)
     r = np.mean(mags, axis=1) - nu
     c = float(np.sum(r / nu) / np.sum(1.0 / nu**2))
     rms = float(np.sqrt(np.mean((r - c / nu) ** 2)))
-    return HerglotzFit(q0=c, nu=nu, kappa=kappa, residual_rms=rms)
+    return HerglotzFit(q0=c, residual_rms=rms)
 
 
 @dataclass
@@ -326,14 +315,12 @@ class BoundsReport:
     failures: list[float] = field(default_factory=list)
 
 
-def discriminant_bounds_check(
-    p: Potential, sc: SpectralScan, slack: float = 1e-8
-) -> BoundsReport:
+def discriminant_bounds_check(sc: SpectralScan) -> BoundsReport:
     """Verify the hyperbolic envelope of the modified discriminant on gaps.
 
     On every sample the scan classified as single-covered, the largest branch
     magnitude ``q`` must squeeze ``|D|`` between ``sinh(q)^2/4 (cosh(q)-1)^2``
-    and ``sinh(2q)^2/16``, each side relaxed by ``slack``.  Samples on bands
+    and ``sinh(2q)^2/16``, each side relaxed by ``ENVELOPE_SLACK``.  Samples on bands
     are skipped (both sides collapse to zero there).  The check targets the
     three-branch regime, so a scan whose skew-average is flat is rejected.
     """
@@ -354,7 +341,7 @@ def discriminant_bounds_check(
     upper = np.sinh(2.0 * q) ** 2 / 16.0
     lo_margin = absd - lower
     hi_margin = upper - absd
-    bad = (lo_margin < -slack) | (hi_margin < -slack)
+    bad = (lo_margin < -ENVELOPE_SLACK) | (hi_margin < -ENVELOPE_SLACK)
     return BoundsReport(
         checked=int(np.sum(mask)),
         skipped=skipped,

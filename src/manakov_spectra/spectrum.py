@@ -37,8 +37,6 @@ __all__ = [
     "classify",
     "scan",
     "sheet_count",
-    "scan_csv_rows",
-    "scan_json_doc",
 ]
 
 DISC_REL_TOL = 1e-12
@@ -394,26 +392,3 @@ def sheet_count(p: Potential, sc: SpectralScan) -> SheetVerdict:
         },
     )
 
-
-# ----------------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------------
-
-
-def scan_csv_rows(sc: SpectralScan):
-    """Yield CSV rows (header first): lam, disc, phi, multiplicity."""
-    yield ["lam", "disc", "phi", "multiplicity"]
-    for x, d, f, m in zip(sc.lam, sc.disc, sc.phi, sc.multiplicity):
-        yield [f"{x:.12g}", f"{d:.12g}", f"{f:.12g}", str(int(m))]
-
-
-def scan_json_doc(sc: SpectralScan) -> dict:
-    return {
-        "interval": [sc.interval[0], sc.interval[1]],
-        "grid_step": sc.grid_step,
-        "gaps": [[lo, hi] for lo, hi in sc.gaps],
-        "kissing_points": list(sc.kissing_points),
-        "conflicts": sc.conflicts,
-        "warnings": list(sc.warnings),
-        "notes": list(sc.notes),
-    }

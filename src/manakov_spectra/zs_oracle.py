@@ -28,6 +28,10 @@ from .potential import Potential, fourier_hat, is_rank_one, moments
 from .quasimomentum import eps_map
 
 ENDPOINT_TOL = 1e-12
+# grid step of the 2x2 gap search
+ZS_SCAN_STEP = 0.01
+# pointwise tolerance of the rank-one collapse check
+REDUCTION_TOL = 1e-7
 
 
 def scalar_reduction(p: Potential) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +111,7 @@ def zs_propagator_grid(u: np.ndarray, lam) -> np.ndarray:
     return out
 
 
-def zs_gaps(u: np.ndarray, lo: float, hi: float, step: float = 0.01) -> list[tuple[float, float]]:
+def zs_gaps(u: np.ndarray, lo: float, hi: float) -> list[tuple[float, float]]:
     """Open instability intervals of the 2x2 problem on ``[lo, hi]``.
 
     The half-trace is real on the real line and the gap indicator is
@@ -116,7 +120,7 @@ def zs_gaps(u: np.ndarray, lo: float, hi: float, step: float = 0.01) -> list[tup
     """
     if hi <= lo:
         raise ConfigError("empty scan interval")
-    n = max(int(np.ceil((hi - lo) / step)), 8) + 1
+    n = max(int(np.ceil((hi - lo) / ZS_SCAN_STEP)), 8) + 1
     grid = np.linspace(lo, hi, n)
     f = np.real(zs_delta_grid(u, grid)) ** 2 - 1.0
     sign = f > 0.0
@@ -186,7 +190,7 @@ class ReductionReport:
     n_failed: int
 
 
-def reduction_check(p: Potential, lam_grid, tol: float = 1e-7) -> ReductionReport:
+def reduction_check(p: Potential, lam_grid) -> ReductionReport:
     """Assert the rank-one collapse of the 3x3 quantities onto the 2x2 ones.
 
     Per grid point: (a) one multiplier equals ``exp(i lam)``; (b) the other
@@ -194,7 +198,7 @@ def reduction_check(p: Potential, lam_grid, tol: float = 1e-7) -> ReductionRepor
     ``(1 - delta^2)(delta - cos lam)^2 / 4``; (d) the half-period root
     functions factor as ``2(1 - delta)(e^{i lam} - 1)`` and
     ``2(1 + delta)(e^{i lam} + 1)``.  Differences are measured against
-    ``max(1, |reference|)``.
+    ``max(1, |reference|)`` and fail above ``REDUCTION_TOL``.
     """
     u, _ = scalar_reduction(p)
     lam = np.asarray(lam_grid, dtype=np.float64)
@@ -225,7 +229,7 @@ def reduction_check(p: Potential, lam_grid, tol: float = 1e-7) -> ReductionRepor
     err_dm = np.abs(dm - dm_ref) / np.maximum(1.0, np.abs(dm_ref))
 
     worst = np.maximum.reduce([err_mult, err_avg, err_disc, err_dp, err_dm])
-    failed = worst > tol
+    failed = worst > REDUCTION_TOL
     return ReductionReport(
         lam=lam,
         err_multiplier=err_mult,
@@ -233,7 +237,7 @@ def reduction_check(p: Potential, lam_grid, tol: float = 1e-7) -> ReductionRepor
         err_disc=err_disc,
         err_dplus=err_dp,
         err_dminus=err_dm,
-        tol=tol,
+        tol=REDUCTION_TOL,
         ok=not bool(np.any(failed)),
         n_failed=int(np.sum(failed)),
     )
@@ -251,7 +255,7 @@ class GapLengthReport:
     gap_radii: dict[int, float] = field(default_factory=dict)
 
 
-def gap_length_estimate(p: Potential, n_window: int, step: float = 0.01) -> GapLengthReport:
+def gap_length_estimate(p: Potential, n_window: int) -> GapLengthReport:
     """Two-sided norm bounds from gap sizes over ``|n| <= n_window``.
 
     ``g`` is the ell^2 norm of the gap half-lengths found in the window, each
@@ -270,7 +274,7 @@ def gap_length_estimate(p: Potential, n_window: int, step: float = 0.01) -> GapL
     u, _ = scalar_reduction(p)
     norm = float(np.sqrt(moments(p).b3))
     hw = (n_window + 0.499) * np.pi
-    gaps = zs_gaps(u, -hw, hw, step=step)
+    gaps = zs_gaps(u, -hw, hw)
     radii: dict[int, float] = {}
     for a, b in gaps:
         n = int(np.rint(0.5 * (a + b) / np.pi))

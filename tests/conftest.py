@@ -5,12 +5,19 @@ Resolutions are kept small (64/128) except where tail decay actually matters
 so the staircase harmonics do not pollute the far disks).
 """
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from manakov_spectra import Potential
+from manakov_spectra.cli import main
 
 SEED = 20260825
+
+# the pot_const fixture as a CLI potential description
+CONST_JSON = '{"kind":"constant","value":[0.9,0.0],"resolution":64}'
 
 
 @pytest.fixture
@@ -69,6 +76,12 @@ def multiset_distance(a, b):
     return min(
         np.abs(a[list(perm)] - b).max() for perm in permutations(range(len(b)))
     )
+
+
+def cli_csv_rows(argv, capsys):
+    """The rows the CLI writes to stdout for ``argv`` with ``--format csv``."""
+    assert main([*argv, "--format", "csv"]) == 0
+    return list(csv.reader(io.StringIO(capsys.readouterr().out)))
 
 
 def random_potential(rng, max_norm=2.0, n_modes=3, resolution=128):

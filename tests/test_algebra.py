@@ -17,7 +17,6 @@ from manakov_spectra.algebra import (
     RootResidualError,
     UndersampledContourError,
     adj3,
-    cubic_roots,
     cubic_roots_stack,
     det3,
     winding_count,
@@ -42,7 +41,7 @@ def test_cubic_known_roots_recovered(rng):
     for _ in range(200):
         roots = rng.normal(size=3) + 1j * rng.normal(size=3)
         c2, c1, c0 = coeffs_from_roots(*roots)
-        got = cubic_roots(c2, c1, c0)
+        got = cubic_roots_stack(c2, c1, c0)
         sep = min(
             abs(roots[0] - roots[1]),
             abs(roots[0] - roots[2]),
@@ -58,14 +57,14 @@ def test_cubic_stack_matches_scalar(rng):
     c0 = rng.normal(size=50) + 1j * rng.normal(size=50)
     stacked = cubic_roots_stack(c2, c1, c0)
     for k in range(50):
-        single = cubic_roots(c2[k], c1[k], c0[k])
+        single = cubic_roots_stack(c2[k], c1[k], c0[k])
         assert multiset_distance(stacked[k], single) <= 1e-10
 
 
 def test_cubic_triple_root():
     # (z - r)^3: worst conditioning, accuracy only to eps^(1/3)
     r = 0.7 - 0.3j
-    got = cubic_roots(-3 * r, 3 * r * r, -r * r * r)
+    got = cubic_roots_stack(-3 * r, 3 * r * r, -r * r * r)
     assert np.abs(got - r).max() <= 1e-4
 
 
@@ -77,7 +76,7 @@ def test_cubic_exact_double_root_no_divergence():
         em = np.exp(-1j * lam)
         t = em + 2 * ep  # double root at ep, simple at em
         s = ep + 2 * em
-        got = cubic_roots(-t, ep * s, -ep)
+        got = cubic_roots_stack(-t, ep * s, -ep)
         assert multiset_distance(got, [em, ep, ep]) <= 1e-7
 
 
@@ -86,7 +85,7 @@ def test_cubic_symmetric_functions_tight_near_collision():
     # at close to working precision thanks to the isolated-root rebuild
     r1, r2, r3 = 1.0 + 1.0j, 1.0001 + 1.0j, -2.0 + 0.5j
     c2, c1, c0 = coeffs_from_roots(r1, r2, r3)
-    z = cubic_roots(c2, c1, c0)
+    z = cubic_roots_stack(c2, c1, c0)
     e1 = z.sum()
     e2 = z[0] * z[1] + z[0] * z[2] + z[1] * z[2]
     e3 = z.prod()
@@ -106,7 +105,7 @@ def test_cubic_symmetric_functions_tight_near_collision():
 @example((1.0 + 0j, 2.2e-309 + 0j, 0j))
 def test_cubic_residual_property(roots):
     c2, c1, c0 = coeffs_from_roots(*roots)
-    z = cubic_roots(c2, c1, c0)
+    z = cubic_roots_stack(c2, c1, c0)
     # every returned root really is a root, to a residual that scales with
     # the coefficient magnitudes
     scale = max(1.0, abs(c2), abs(c1), abs(c0)) * max(1.0, np.abs(z).max()) ** 3

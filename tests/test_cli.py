@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from manakov_spectra import NumericalError, monodromy
+from manakov_spectra import NumericalError, cli, monodromy
 from manakov_spectra.cli import _csv_text, main
 
 CONST = '{"kind":"constant","value":[0.9,0.0],"resolution":64}'
@@ -265,3 +265,18 @@ def test_each_real_point_propagated_once(command, args, monkeypatch, capsys):
     assert rc == 0
     assert real_points
     assert len(set(real_points)) == len(real_points)
+
+
+def test_verify_solves_the_multiplier_cubic_once(monkeypatch, capsys):
+    # the unimodular pattern reads the triples the symmetric-function check solved
+    calls = []
+    solve = cli.multipliers_from_traces
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "multipliers_from_traces", counting)
+    rc, _, _ = run_main(["verify", "--potential", FOURIER], capsys)
+    assert rc == 0
+    assert len(calls) == 1

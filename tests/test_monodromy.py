@@ -13,7 +13,6 @@ from manakov_spectra import (
     Potential,
     RangeOverflowError,
     monodromy_grid,
-    propagate,
     trace_t2,
 )
 from manakov_spectra.monodromy import J3
@@ -86,7 +85,7 @@ def test_trace_conj_route_consistency(rng):
 def test_two_steppers_agree(rng):
     p = random_potential(rng, max_norm=1.5)
     for lam in (0.9, -3.7, 1.5 + 2.0j):
-        a = propagate(p, lam).psi
+        a = monodromy_grid(p, [lam], want_psi=True)["psi"][0]
         b = pade_psi(p, lam)
         assert np.abs(a - b).max() <= 1e-11 * max(1.0, np.abs(a).max())
 
@@ -106,7 +105,7 @@ def test_expansion_odd_terms_traceless(rng):
     for n in (1, 3, 5, 7):
         assert abs(np.trace(res.orders[n])) <= 1e-13
     # and the truncated series approximates the full propagator
-    full = propagate(p, 1.7).psi
+    full = monodromy_grid(p, [1.7], want_psi=True)["psi"][0]
     assert np.abs(res.partial - full).max() <= 1e-5
 
 

@@ -24,7 +24,7 @@ from manakov_spectra import (
     monodromy_grid,
     recover_traces,
 )
-from manakov_spectra.periodic_eigen import table_csv_rows
+from conftest import CONST_JSON, cli_csv_rows
 
 
 C = 0.9  # amplitude of the constant fixture, shared by the closed forms
@@ -144,8 +144,8 @@ def test_restored_product_guards(pot_const):
         hadamard_eval(solo, 8.0, 0.5, +1)
 
 
-def test_table_serialization(pot_const):
+def test_table_serialization(pot_const, capsys):
     tab = eigenvalues_in_window(pot_const, 1, 2)
-    rows = list(table_csv_rows(tab))
-    assert rows[0] == ["n", "j", "re_z", "im_z", "parity", "residual"]
+    rows = cli_csv_rows(["eigen", "--potential", CONST_JSON, "--window", "1", "2"], capsys)
+    assert rows[0] == ["n", "j", "re_z", "im_z", "parity", "residual", "dev_first_order"]
     assert len(rows) == 1 + len(tab.entries)

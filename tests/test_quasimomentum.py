@@ -20,7 +20,8 @@ from manakov_spectra import (
     scan,
     zs_q0_integral,
 )
-from manakov_spectra.quasimomentum import branch_magnitudes, profile_csv_rows
+from manakov_spectra.quasimomentum import branch_magnitudes
+from conftest import CONST_JSON, cli_csv_rows
 
 
 def test_eps_map_contracts(rng):
@@ -108,7 +109,7 @@ def test_herglotz_validation(pot_const):
 
 def test_envelope_bounds_generic(pot_two_mode):
     sc = scan(pot_two_mode, -5.0, 5.0, step=0.01)
-    rep = discriminant_bounds_check(pot_two_mode, sc)
+    rep = discriminant_bounds_check(sc)
     assert rep.ok
     assert rep.checked >= 50
     assert rep.failures == []
@@ -121,12 +122,14 @@ def test_envelope_bounds_refuses_flat_case(pot_const):
     # the two-sided envelope carries no information
     sc = scan(pot_const, -7.0, 7.0, step=0.01)
     with pytest.raises(ConfigError):
-        discriminant_bounds_check(pot_const, sc)
+        discriminant_bounds_check(sc)
 
 
-def test_profile_serialization(pot_const):
-    sc = scan(pot_const, -3.5, 3.5, step=0.01)
+def test_profile_serialization(pot_const, capsys):
+    # the command also integrates the gap mass, which needs the gap well inside
+    sc = scan(pot_const, -7.0, 7.0, step=0.01)
     prof = q_profile(pot_const, sc)
-    rows = list(profile_csv_rows(prof))
+    argv = ["qmomentum", "--potential", CONST_JSON, "--interval", "-7", "7", "--step", "0.01"]
+    rows = cli_csv_rows(argv, capsys)
     assert rows[0] == ["lam", "q1", "q2", "q3", "q_avg"]
     assert len(rows) == 1 + len(prof.grid)

@@ -1,5 +1,7 @@
 """Band/gap scans, pointwise classification, sheet verdicts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from manakov_spectra import (
     scan,
     sheet_count,
 )
-from manakov_spectra.spectrum import scan_csv_rows, scan_json_doc
+from manakov_spectra.cli import main
+from conftest import CONST_JSON, cli_csv_rows
 
 
 def test_zero_potential_all_bands(pot_zero):
@@ -114,12 +117,14 @@ def test_scan_validation():
         scan(p, -3.0, 3.0, step=2.0)  # coarser than the allowed ceiling
 
 
-def test_scan_serialization(pot_const):
+def test_scan_serialization(pot_const, capsys):
     sc = scan(pot_const, -2.0, 2.0, step=0.01)
-    rows = list(scan_csv_rows(sc))
+    argv = ["scan", "--potential", CONST_JSON, "--interval", "-2", "2", "--step", "0.01"]
+    rows = cli_csv_rows(argv, capsys)
     header, body = rows[0], rows[1:]
     assert header == ["lam", "disc", "phi", "multiplicity"]
     assert len(body) == len(sc.lam)
-    doc = scan_json_doc(sc)
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["interval"] == [-2.0, 2.0]
     assert len(doc["gaps"]) == len(sc.gaps)
