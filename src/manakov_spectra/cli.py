@@ -42,11 +42,7 @@ from .periodic_eigen import (
     recover_traces,
 )
 from .potential import Potential, is_rank_one, moments
-from .quasimomentum import (
-    herglotz_asymptotic,
-    q0_integral,
-    q_profile,
-)
+from .quasimomentum import herglotz_asymptotic, q0_integral, q_profile
 from .spectrum import scan, sheet_count
 from .zs_oracle import reduction_check, scalar_reduction, zs_q0_integral
 

@@ -76,7 +76,7 @@ def multipliers_from_traces(t, s, lam) -> np.ndarray:
 
 
 def unimodular_count(taus: np.ndarray) -> np.ndarray:
-    """How many of the (..., 3) multipliers lie on the unit circle within ``UNIMODULAR_TOL``."""
+    """Number of the (..., 3) multipliers within ``UNIMODULAR_TOL`` of the unit circle."""
     return np.sum(np.abs(np.abs(taus) - 1.0) <= UNIMODULAR_TOL, axis=-1)
 
 

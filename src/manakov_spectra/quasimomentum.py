@@ -178,10 +178,10 @@ def q0_integral(profile: QProfile) -> GapMassResult:
     All still-active gaps share one batched evaluation per refinement round;
     a gap retires once doubling its node count moves its contribution by less
     than ``QUAD_REL_TOL`` relative to the running total, or once it reaches
-    ``QUAD_MAX_NODES`` nodes.  Gaps reaching within
-    ``EDGE_MARGIN`` of the window edge are treated as cut off: their mass
-    feeds the tail estimate, and if they carry more than ``EDGE_FRACTION`` of
-    the total the window is rejected outright.
+    ``QUAD_MAX_NODES`` nodes.  Gaps reaching within ``EDGE_MARGIN`` of the
+    window edge are treated as cut off: their mass feeds the tail estimate,
+    and if they carry more than ``EDGE_FRACTION`` of the total the window is
+    rejected outright.
     """
     p = profile.potential
     gaps = profile.gaps
@@ -320,9 +320,10 @@ def discriminant_bounds_check(sc: SpectralScan) -> BoundsReport:
 
     On every sample the scan classified as single-covered, the largest branch
     magnitude ``q`` must squeeze ``|D|`` between ``sinh(q)^2/4 (cosh(q)-1)^2``
-    and ``sinh(2q)^2/16``, each side relaxed by ``ENVELOPE_SLACK``.  Samples on bands
-    are skipped (both sides collapse to zero there).  The check targets the
-    three-branch regime, so a scan whose skew-average is flat is rejected.
+    and ``sinh(2q)^2/16``, each side relaxed by ``ENVELOPE_SLACK``.  Samples
+    on bands are skipped (both sides collapse to zero there).  The check
+    targets the three-branch regime, so a scan whose skew-average is flat is
+    rejected.
     """
     phi_scale = 1e-8 * (1.0 + float(np.max(np.abs(sc.trace))))
     if float(np.max(np.abs(sc.phi))) <= phi_scale:
