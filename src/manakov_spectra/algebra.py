@@ -53,11 +53,18 @@ def ensure_finite(arr, label: str):
 
 
 def det3(m: np.ndarray) -> np.ndarray:
-    """Determinant of a (..., 3, 3) stack via cofactor expansion."""
+    """Determinant of a (..., 3, 3) stack via cofactor expansion.
+
+    The minors are named so that numpy's temporary elision cannot turn
+    ``a * minor`` into ``minor * a`` on large stacks: the complex multiply
+    rounds the two orders differently, and a stack's bits would then depend
+    on its length.
+    """
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    m0, m1, m2 = e * i - f * h, d * i - f * g, d * h - e * g
+    return a * m0 - b * m1 + c * m2
 
 
 def adj3(m: np.ndarray) -> np.ndarray:

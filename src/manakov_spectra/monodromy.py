@@ -19,9 +19,28 @@ The conjugate trace (trace of the inverse propagator) is computed from a
 propagation at the conjugated spectral parameter rather than from adjugate
 minors: the minors cancel catastrophically once ``|Im lam|`` exceeds ~20,
 while the conjugated propagation stays accurate at full scale.
+
+Evaluation is split in two levels.  A *chunk* of about ``_CHUNK_TARGET``
+(lam, run) pairs is the numerical batch: it decides the two things that
+depend on more than one point, the run refinement by its largest
+``|Im lam|`` (``_split_runs``) and the series length of ``_triple_dd``.
+Each chunk is evaluated in *row blocks* of about ``_BLOCK_PAIRS`` pairs,
+small enough for the step arrays to stay in cache.  A chunk of fewer than
+``_POOL_MIN_BLOCKS`` blocks runs inline on the caller's thread.  The blocks
+of a larger chunk run on a thread pool, created on first use in each
+process, with one worker per usable core and at most
+``_CHUNK_TARGET // _BLOCK_PAIRS`` workers, so no more than one chunk's worth
+of pairs is in flight.  A point's bits depend on its chunk and never on its
+block or on the worker count.  They may differ between machines, since
+numpy and BLAS pick their kernels by CPU.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -43,6 +62,11 @@ IM_LIMIT = 700.0
 _ADJ_IM_LIMIT = 6.0
 
 _CHUNK_TARGET = 1 << 18  # lam-chunk size is chosen so lam*steps ~ this many matrices
+_BLOCK_PAIRS = 1 << 14  # (lam, run) pairs per row block: a chunk's arrays fit in cache
+# Fewer blocks than this run inline: on two cores a pool gained nothing below
+# four blocks, and a process that has once started a thread ran the engine a
+# few percent slower from then on.
+_POOL_MIN_BLOCKS = 4
 
 
 # ----------------------------------------------------------------------------
@@ -53,6 +77,9 @@ _CHUNK_TARGET = 1 << 18  # lam-chunk size is chosen so lam*steps ~ this many mat
 def _sinch(z: np.ndarray) -> np.ndarray:
     """sinh(z)/z, series-protected near zero."""
     small = np.abs(z) < 1e-4
+    if not small.any():
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.sinh(z) / z
     zs = np.where(small, 1.0, z)
     with np.errstate(invalid="ignore", over="ignore"):
         direct = np.sinh(zs) / zs
@@ -63,37 +90,59 @@ def _sinch(z: np.ndarray) -> np.ndarray:
 
 def _pair_dd(t, a, b):
     """First divided difference of exp(t x) over nodes (a, b); confluence-safe."""
+    # t = -i w has a zero real part, so both operand orders of ``t * (a + b)``
+    # round alike (see _steps_spectral) and the sum needs no name
     return np.exp(t * (a + b) / 2.0) * t * _sinch(t * (a - b) / 2.0)
 
 
-def _triple_dd(t, mu1, om):
-    """Second divided difference of exp(t x) over nodes (mu1, om, -om).
+def _chunk_terms(lam: np.ndarray, avsq: np.ndarray, widths: np.ndarray):
+    """The batch-wide part of the step kernel for one chunk of parameters.
 
-    Hybrid evaluation: a complete-homogeneous series around the node mean
-    where ``|t| * spread`` is small (uniformly accurate through confluences),
-    otherwise the two-term recursive formula with the best-conditioned
-    pairing (largest outer gap).
+    ``avsq`` holds ``|v1|^2, |v2|^2`` per run, shape (R, 2).  Returns the
+    generator roots ``om = sqrt(lam^2 - |v|^2)`` and the mask ``ser`` of the
+    points that ``_triple_dd`` sums as a series (both (L, R)), and the series
+    length ``nterms``.  The series terms are bounded by ``cmax^k / (2 k!)``
+    with ``cmax`` the largest series criterion of the chunk, so the cutoff is
+    a property of the chunk.
     """
-    t, mu1, om = np.broadcast_arrays(t, mu1, om)
+    lam2 = lam[:, None]
+    r2 = avsq[:, 0] + avsq[:, 1]
+    om = np.sqrt(lam2 * lam2 - r2 + 0j)
+    # node spread of _triple_dd around the node mean m = mu1 / 3, mu1 = -lam
+    mu1 = -lam2
     m = mu1 / 3.0
-    a1 = mu1 - m
-    a2 = om - m
-    a3 = -om - m
-    crit = np.abs(t) * np.maximum(np.abs(a1), np.maximum(np.abs(a2), np.abs(a3)))
-    out = np.empty(np.broadcast(t, mu1, om).shape, dtype=np.complex128)
-
+    spread = np.maximum(np.abs(mu1 - m), np.maximum(np.abs(om - m), np.abs(-om - m)))
+    crit = widths * spread  # |t| = |-i w| = w exactly
     ser = crit <= 1.0
-    if np.any(ser):
-        ts, a1s, a2s, a3s, ms = t[ser], a1[ser], a2[ser], a3[ser], m[ser]
-        cmax = float(crit[ser].max())
-        # S = sum_k t^k h_k(a1, a2, a3) / (k + 2)!  via the recurrences
-        # g_k = a2 g_{k-1} + a3^k   (h_k of two variables)
-        # H_k = a1 H_{k-1} + g_k    (h_k of three variables)
-        # term_k is bounded by cmax^k / (2 k!), which fixes the cutoff.
-        nterms, bound = 1, 0.5
+    nterms = 1
+    if ser.any():
+        cmax, bound = float(crit[ser].max()), 0.5
         while bound > 1e-18 and nterms < 22:
             bound *= cmax / nterms
             nterms += 1
+    return om, ser, nterms
+
+
+def _triple_dd(t, mu1, om, ser, nterms):
+    """Second divided difference of exp(t x) over nodes (mu1, om, -om).
+
+    Hybrid evaluation: where ``ser`` holds (``|t| * spread <= 1``), a
+    complete-homogeneous series around the node mean, summed to ``nterms``
+    terms (uniformly accurate through confluences); elsewhere the two-term
+    recursive formula with the best-conditioned pairing (largest outer gap).
+    """
+    t, mu1, om = np.broadcast_arrays(t, mu1, om)
+    out = np.empty(om.shape, dtype=np.complex128)
+
+    if np.any(ser):
+        ts, mus, oms = t[ser], mu1[ser], om[ser]
+        ms = mus / 3.0
+        a1s = mus - ms
+        a2s = oms - ms
+        a3s = -oms - ms
+        # S = sum_k t^k h_k(a1, a2, a3) / (k + 2)!  via the recurrences
+        # g_k = a2 g_{k-1} + a3^k   (h_k of two variables)
+        # H_k = a1 H_{k-1} + g_k    (h_k of three variables)
         g = np.ones_like(ts)
         hh = np.ones_like(ts)
         a3pow = np.ones_like(ts)
@@ -130,26 +179,32 @@ def _triple_dd(t, mu1, om):
     return out
 
 
-def _steps_spectral(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
+def _steps_spectral(lam, vals, widths, avsq, om, ser, nterms):
     """Step propagators exp(w * A) for all (lam, run) pairs, plus their dets.
 
-    Shapes: lam (L,), vals (R, 2), widths (R,) -> E (L, R, 3, 3), det (L, R).
+    Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), and om,
+    ser (L, R) and nterms from ``_chunk_terms`` -> E (L, R, 3, 3), det (L, R).
+
+    A product ``x * (y - z)`` is written with the difference named.  Once a
+    temporary reaches 256 KiB, numpy's temporary elision evaluates it in
+    place as ``(y - z) * x``, and its complex multiply (a fused multiply-add)
+    rounds the two operand orders differently; that would make a point's
+    bits depend on the size of its row block.
     """
     lam2 = lam[:, None]
     v1 = vals[None, :, 0]
     v2 = vals[None, :, 1]
     w = widths[None, :]
-    av1sq = np.abs(v1) ** 2
-    av2sq = np.abs(v2) ** 2
+    av1sq = avsq[None, :, 0]
+    av2sq = avsq[None, :, 1]
     r2 = av1sq + av2sq
-    om = np.sqrt(lam2 * lam2 - r2 + 0j)
     t = (-1j * w).astype(np.complex128)
     mu1 = np.broadcast_to(-lam2, om.shape)
     tb = np.broadcast_to(t, om.shape)
 
     f0 = np.exp(tb * mu1)
     d12 = _pair_dd(tb, mu1, om)
-    dd = _triple_dd(tb, mu1, om)
+    dd = _triple_dd(tb, mu1, om, ser, nterms)
 
     alpha = f0 - mu1 * d12 + mu1 * om * dd
     beta = d12 - (mu1 + om) * dd
@@ -160,15 +215,16 @@ def _steps_spectral(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
     lam_b = np.broadcast_to(lam2, om.shape)
     diag_base = alpha - beta * lam_b
     lamsq = lam_b * lam_b
-    e[..., 0, 0] = alpha + beta * lam_b + gamma * (lamsq - r2)
+    q0, q1, q2 = lamsq - r2, lamsq - av1sq, lamsq - av2sq
+    e[..., 0, 0] = alpha + beta * lam_b + gamma * q0
     e[..., 0, 1] = -beta * np.conj(v1)
     e[..., 0, 2] = -beta * np.conj(v2)
     e[..., 1, 0] = beta * v1
-    e[..., 1, 1] = diag_base + gamma * (lamsq - av1sq)
+    e[..., 1, 1] = diag_base + gamma * q1
     e[..., 1, 2] = -gamma * v1 * np.conj(v2)
     e[..., 2, 0] = beta * v2
     e[..., 2, 1] = -gamma * v2 * np.conj(v1)
-    e[..., 2, 2] = diag_base + gamma * (lamsq - av2sq)
+    e[..., 2, 2] = diag_base + gamma * q2
     return e, det3(e)
 
 
@@ -219,6 +275,74 @@ def _split_runs(vals, widths, im_max):
     return np.repeat(vals, reps, axis=0), np.repeat(widths / reps, reps)
 
 
+def _workers() -> int:
+    """Block workers: one per usable core, never more than a chunk has blocks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _CHUNK_TARGET // _BLOCK_PAIRS)
+
+
+# pid -> (thread pool, BLAS lock), or None where one worker is all there is.
+# Keyed by pid: a forked child inherits the parent's pool object but none of
+# its threads, and possibly a lock that a parent worker held at the fork.
+_POOLS: dict = {}
+
+
+def _pool():
+    """This process's (thread pool, BLAS lock), or None for one worker."""
+    pid = os.getpid()
+    if pid not in _POOLS:
+        pool = None
+        workers = _workers()
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(workers, thread_name_prefix="monodromy")
+            pool = (executor, threading.Lock())
+        _POOLS.setdefault(pid, pool)
+    return _POOLS[pid]
+
+
+def _eval_chunk(lam, vals, widths, psis, dets):
+    """Fill psis (L, 3, 3) and dets (L,) for one chunk, block by block.
+
+    With ``_POOL_MIN_BLOCKS`` blocks or more, the blocks run on the pool,
+    each in a copy of the caller's context (so ``np.errstate`` applies in the
+    workers as it does inline), and every block finishes before the first
+    error, in block order, is raised.  The workers take turns at the tree
+    product: its 3x3 ``matmul`` calls BLAS once per matrix, and concurrent
+    calls contend inside OpenBLAS (two threads ran a stack of 3x3 products at
+    half the speed of one), while one worker's product overlaps the others'
+    step kernels.
+    """
+    avsq = np.abs(vals) ** 2
+    om, ser, nterms = _chunk_terms(lam, avsq, widths)
+
+    def block(sl, blas=contextlib.nullcontext()):
+        e, sd = _steps_spectral(lam[sl], vals, widths, avsq, om[sl], ser[sl], nterms)
+        with blas:
+            psis[sl] = _tree_product(e)
+        dets[sl] = np.prod(sd, axis=1)
+
+    rows = max(1, _BLOCK_PAIRS // len(widths))
+    blocks = [slice(b, b + rows) for b in range(0, len(lam), rows)]
+    pool = _pool() if len(blocks) >= _POOL_MIN_BLOCKS else None
+    if pool is None:
+        for sl in blocks:
+            block(sl)
+        return
+    executor, blas = pool
+    futures = [
+        executor.submit(contextvars.copy_context().run, block, sl, blas) for sl in blocks
+    ]
+    for f in futures:
+        f.exception()
+    for f in futures:
+        f.result()
+
+
 def _raw_grid(p: Potential, lam: np.ndarray):
     """psi, trace, det for a 1-D array of spectral parameters."""
     vals, widths = _runs_of(p)
@@ -227,11 +351,9 @@ def _raw_grid(p: Potential, lam: np.ndarray):
     dets = np.empty(len(lam), dtype=np.complex128)
     for lo in range(0, len(lam), chunk):
         sl = slice(lo, lo + chunk)
-        im_max = float(np.abs(lam[sl].imag).max()) if len(lam[sl]) else 0.0
+        im_max = float(np.abs(lam[sl].imag).max())
         v_c, w_c = _split_runs(vals, widths, im_max)
-        e, sd = _steps_spectral(lam[sl], v_c, w_c)
-        psis[sl] = _tree_product(e)
-        dets[sl] = np.prod(sd, axis=1)
+        _eval_chunk(lam[sl], v_c, w_c, psis[sl], dets[sl])
     traces = psis[:, 0, 0] + psis[:, 1, 1] + psis[:, 2, 2]
     return psis, traces, dets
 

@@ -133,7 +133,7 @@ def expm_dense(a: np.ndarray) -> np.ndarray:
 
 
 def _steps_pade(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
-    """Same contract as ``monodromy._steps_spectral`` but via Pade-13 scaling/squaring."""
+    """Step matrices and dets like ``monodromy._steps_spectral``'s, by Pade-13."""
     length, runs = len(lam), len(widths)
     a = np.zeros((length, runs, 3, 3), dtype=np.complex128)
     lam2 = lam[:, None]

@@ -15,6 +15,11 @@ both commits and compare::
     PYTHONPATH=src python tests/output_digest.py > after.txt
     diff before.txt after.txt
 
+Compare digests taken on one machine only.  numpy's ``matmul`` calls a BLAS
+``zgemm`` kernel that is chosen by CPU at run time, and numpy's own SIMD
+loops are too, so the same commit may print different bits on another
+machine.
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 

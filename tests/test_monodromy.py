@@ -6,6 +6,14 @@ else is cross-checked between independent code paths (the Pade step
 oracle, the series expansion, the conjugate-parameter route).
 """
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -145,3 +153,194 @@ def test_smooth_refinement_order():
 def test_imaginary_range_guard(pot_zero):
     with pytest.raises(RangeOverflowError):
         monodromy_grid(pot_zero, np.array([1000.0j]))
+
+
+# ----------------------------------------------------------------------------
+# chunk/block evaluation: bits depend on the chunk only
+# ----------------------------------------------------------------------------
+
+M512 = Potential.from_fourier({1: (0.25, 0.1), -1: (0.0, 0.2)}, resolution=512)
+# weak enough that the series points near lam = 0 have a small spread: a row
+# block of them alone would cut the series much earlier than its chunk does
+DYADIC_STEP = Potential.from_piecewise(
+    [0.0, 0.25, 0.5, 0.75, 1.0], [(0.2, 0.1j), (0.05, -0.15), (-0.3, 0.03), (0.0, 0.08)]
+)
+
+
+def _bit_batches():
+    rng = np.random.default_rng(SEED_BITS)
+    m64 = Potential.from_fourier({0: (0.3, 0.1j), 2: (0.5, -0.2), -3: (0.2, 0.4)}, 64)
+    n_split = 600
+    n_long = 5000
+    return {
+        "real-grid-M512": (M512, np.linspace(-10.0, 10.0, 2001)),
+        "split-runs": (
+            m64,
+            rng.uniform(-20, 20, n_split) + 1j * rng.uniform(-60, 60, n_split),
+        ),
+        "dyadic-step": (DYADIC_STEP, np.linspace(-80.0, 80.0, 16001) + 0.25j),
+        "longer-than-a-chunk": (
+            m64,
+            rng.uniform(-15, 15, n_long) + 1j * rng.uniform(-3, 3, n_long),
+        ),
+    }
+
+
+SEED_BITS = 4711
+GRID_KEYS = ("psi", "trace", "trace_conj", "det")
+
+
+def _grid_with(monkeypatch, p, lam, block_pairs, workers):
+    from manakov_spectra import monodromy
+
+    with monkeypatch.context() as m:
+        m.setattr(monodromy, "_BLOCK_PAIRS", block_pairs)
+        m.setattr(monodromy, "_workers", lambda: workers)
+        m.setattr(monodromy, "_POOLS", {})
+        return monodromy_grid(p, lam, want_psi=True)
+
+
+def test_bit_batches_exercise_what_they_name():
+    from manakov_spectra.monodromy import _CHUNK_TARGET, _chunk_terms, _runs_of, _split_runs
+
+    batches = _bit_batches()
+    p, lam = batches["split-runs"]
+    vals, widths = _runs_of(p)
+    assert len(_split_runs(vals, widths, np.abs(lam.imag).max())[1]) > len(widths)
+    p, lam = batches["dyadic-step"]
+    vals, widths = _runs_of(p)
+    _, ser, _ = _chunk_terms(lam.astype(np.complex128), np.abs(vals) ** 2, widths)
+    assert ser.any() and not ser.all()
+    for name in ("real-grid-M512", "longer-than-a-chunk"):
+        p, lam = batches[name]
+        assert len(lam) * len(_runs_of(p)[1]) > _CHUNK_TARGET
+
+
+@pytest.mark.parametrize("name", sorted(_bit_batches()))
+def test_blocks_and_workers_leave_bits_alone(monkeypatch, name):
+    # one block per chunk, run inline, against row blocks on a thread pool:
+    # every entry of every output must be bit for bit the same, and every
+    # point must be summed with its chunk's series length (a shorter, per-block
+    # cutoff drops only terms below 1e-18, which seldom shows in the bits)
+    from manakov_spectra import monodromy
+
+    p, lam = _bit_batches()[name]
+    steps = monodromy._steps_spectral
+    threads, cutoffs = set(), []
+
+    def recording(lam_rows, *args):
+        threads.add(threading.current_thread().name)
+        cutoffs.extend((x.real, x.imag, args[-1]) for x in lam_rows)
+        return steps(lam_rows, *args)
+
+    monkeypatch.setattr(monodromy, "_steps_spectral", recording)
+    whole = _grid_with(monkeypatch, p, lam, monodromy._CHUNK_TARGET << 10, 1)
+    whole_cutoffs = sorted(cutoffs)
+    for block_pairs in (monodromy._BLOCK_PAIRS, 16 * len(monodromy._runs_of(p)[1])):
+        threads.clear()
+        cutoffs.clear()
+        pooled = _grid_with(monkeypatch, p, lam, block_pairs, 3)
+        assert any(t.startswith("monodromy") for t in threads)
+        assert sorted(cutoffs) == whole_cutoffs
+        for key in GRID_KEYS:
+            assert np.array_equal(pooled[key], whole[key]), key
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    from manakov_spectra import monodromy
+
+    p, lam = M512, np.linspace(-3.0, 3.0, 200)
+    want = _grid_with(monkeypatch, p, lam, 1 << 12, 2)
+    boom = ArithmeticError("block failure")
+    steps = monodromy._steps_spectral
+    calls = []
+
+    def failing(lam_rows, *args):
+        calls.append(len(lam_rows))
+        if len(calls) == 3:
+            raise boom
+        return steps(lam_rows, *args)
+
+    monkeypatch.setattr(monodromy, "_steps_spectral", failing)
+    with pytest.raises(ArithmeticError) as info:
+        _grid_with(monkeypatch, p, lam, 1 << 12, 2)
+    assert info.value is boom
+    assert len(calls) == len(range(0, len(lam), (1 << 12) // 512))
+    monkeypatch.setattr(monodromy, "_steps_spectral", steps)
+    again = _grid_with(monkeypatch, p, lam, 1 << 12, 2)
+    for key in GRID_KEYS:
+        assert np.array_equal(again[key], want[key]), key
+
+
+def test_workers_keep_the_callers_errstate(monkeypatch):
+    from manakov_spectra import monodromy
+
+    steps = monodromy._steps_spectral
+
+    def overflowing(*args):
+        np.float64(1e308) * 10.0
+        return steps(*args)
+
+    monkeypatch.setattr(monodromy, "_steps_spectral", overflowing)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _grid_with(monkeypatch, M512, np.linspace(-3.0, 3.0, 64), 1 << 12, 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_pool(monkeypatch):
+    # a child forked after the parent used the pool inherits the pool object
+    # but none of its threads; it must build its own instead of waiting forever
+    from manakov_spectra import monodromy
+
+    monkeypatch.setattr(monodromy, "_BLOCK_PAIRS", 1 << 12)
+    monkeypatch.setattr(monodromy, "_workers", lambda: 2)
+    monkeypatch.setattr(monodromy, "_POOLS", {})
+    lam = np.linspace(-4.0, 4.0, 64)
+    want = monodromy_grid(M512, lam, want_psi=True)
+    assert os.getpid() in monodromy._POOLS
+    pid = os.fork()
+    if pid == 0:  # child: never return into pytest
+        code = 1
+        try:
+            signal.alarm(20)
+            got = monodromy_grid(M512, lam, want_psi=True)
+            code = 0 if all(np.array_equal(got[k], want[k]) for k in GRID_KEYS) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish")
+        time.sleep(0.05)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+
+def test_import_starts_no_thread():
+    # import time is part of every CLI call: the pool, and concurrent.futures
+    # with it, only come in with the first chunk of _POOL_MIN_BLOCKS blocks
+    script = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "import manakov_spectra\n"
+        "def check():\n"
+        "    assert 'concurrent.futures' not in sys.modules\n"
+        "    assert threading.active_count() == 1, threading.enumerate()\n"
+        "check()\n"
+        "p = manakov_spectra.Potential.from_fourier({1: (0.25, 0.1)}, 64)\n"
+        "manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, 100))\n"
+        "check()\n"
+        "manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, 768))\n"
+        "check()\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
