@@ -23,6 +23,7 @@ from manakov_spectra import (
     monodromy_grid,
     trace_t2,
 )
+from manakov_spectra import monodromy
 from manakov_spectra.monodromy import J3
 from conftest import random_potential
 from oracles import pade_psi, picard_monodromy
@@ -167,6 +168,10 @@ DYADIC_STEP = Potential.from_piecewise(
 )
 
 
+SEED_BITS = 4711
+GRID_KEYS = ("psi", "trace", "trace_conj", "det")
+
+
 def _bit_batches():
     rng = np.random.default_rng(SEED_BITS)
     m64 = Potential.from_fourier({0: (0.3, 0.1j), 2: (0.5, -0.2), -3: (0.2, 0.4)}, 64)
@@ -186,13 +191,7 @@ def _bit_batches():
     }
 
 
-SEED_BITS = 4711
-GRID_KEYS = ("psi", "trace", "trace_conj", "det")
-
-
 def _grid_with(monkeypatch, p, lam, block_pairs, workers):
-    from manakov_spectra import monodromy
-
     with monkeypatch.context() as m:
         m.setattr(monodromy, "_BLOCK_PAIRS", block_pairs)
         m.setattr(monodromy, "_workers", lambda: workers)
@@ -201,19 +200,18 @@ def _grid_with(monkeypatch, p, lam, block_pairs, workers):
 
 
 def test_bit_batches_exercise_what_they_name():
-    from manakov_spectra.monodromy import _CHUNK_TARGET, _chunk_terms, _runs_of, _split_runs
-
     batches = _bit_batches()
     p, lam = batches["split-runs"]
-    vals, widths = _runs_of(p)
-    assert len(_split_runs(vals, widths, np.abs(lam.imag).max())[1]) > len(widths)
+    vals, widths = monodromy._runs_of(p)
+    split = monodromy._split_runs(vals, widths, np.abs(lam.imag).max())
+    assert len(split[1]) > len(widths)
     p, lam = batches["dyadic-step"]
-    vals, widths = _runs_of(p)
-    _, ser, _ = _chunk_terms(lam.astype(np.complex128), np.abs(vals) ** 2, widths)
+    vals, widths = monodromy._runs_of(p)
+    _, ser, _ = monodromy._chunk_terms(lam.astype(complex), np.abs(vals) ** 2, widths)
     assert ser.any() and not ser.all()
     for name in ("real-grid-M512", "longer-than-a-chunk"):
         p, lam = batches[name]
-        assert len(lam) * len(_runs_of(p)[1]) > _CHUNK_TARGET
+        assert len(lam) * len(monodromy._runs_of(p)[1]) > monodromy._CHUNK_TARGET
 
 
 @pytest.mark.parametrize("name", sorted(_bit_batches()))
@@ -222,8 +220,6 @@ def test_blocks_and_workers_leave_bits_alone(monkeypatch, name):
     # every entry of every output must be bit for bit the same, and every
     # point must be summed with its chunk's series length (a shorter, per-block
     # cutoff drops only terms below 1e-18, which seldom shows in the bits)
-    from manakov_spectra import monodromy
-
     p, lam = _bit_batches()[name]
     steps = monodromy._steps_spectral
     threads, cutoffs = set(), []
@@ -247,8 +243,6 @@ def test_blocks_and_workers_leave_bits_alone(monkeypatch, name):
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
-    from manakov_spectra import monodromy
-
     p, lam = M512, np.linspace(-3.0, 3.0, 200)
     want = _grid_with(monkeypatch, p, lam, 1 << 12, 2)
     boom = ArithmeticError("block failure")
@@ -265,6 +259,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     with pytest.raises(ArithmeticError) as info:
         _grid_with(monkeypatch, p, lam, 1 << 12, 2)
     assert info.value is boom
+    # every block ran before the error reached the caller
     assert len(calls) == len(range(0, len(lam), (1 << 12) // 512))
     monkeypatch.setattr(monodromy, "_steps_spectral", steps)
     again = _grid_with(monkeypatch, p, lam, 1 << 12, 2)
@@ -273,8 +268,6 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
 
 def test_workers_keep_the_callers_errstate(monkeypatch):
-    from manakov_spectra import monodromy
-
     steps = monodromy._steps_spectral
 
     def overflowing(*args):
@@ -290,8 +283,6 @@ def test_workers_keep_the_callers_errstate(monkeypatch):
 def test_forked_child_gets_its_own_pool(monkeypatch):
     # a child forked after the parent used the pool inherits the pool object
     # but none of its threads; it must build its own instead of waiting forever
-    from manakov_spectra import monodromy
-
     monkeypatch.setattr(monodromy, "_BLOCK_PAIRS", 1 << 12)
     monkeypatch.setattr(monodromy, "_workers", lambda: 2)
     monkeypatch.setattr(monodromy, "_POOLS", {})
