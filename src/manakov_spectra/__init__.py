@@ -23,7 +23,7 @@ from .errors import (
     WindowTooSmallError,
     ZeroAtOriginError,
 )
-from .monodromy import monodromy_grid, trace_t2
+from .monodromy import monodromy_grid
 from .multipliers import (
     MultiplierTriple,
     derived_grid,

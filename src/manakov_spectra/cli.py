@@ -190,8 +190,11 @@ def _csv_text(rows) -> str:
 
 
 def _json_text(doc: dict) -> str:
-    _check_finite(doc)
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        _check_finite(doc)  # names the first non-finite value's path
+        raise
 
 
 def _write(text: str, out: str | None) -> None:

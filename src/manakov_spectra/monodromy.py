@@ -11,9 +11,19 @@ of exp on the generator's characteristic roots ``{-lam, +w, -w}`` with
 ``w^2 = lam^2 - |v|^2``, using series-stabilized divided differences.  No
 eigenvectors are involved, so conditioning does not degrade for non-normal
 generators or coalescing roots.  The test suite cross-validates this kernel
-against a Pade-13 scaling-and-squaring oracle and checks the second-order
-trace term against the iterated-integral (Picard) expansion; both oracles
-live with the tests, not in the package.
+against a Pade-13 scaling-and-squaring oracle, and against its own plain
+form bit for bit; both oracles live with the tests, not in the package.
+
+Two exponentials depend only on lam and the run width: ``exp(t mu1)`` and
+the series factor ``exp(t m)``, with ``t = -i w``.  They are evaluated once
+per distinct width, on (L, U), and gathered to (L, R); the distinct widths
+and each run's index into them are cached with the runs.  Since ``t`` has a
+zero real part, ``t * x`` rounds alike in any shape or operand order, and
+exp is elementwise, so the gathered values are the per-pair ones bit for
+bit.  A division of a complex array by a real constant is written as a
+product with ``_recip(d)`` = ``1 / d - 0j``: numpy's division computes the
+same terms, so the bits stay, signs of zero included (``_recip`` gives the
+reason; a test holds numpy to it).
 
 The conjugate trace (trace of the inverse propagator) is computed from a
 propagation at the conjugated spectral parameter rather than from adjugate
@@ -33,6 +43,14 @@ process, with one worker per usable core and at most
 of pairs is in flight.  A point's bits depend on its chunk and never on its
 block or on the worker count.  They may differ between machines, since
 numpy and BLAS pick their kernels by CPU.
+
+Each bit-distinct lam of a chunk is evaluated once; its repeats, such as
+the points that neighbouring contours share, get copies of its rows.
+Values are compared by bit pattern, so ``+0.0`` and ``-0.0`` parts stay apart.
+This leaves every bit alone: what a chunk decides for all its points is a
+maximum over them (the largest ``|Im lam|`` and the largest series
+criterion), which repeats do not change, and a row's bits do not depend on
+its block.
 """
 
 from __future__ import annotations
@@ -46,13 +64,12 @@ import numpy as np
 
 from .algebra import adj3, det3
 from .errors import RangeOverflowError
-from .potential import Potential, _e1
+from .potential import Potential
 
 __all__ = [
     "IM_LIMIT",
     "J3",
     "monodromy_grid",
-    "trace_t2",
 ]
 
 J3 = np.diag([1.0, -1.0, -1.0]).astype(np.complex128)
@@ -74,6 +91,24 @@ _POOL_MIN_BLOCKS = 4
 # ----------------------------------------------------------------------------
 
 
+def _recip(d: float) -> complex:
+    """The factor whose product with a complex array is numpy's ``x / d``, d > 0.
+
+    numpy divides by the real ``d`` as by ``d + 0j`` and computes
+    ``(xr + xi * 0) * (1 / d)`` and ``(xi - xr * 0) * (1 / d)``.  The product
+    with ``1 / d - 0j`` is ``xr * (1 / d) + xi * 0`` and
+    ``xi * (1 / d) - xr * 0``: the same bits, signs of zero included, unless
+    a part underflows to zero.  It costs a seventh of the division.
+    """
+    return complex(1.0 / d, -0.0)
+
+
+_HALF = _recip(2.0)
+_THIRD = _recip(3.0)
+_SIXTH = _recip(6.0)
+_INV120 = _recip(120.0)
+
+
 def _sinch(z: np.ndarray) -> np.ndarray:
     """sinh(z)/z, series-protected near zero."""
     small = np.abs(z) < 1e-4
@@ -84,7 +119,7 @@ def _sinch(z: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         direct = np.sinh(zs) / zs
     z2 = z * z
-    series = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
+    series = 1.0 + z2 * _SIXTH + z2 * z2 * _INV120
     return np.where(small, series, direct)
 
 
@@ -92,7 +127,7 @@ def _pair_dd(t, a, b):
     """First divided difference of exp(t x) over nodes (a, b); confluence-safe."""
     # t = -i w has a zero real part, so both operand orders of ``t * (a + b)``
     # round alike (see _steps_spectral) and the sum needs no name
-    return np.exp(t * (a + b) / 2.0) * t * _sinch(t * (a - b) / 2.0)
+    return np.exp(t * (a + b) * _HALF) * t * _sinch(t * (a - b) * _HALF)
 
 
 def _chunk_terms(lam: np.ndarray, avsq: np.ndarray, widths: np.ndarray):
@@ -110,7 +145,7 @@ def _chunk_terms(lam: np.ndarray, avsq: np.ndarray, widths: np.ndarray):
     om = np.sqrt(lam2 * lam2 - r2 + 0j)
     # node spread of _triple_dd around the node mean m = mu1 / 3, mu1 = -lam
     mu1 = -lam2
-    m = mu1 / 3.0
+    m = mu1 * _THIRD
     spread = np.maximum(np.abs(mu1 - m), np.maximum(np.abs(om - m), np.abs(-om - m)))
     crit = widths * spread  # |t| = |-i w| = w exactly
     ser = crit <= 1.0
@@ -123,20 +158,21 @@ def _chunk_terms(lam: np.ndarray, avsq: np.ndarray, widths: np.ndarray):
     return om, ser, nterms
 
 
-def _triple_dd(t, mu1, om, ser, nterms):
+def _triple_dd(t, mu1, om, ser, nterms, etm):
     """Second divided difference of exp(t x) over nodes (mu1, om, -om).
 
     Hybrid evaluation: where ``ser`` holds (``|t| * spread <= 1``), a
-    complete-homogeneous series around the node mean, summed to ``nterms``
-    terms (uniformly accurate through confluences); elsewhere the two-term
-    recursive formula with the best-conditioned pairing (largest outer gap).
+    complete-homogeneous series around the node mean ``m = mu1 / 3``, summed
+    to ``nterms`` terms (uniformly accurate through confluences), with
+    ``etm = exp(t m)`` given; elsewhere the two-term recursive formula with
+    the best-conditioned pairing (largest outer gap).
     """
     t, mu1, om = np.broadcast_arrays(t, mu1, om)
     out = np.empty(om.shape, dtype=np.complex128)
 
     if np.any(ser):
         ts, mus, oms = t[ser], mu1[ser], om[ser]
-        ms = mus / 3.0
+        ms = mus * _THIRD
         a1s = mus - ms
         a2s = oms - ms
         a3s = -oms - ms
@@ -148,15 +184,15 @@ def _triple_dd(t, mu1, om, ser, nterms):
         a3pow = np.ones_like(ts)
         tpow = np.ones_like(ts)
         fact = 2.0
-        s = hh / fact
+        s = hh * _recip(fact)
         for k in range(1, nterms):
             a3pow = a3pow * a3s
             g = a2s * g + a3pow
             hh = a1s * hh + g
             tpow = tpow * ts
             fact *= k + 2
-            s = s + tpow * hh / fact
-        out[ser] = np.exp(ts * ms) * ts * ts * s
+            s = s + tpow * hh * _recip(fact)
+        out[ser] = etm[ser] * ts * ts * s
 
     direct = ~ser
     if np.any(direct):
@@ -179,11 +215,18 @@ def _triple_dd(t, mu1, om, ser, nterms):
     return out
 
 
-def _steps_spectral(lam, vals, widths, avsq, om, ser, nterms):
+def _width_exp(tw, inv, x):
+    """exp(t x) on (L, R) for x of shape (L, 1), one exp per distinct width."""
+    return np.exp(tw * x)[:, inv]
+
+
+def _steps_spectral(lam, vals, avsq, tw, inv, om, ser, nterms):
     """Step propagators exp(w * A) for all (lam, run) pairs, plus their dets.
 
-    Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), and om,
-    ser (L, R) and nterms from ``_chunk_terms`` -> E (L, R, 3, 3), det (L, R).
+    Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), the distinct
+    exponents ``tw = -i w`` (U,) and each run's index ``inv`` (R,) into them,
+    and om, ser (L, R) and nterms from ``_chunk_terms`` -> E (L, R, 3, 3),
+    det (L, R).
 
     A product ``x * (y - z)`` is written with the difference named.  Once a
     temporary reaches 256 KiB, numpy's temporary elision evaluates it in
@@ -194,17 +237,19 @@ def _steps_spectral(lam, vals, widths, avsq, om, ser, nterms):
     lam2 = lam[:, None]
     v1 = vals[None, :, 0]
     v2 = vals[None, :, 1]
-    w = widths[None, :]
     av1sq = avsq[None, :, 0]
     av2sq = avsq[None, :, 1]
     r2 = av1sq + av2sq
-    t = (-1j * w).astype(np.complex128)
-    mu1 = np.broadcast_to(-lam2, om.shape)
-    tb = np.broadcast_to(t, om.shape)
+    mu1c = -lam2
+    mu1 = np.broadcast_to(mu1c, om.shape)
+    tb = np.broadcast_to(tw[inv], om.shape)
 
-    f0 = np.exp(tb * mu1)
+    f0 = _width_exp(tw, inv, mu1c)
     d12 = _pair_dd(tb, mu1, om)
-    dd = _triple_dd(tb, mu1, om, ser, nterms)
+    # exp(t m), m = mu1 / 3, for the series; let go before the step matrices
+    etm = _width_exp(tw, inv, mu1c * _THIRD) if ser.any() else None
+    dd = _triple_dd(tb, mu1, om, ser, nterms, etm)
+    del etm
 
     alpha = f0 - mu1 * d12 + mu1 * om * dd
     beta = d12 - (mu1 + om) * dd
@@ -247,9 +292,16 @@ def _tree_product(steps: np.ndarray) -> np.ndarray:
 
 
 def _runs_of(p: Potential):
+    """The canonical runs, cached on the potential: (vals, widths, tw, inv).
+
+    ``tw = -i w`` (U,) holds the distinct widths, and ``inv`` (R,) gives
+    each run's index into it.
+    """
     cache = getattr(p, "_runs_cache", None)
     if cache is None:
-        cache = p.canonical().runs()
+        vals, widths = p.canonical().runs()
+        uw, inv = np.unique(widths, return_inverse=True)
+        cache = (vals, widths, -1j * uw, inv)
         p._runs_cache = cache
     return cache
 
@@ -268,11 +320,21 @@ def _check_range(lam: np.ndarray):
 _IM_WIDTH_CAP = 0.5
 
 
-def _split_runs(vals, widths, im_max):
+def _split_runs(vals, widths, tw, inv, im_max):
+    """The runs of ``_runs_of``, each cut into equal parts of |Im lam| * width <= cap."""
     if im_max * widths.max() <= _IM_WIDTH_CAP:
-        return vals, widths
+        return vals, widths, tw, inv
     reps = np.maximum(1, np.ceil(widths * im_max / _IM_WIDTH_CAP).astype(np.int64))
-    return np.repeat(vals, reps, axis=0), np.repeat(widths / reps, reps)
+    part = widths / reps
+    # runs of one width are cut alike, so each distinct width keeps its index
+    part_u = np.empty(len(tw))
+    part_u[inv] = part
+    return (
+        np.repeat(vals, reps, axis=0),
+        np.repeat(part, reps),
+        -1j * part_u,
+        np.repeat(inv, reps),
+    )
 
 
 def _workers() -> int:
@@ -305,7 +367,7 @@ def _pool():
     return _POOLS[pid]
 
 
-def _eval_chunk(lam, vals, widths, psis, dets):
+def _eval_chunk(lam, runs, psis, dets):
     """Fill psis (L, 3, 3) and dets (L,) for one chunk, block by block.
 
     With ``_POOL_MIN_BLOCKS`` blocks or more, the blocks run on the pool,
@@ -317,11 +379,12 @@ def _eval_chunk(lam, vals, widths, psis, dets):
     half the speed of one), while one worker's product overlaps the others'
     step kernels.
     """
+    vals, widths, tw, inv = runs
     avsq = np.abs(vals) ** 2
     om, ser, nterms = _chunk_terms(lam, avsq, widths)
 
     def block(sl, blas=contextlib.nullcontext()):
-        e, sd = _steps_spectral(lam[sl], vals, widths, avsq, om[sl], ser[sl], nterms)
+        e, sd = _steps_spectral(lam[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms)
         with blas:
             psis[sl] = _tree_product(e)
         dets[sl] = np.prod(sd, axis=1)
@@ -343,17 +406,45 @@ def _eval_chunk(lam, vals, widths, psis, dets):
         f.result()
 
 
+def _distinct(lam: np.ndarray):
+    """Where lam's bit-distinct values first occur and the map back, or None.
+
+    Values are compared by bit pattern, so ``+0.0`` and ``-0.0`` parts stay
+    apart.  None means no value repeats.
+    """
+    bits = lam.view(np.int64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    sb = bits[order]
+    new = np.empty(len(lam), dtype=bool)
+    new[0] = True
+    np.any(sb[1:] != sb[:-1], axis=1, out=new[1:])
+    if new.all():
+        return None
+    back = np.empty(len(lam), dtype=np.intp)
+    back[order] = np.cumsum(new) - 1
+    return order[new], back
+
+
 def _raw_grid(p: Potential, lam: np.ndarray):
     """psi, trace, det for a 1-D array of spectral parameters."""
-    vals, widths = _runs_of(p)
-    chunk = max(1, _CHUNK_TARGET // len(widths))
+    runs = _runs_of(p)
+    chunk = max(1, _CHUNK_TARGET // len(runs[1]))
     psis = np.empty((len(lam), 3, 3), dtype=np.complex128)
     dets = np.empty(len(lam), dtype=np.complex128)
     for lo in range(0, len(lam), chunk):
         sl = slice(lo, lo + chunk)
-        im_max = float(np.abs(lam[sl].imag).max())
-        v_c, w_c = _split_runs(vals, widths, im_max)
-        _eval_chunk(lam[sl], v_c, w_c, psis[sl], dets[sl])
+        lam_c = lam[sl]
+        runs_c = _split_runs(*runs, float(np.abs(lam_c.imag).max()))
+        distinct = _distinct(lam_c)
+        if distinct is None:
+            _eval_chunk(lam_c, runs_c, psis[sl], dets[sl])
+        else:
+            first, back = distinct
+            psi_u = np.empty((len(first), 3, 3), dtype=np.complex128)
+            det_u = np.empty(len(first), dtype=np.complex128)
+            _eval_chunk(lam_c[first], runs_c, psi_u, det_u)
+            np.take(psi_u, back, axis=0, out=psis[sl])
+            np.take(det_u, back, out=dets[sl])
     traces = psis[:, 0, 0] + psis[:, 1, 1] + psis[:, 2, 2]
     return psis, traces, dets
 
@@ -391,53 +482,3 @@ def monodromy_grid(p: Potential, lam, *, want_psi: bool = False) -> dict:
     if want_psi:
         out["psi"] = psis[:n]
     return out
-
-
-# ----------------------------------------------------------------------------
-# closed-form second-order trace term
-# ----------------------------------------------------------------------------
-
-
-def _e2(z):
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct = (np.exp(zs) - 1.0 - zs) / (zs * zs)
-    series = 0.5 + z / 6.0 + z * z / 24.0 + z * z * z / 120.0
-    return np.where(small, series, direct)
-
-
-def _t2_plus(p: Potential, lam: np.ndarray) -> np.ndarray:
-    """Ordered double integral  int_{s2<s1} e^{2 i lam (s1-s2)} v*(s1).v(s2)."""
-    vals, widths = _runs_of(p)
-    lefts = np.concatenate(([0.0], np.cumsum(widths)))[:-1]
-    lam2 = lam[:, None]  # (L, 1)
-    w = widths[None, :]  # (1, R)
-    x = lefts[None, :]
-    zin = -2j * lam2 * w
-    inner = vals[None, :, :] * (np.exp(-2j * lam2 * x) * w * _e1(zin))[:, :, None]
-    g = np.cumsum(inner, axis=1) - inner  # exclusive prefix: contributions left of run r
-    vbar = np.conj(vals)[None, :, :]
-    dot_g = np.sum(vbar * g, axis=2)
-    zout = 2j * lam2 * w
-    term1 = dot_g * np.exp(2j * lam2 * x) * w * _e1(zout)
-    normsq = np.sum(np.abs(vals) ** 2, axis=1)[None, :]
-    term2 = normsq * (w * w) * _e2(zout)
-    return np.sum(term1 + term2, axis=1)
-
-
-def trace_t2(p: Potential, lam) -> np.ndarray | complex:
-    """Second-order (in the potential) term of the propagator trace, exactly.
-
-    Closed form per run pair; accepts a scalar or an array.  Cross-validated
-    against the order-2 iterated-integral block in the tests.
-    """
-    scalar = np.isscalar(lam) or np.asarray(lam).ndim == 0
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=np.complex128)).ravel()
-    _check_range(2.0 * lam_arr)  # the doubled-frequency kernels overflow first
-    tp = _t2_plus(p, lam_arr)
-    tm = np.conj(_t2_plus(p, np.conj(lam_arr)))
-    out = np.exp(-1j * lam_arr) * tp + np.exp(1j * lam_arr) * tm
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(lam).shape)

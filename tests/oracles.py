@@ -9,7 +9,12 @@ routine computes by an independent method:
 * ``pade_psi`` -- the period propagator with every step exponential taken by
   Pade instead of the production spectral kernel;
 * ``picard_monodromy`` -- the propagator's expansion in powers of the
-  potential, term by term.
+  potential, term by term;
+* ``trace_t2`` -- the second-order term of the propagator trace in closed
+  form, per pair of runs;
+* ``reference_steps`` -- the production step kernel in its plain form, the
+  bit oracle for the production one: every exponential is taken per
+  (lam, run) pair and every division by a real number is a division.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from manakov_spectra.algebra import adj3, det3
 from manakov_spectra.monodromy import _check_range, _runs_of, _split_runs, _tree_product
-from manakov_spectra.potential import Potential
+from manakov_spectra.potential import Potential, _e1
 
 # ----------------------------------------------------------------------------
 # matrix exponential: Pade-13 scaling and squaring
@@ -161,8 +166,7 @@ def pade_psi(p: Potential, lam: complex) -> np.ndarray:
     """
     lam_arr = np.array([lam], dtype=np.complex128)
     _check_range(lam_arr)
-    vals, widths = _runs_of(p)
-    vals, widths = _split_runs(vals, widths, abs(lam_arr[0].imag))
+    vals, widths = _split_runs(*_runs_of(p), abs(lam_arr[0].imag))[:2]
     e, _ = _steps_pade(lam_arr, vals, widths)
     return _tree_product(e)[0]
 
@@ -197,7 +201,7 @@ def picard_monodromy(p: Potential, lam: complex, order: int = 6) -> PicardResult
     if not 0 <= order <= 12:
         raise ValueError("order must lie in [0, 12]")
     _check_range(np.asarray([lam], dtype=np.complex128))
-    vals, widths = _runs_of(p)
+    vals, widths = _runs_of(p)[:2]
     nb = order + 1
     dim = 3 * nb
     total = np.eye(dim, dtype=np.complex128)
@@ -222,3 +226,179 @@ def picard_monodromy(p: Potential, lam: complex, order: int = 6) -> PicardResult
     orders = [total[0:3, 3 * n : 3 * n + 3].copy() for n in range(nb)]
     partial = np.sum(orders, axis=0)
     return PicardResult(lam=complex(lam), order=order, orders=orders, partial=partial)
+
+
+# ----------------------------------------------------------------------------
+# the step kernel in its plain form: the bit oracle
+# ----------------------------------------------------------------------------
+
+
+def _sinch(z: np.ndarray) -> np.ndarray:
+    """sinh(z)/z, series-protected near zero."""
+    small = np.abs(z) < 1e-4
+    if not small.any():
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.sinh(z) / z
+    zs = np.where(small, 1.0, z)
+    with np.errstate(invalid="ignore", over="ignore"):
+        direct = np.sinh(zs) / zs
+    z2 = z * z
+    series = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
+    return np.where(small, series, direct)
+
+
+def _pair_dd(t, a, b):
+    """First divided difference of exp(t x) over nodes (a, b); confluence-safe."""
+    # t = -i w has a zero real part, so both operand orders of ``t * (a + b)``
+    # round alike (see monodromy._steps_spectral) and the sum needs no name
+    return np.exp(t * (a + b) / 2.0) * t * _sinch(t * (a - b) / 2.0)
+
+
+def _triple_dd(t, mu1, om, ser, nterms):
+    """Second divided difference of exp(t x) over nodes (mu1, om, -om).
+
+    Hybrid evaluation: where ``ser`` holds (``|t| * spread <= 1``), a
+    complete-homogeneous series around the node mean, summed to ``nterms``
+    terms (uniformly accurate through confluences); elsewhere the two-term
+    recursive formula with the best-conditioned pairing (largest outer gap).
+    """
+    t, mu1, om = np.broadcast_arrays(t, mu1, om)
+    out = np.empty(om.shape, dtype=np.complex128)
+
+    if np.any(ser):
+        ts, mus, oms = t[ser], mu1[ser], om[ser]
+        ms = mus / 3.0
+        a1s = mus - ms
+        a2s = oms - ms
+        a3s = -oms - ms
+        # S = sum_k t^k h_k(a1, a2, a3) / (k + 2)!  via the recurrences
+        # g_k = a2 g_{k-1} + a3^k   (h_k of two variables)
+        # H_k = a1 H_{k-1} + g_k    (h_k of three variables)
+        g = np.ones_like(ts)
+        hh = np.ones_like(ts)
+        a3pow = np.ones_like(ts)
+        tpow = np.ones_like(ts)
+        fact = 2.0
+        s = hh / fact
+        for k in range(1, nterms):
+            a3pow = a3pow * a3s
+            g = a2s * g + a3pow
+            hh = a1s * hh + g
+            tpow = tpow * ts
+            fact *= k + 2
+            s = s + tpow * hh / fact
+        out[ser] = np.exp(ts * ms) * ts * ts * s
+
+    direct = ~ser
+    if np.any(direct):
+        td, m1, omd = t[direct], mu1[direct], om[direct]
+        d12 = _pair_dd(td, m1, omd)
+        d13 = _pair_dd(td, m1, -omd)
+        d23 = _pair_dd(td, omd, -omd)
+        g12 = m1 - omd
+        g13 = m1 + omd
+        g23 = 2.0 * omd
+        c12, c13, c23 = np.abs(g12), np.abs(g13), np.abs(g23)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v12 = (d13 - d23) / g12
+            v13 = (d12 - d23) / g13
+            v23 = (d12 - d13) / g23
+        best = np.where(
+            (c12 >= c13) & (c12 >= c23), v12, np.where(c13 >= c23, v13, v23)
+        )
+        out[direct] = best
+    return out
+
+
+def reference_steps(lam, vals, widths, avsq, om, ser, nterms):
+    """Step matrices and dets like ``monodromy._steps_spectral``'s, bit for bit.
+
+    Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), and om,
+    ser (L, R) and nterms from ``monodromy._chunk_terms`` -> E (L, R, 3, 3),
+    det (L, R).
+    """
+    lam2 = lam[:, None]
+    v1 = vals[None, :, 0]
+    v2 = vals[None, :, 1]
+    w = widths[None, :]
+    av1sq = avsq[None, :, 0]
+    av2sq = avsq[None, :, 1]
+    r2 = av1sq + av2sq
+    t = (-1j * w).astype(np.complex128)
+    mu1 = np.broadcast_to(-lam2, om.shape)
+    tb = np.broadcast_to(t, om.shape)
+
+    f0 = np.exp(tb * mu1)
+    d12 = _pair_dd(tb, mu1, om)
+    dd = _triple_dd(tb, mu1, om, ser, nterms)
+
+    alpha = f0 - mu1 * d12 + mu1 * om * dd
+    beta = d12 - (mu1 + om) * dd
+    gamma = dd
+
+    shape = om.shape + (3, 3)
+    e = np.empty(shape, dtype=np.complex128)
+    lam_b = np.broadcast_to(lam2, om.shape)
+    diag_base = alpha - beta * lam_b
+    lamsq = lam_b * lam_b
+    q0, q1, q2 = lamsq - r2, lamsq - av1sq, lamsq - av2sq
+    e[..., 0, 0] = alpha + beta * lam_b + gamma * q0
+    e[..., 0, 1] = -beta * np.conj(v1)
+    e[..., 0, 2] = -beta * np.conj(v2)
+    e[..., 1, 0] = beta * v1
+    e[..., 1, 1] = diag_base + gamma * q1
+    e[..., 1, 2] = -gamma * v1 * np.conj(v2)
+    e[..., 2, 0] = beta * v2
+    e[..., 2, 1] = -gamma * v2 * np.conj(v1)
+    e[..., 2, 2] = diag_base + gamma * q2
+    return e, det3(e)
+
+
+# ----------------------------------------------------------------------------
+# closed-form second-order trace term
+# ----------------------------------------------------------------------------
+
+
+def _e2(z):
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 1.0, z)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        direct = (np.exp(zs) - 1.0 - zs) / (zs * zs)
+    series = 0.5 + z / 6.0 + z * z / 24.0 + z * z * z / 120.0
+    return np.where(small, series, direct)
+
+
+def _t2_plus(p: Potential, lam: np.ndarray) -> np.ndarray:
+    """Ordered double integral  int_{s2<s1} e^{2 i lam (s1-s2)} v*(s1).v(s2)."""
+    vals, widths = _runs_of(p)[:2]
+    lefts = np.concatenate(([0.0], np.cumsum(widths)))[:-1]
+    lam2 = lam[:, None]  # (L, 1)
+    w = widths[None, :]  # (1, R)
+    x = lefts[None, :]
+    zin = -2j * lam2 * w
+    inner = vals[None, :, :] * (np.exp(-2j * lam2 * x) * w * _e1(zin))[:, :, None]
+    g = np.cumsum(inner, axis=1) - inner  # exclusive prefix: contributions left of run r
+    vbar = np.conj(vals)[None, :, :]
+    dot_g = np.sum(vbar * g, axis=2)
+    zout = 2j * lam2 * w
+    term1 = dot_g * np.exp(2j * lam2 * x) * w * _e1(zout)
+    normsq = np.sum(np.abs(vals) ** 2, axis=1)[None, :]
+    term2 = normsq * (w * w) * _e2(zout)
+    return np.sum(term1 + term2, axis=1)
+
+
+def trace_t2(p: Potential, lam) -> np.ndarray | complex:
+    """Second-order (in the potential) term of the propagator trace, exactly.
+
+    Closed form per run pair; accepts a scalar or an array.  Cross-validated
+    against the order-2 iterated-integral block in the tests.
+    """
+    scalar = np.isscalar(lam) or np.asarray(lam).ndim == 0
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=np.complex128)).ravel()
+    _check_range(2.0 * lam_arr)  # the doubled-frequency kernels overflow first
+    tp = _t2_plus(p, lam_arr)
+    tm = np.conj(_t2_plus(p, np.conj(lam_arr)))
+    out = np.exp(-1j * lam_arr) * tp + np.exp(1j * lam_arr) * tm
+    if scalar:
+        return complex(out[0])
+    return out.reshape(np.asarray(lam).shape)

@@ -9,8 +9,14 @@ warnings are recorded as ``category: message`` rather than through the
 default formatter, whose text carries the file path and line number of the
 warning site.
 
-To check that a change leaves every output byte alone, run the script at
-both commits and compare::
+After each workload, one ``engine`` line gives the number of
+``monodromy_grid`` calls and one SHA-256 over the bytes of every call's
+``trace``, ``trace_conj`` and ``det``, in call order.  Outputs are rounded
+and reduced, so they can hide a changed bit of the propagator; this line
+does not.
+
+To check that a change leaves every output byte and every engine bit alone,
+run the script at both commits and compare::
 
     PYTHONPATH=src python tests/output_digest.py > after.txt
     diff before.txt after.txt
@@ -31,7 +37,10 @@ import io
 import sys
 import tempfile
 import warnings
+from importlib import import_module
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -42,6 +51,39 @@ import workloads  # noqa: E402
 from manakov_spectra import cli  # noqa: E402
 
 FORMATS = {"line-sweep": ("json",), "eigen-window": ("json",), "many-small": ("json", "csv")}
+# every package module that binds the name monodromy_grid
+ENGINE_USERS = (
+    "cli",
+    "monodromy",
+    "multipliers",
+    "periodic_eigen",
+    "quasimomentum",
+    "spectrum",
+    "zs_oracle",
+)
+
+
+@contextlib.contextmanager
+def _engine_digest():
+    """Hash every ``monodromy_grid`` result while the block runs."""
+    modules = [import_module(f"manakov_spectra.{name}") for name in ENGINE_USERS]
+    propagate = modules[ENGINE_USERS.index("monodromy")].monodromy_grid
+    state = {"hash": hashlib.sha256(), "calls": 0}
+
+    def recording(p, lam, **kwargs):
+        g = propagate(p, lam, **kwargs)
+        state["calls"] += 1
+        for key in ("trace", "trace_conj", "det"):
+            state["hash"].update(np.ascontiguousarray(g[key]).tobytes())
+        return g
+
+    for module in modules:
+        module.monodromy_grid = recording
+    try:
+        yield state
+    finally:
+        for module in modules:
+            module.monodromy_grid = propagate
 
 
 def _digest(argv: list[str], out: Path) -> str:
@@ -62,12 +104,15 @@ def main() -> int:
         out = Path(tmp) / "output"
         for name in workloads.NAMES:
             spec = workloads.build(name, 0)
-            for i, inv in enumerate(spec["invocations"]):
-                text = spec["inputs"][inv["input"]]["text"]
-                argv = [inv["command"], "--potential", text, *inv["args"]]
-                for fmt in FORMATS[name]:
-                    line = _digest([*argv, "--format", fmt], out)
-                    print(f"{name} {i:02d} {inv['command']} {fmt} {line}", flush=True)
+            with _engine_digest() as engine:
+                for i, inv in enumerate(spec["invocations"]):
+                    text = spec["inputs"][inv["input"]]["text"]
+                    argv = [inv["command"], "--potential", text, *inv["args"]]
+                    for fmt in FORMATS[name]:
+                        line = _digest([*argv, "--format", fmt], out)
+                        print(f"{name} {i:02d} {inv['command']} {fmt} {line}", flush=True)
+            digest = engine["hash"].hexdigest()
+            print(f"{name} engine sha256={digest} calls={engine['calls']}", flush=True)
     return 0
 
 

@@ -2,13 +2,15 @@
 
 import importlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from manakov_spectra import NumericalError, cli, monodromy
-from manakov_spectra.cli import _csv_text, main
+from manakov_spectra.cli import _csv_text, _json_text, main
 
 CONST = '{"kind":"constant","value":[0.9,0.0],"resolution":64}'
 ZERO = '{"kind":"zero","resolution":64}'
@@ -220,6 +222,17 @@ def test_csv_rejects_non_finite_cells():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(NumericalError, match=r"csv\[1\]\[1\]"):
             _csv_text([["lam", "q"], ["0.5", bad]])
+
+
+def test_json_rejects_non_finite_values():
+    doc = {"command": "scan", "gaps": [[0.5, 1.25], {"mass": np.float64(2.0)}]}
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalError, match=r"non-finite value at \$\.x$"):
+            _json_text({"command": "scan", "x": bad})
+    doc["gaps"][1]["mass"] = np.float64("nan")
+    with pytest.raises(NumericalError, match=r"non-finite value at \$\.gaps\[1\]\.mass$"):
+        _json_text(doc)
 
 
 def test_module_entry_point():

@@ -6,6 +6,8 @@ else is cross-checked between independent code paths (the Pade step
 oracle, the series expansion, the conjugate-parameter route).
 """
 
+import itertools
+import operator
 import os
 import signal
 import subprocess
@@ -16,17 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from manakov_spectra import (
-    Potential,
-    RangeOverflowError,
-    monodromy_grid,
-    trace_t2,
-)
+from manakov_spectra import Potential, RangeOverflowError, monodromy_grid
 from manakov_spectra import monodromy
 from manakov_spectra.monodromy import J3
 from conftest import random_potential
-from oracles import pade_psi, picard_monodromy
+from oracles import pade_psi, picard_monodromy, reference_steps, trace_t2
 
 
 def free_trace(lam):
@@ -166,10 +164,25 @@ M512 = Potential.from_fourier({1: (0.25, 0.1), -1: (0.0, 0.2)}, resolution=512)
 DYADIC_STEP = Potential.from_piecewise(
     [0.0, 0.25, 0.5, 0.75, 1.0], [(0.2, 0.1j), (0.05, -0.15), (-0.3, 0.03), (0.0, 0.08)]
 )
+# three runs of three widths, which stay distinct when the runs are split
+UNEQUAL_STEP = Potential.from_piecewise(
+    [0.0, 0.3, 0.55, 1.0], [(1.2, 0.1j), (0.0, -0.7), (-0.3, 0.0)]
+)
 
 
 SEED_BITS = 4711
 GRID_KEYS = ("psi", "trace", "trace_conj", "det")
+# a real point and its twin with a negative-zero imaginary part
+TWINS = (2.5 + 0.0j, complex(2.5, -0.0))
+
+
+def _repeats():
+    # contour-like: a ring around pi, its every fourth point again (as when a
+    # winding count doubles its samples), shared end points, off-axis points
+    # that the engine also propagates at the conjugate, and the zero-sign twins
+    ring = np.pi + 0.9 * np.exp(2j * np.pi * np.arange(192) / 192)
+    far = ring[:16].real + 6.5j
+    return np.concatenate([ring, ring[::4], far, TWINS, ring[:3], far, TWINS[:1]])
 
 
 def _bit_batches():
@@ -178,6 +191,10 @@ def _bit_batches():
     n_split = 600
     n_long = 5000
     return {
+        "repeats": (M512, _repeats()),
+        # one run, and step matrices with exact zeros, whose signs the
+        # kernel's arithmetic must keep as well
+        "zero-potential": (Potential.zero(64), np.linspace(-20.0, 20.0, 1 << 16)),
         "real-grid-M512": (M512, np.linspace(-10.0, 10.0, 2001)),
         "split-runs": (
             m64,
@@ -188,7 +205,25 @@ def _bit_batches():
             m64,
             rng.uniform(-15, 15, n_long) + 1j * rng.uniform(-3, 3, n_long),
         ),
+        "unequal-widths": (
+            UNEQUAL_STEP,
+            rng.uniform(-80, 80, 2000) + 1j * rng.uniform(-30, 30, 2000),
+        ),
     }
+
+
+def _bits(a) -> np.ndarray:
+    """The bit patterns of a complex array, as int64 (real, imag) pairs."""
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.int64).reshape(-1, 2)
+
+
+def _bit_keys(a) -> list:
+    """One hashable bit pattern per complex entry of ``a``."""
+    return [tuple(row) for row in _bits(a).tolist()]
+
+
+def _same_bits(a, b) -> bool:
+    return np.shape(a) == np.shape(b) and np.array_equal(_bits(a), _bits(b))
 
 
 def _grid_with(monkeypatch, p, lam, block_pairs, workers):
@@ -202,16 +237,29 @@ def _grid_with(monkeypatch, p, lam, block_pairs, workers):
 def test_bit_batches_exercise_what_they_name():
     batches = _bit_batches()
     p, lam = batches["split-runs"]
-    vals, widths = monodromy._runs_of(p)
-    split = monodromy._split_runs(vals, widths, np.abs(lam.imag).max())
-    assert len(split[1]) > len(widths)
+    runs = monodromy._runs_of(p)
+    split = monodromy._split_runs(*runs, np.abs(lam.imag).max())
+    assert len(split[1]) > len(runs[1])
     p, lam = batches["dyadic-step"]
-    vals, widths = monodromy._runs_of(p)
+    vals, widths = monodromy._runs_of(p)[:2]
     _, ser, _ = monodromy._chunk_terms(lam.astype(complex), np.abs(vals) ** 2, widths)
     assert ser.any() and not ser.all()
     for name in ("real-grid-M512", "longer-than-a-chunk"):
         p, lam = batches[name]
         assert len(lam) * len(monodromy._runs_of(p)[1]) > monodromy._CHUNK_TARGET
+    p, lam = batches["unequal-widths"]
+    runs = monodromy._runs_of(p)
+    vals, widths, tw, _ = monodromy._split_runs(*runs, np.abs(lam.imag).max())
+    assert len(runs[2]) == 3 and len(tw) == 3 and len(widths) > 3
+    _, ser, _ = monodromy._chunk_terms(lam, np.abs(vals) ** 2, widths)
+    assert ser.any() and not ser.all()
+    p, lam = batches["repeats"]
+    keys = _bit_keys(lam)
+    assert len(set(keys)) < len(keys)
+    assert len(set(_bit_keys(TWINS))) == 2 and set(_bit_keys(TWINS)) <= set(keys)
+    big = np.abs(lam.imag) > monodromy._ADJ_IM_LIMIT
+    assert big.any()  # propagated at the conjugate too, and still one chunk
+    assert (len(lam) + big.sum()) * len(monodromy._runs_of(p)[1]) <= monodromy._CHUNK_TARGET
 
 
 @pytest.mark.parametrize("name", sorted(_bit_batches()))
@@ -240,6 +288,79 @@ def test_blocks_and_workers_leave_bits_alone(monkeypatch, name):
         assert sorted(cutoffs) == whole_cutoffs
         for key in GRID_KEYS:
             assert np.array_equal(pooled[key], whole[key]), key
+
+
+def test_repeated_points_are_evaluated_once(monkeypatch):
+    # the engine evaluates each bit-distinct point of a chunk once and hands
+    # every repeat the same rows that its distinct points get as a chunk
+    p, lam = _bit_batches()["repeats"]
+    keys = _bit_keys(lam)
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    distinct = lam[list(first.values())]
+    row = {key: j for j, key in enumerate(first)}
+    back = [row[key] for key in keys]
+    steps = monodromy._steps_spectral
+    seen = []
+
+    def recording(lam_rows, *args):
+        seen.extend(_bit_keys(lam_rows))
+        return steps(lam_rows, *args)
+
+    monkeypatch.setattr(monodromy, "_steps_spectral", recording)
+    got = monodromy_grid(p, lam, want_psi=True)
+    big = np.abs(lam.imag) > monodromy._ADJ_IM_LIMIT
+    propagated = set(_bit_keys(np.concatenate([lam, np.conj(lam[big])])))
+    assert len(seen) == len(set(seen)) == len(propagated)
+    assert set(seen) == propagated
+    assert set(_bit_keys(TWINS)) <= set(seen)
+    want = monodromy_grid(p, distinct, want_psi=True)
+    for key in GRID_KEYS:
+        assert _same_bits(got[key], want[key][back]), key
+
+
+@pytest.mark.parametrize("name", sorted(_bit_batches()))
+def test_step_kernel_matches_its_bit_oracle(name):
+    # the width-only exponentials and the reciprocal factors leave every bit
+    # of every step matrix and det as the plain kernel has them
+    p, lam = _bit_batches()[name]
+    lam = lam.astype(np.complex128)
+    runs = monodromy._runs_of(p)
+    chunk = max(1, monodromy._CHUNK_TARGET // len(runs[1]))
+    for lo in range(0, len(lam), chunk):
+        lam_c = lam[lo : lo + chunk]
+        vals, widths, tw, inv = monodromy._split_runs(*runs, np.abs(lam_c.imag).max())
+        avsq = np.abs(vals) ** 2
+        om, ser, nterms = monodromy._chunk_terms(lam_c, avsq, widths)
+        rows = max(1, monodromy._BLOCK_PAIRS // len(widths))
+        for b in range(0, len(lam_c), rows):
+            sl = slice(b, b + rows)
+            got = monodromy._steps_spectral(
+                lam_c[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms
+            )
+            want = reference_steps(lam_c[sl], vals, widths, avsq, om[sl], ser[sl], nterms)
+            assert _same_bits(got[0], want[0])
+            assert _same_bits(got[1], want[1])
+
+
+# the kernel's real divisors: 3 and the series factorials 2!..23!, as the
+# kernel multiplies them up (2, 6 and 120 are among them)
+KERNEL_DIVISORS = (3.0, *itertools.accumulate(range(3, 24), operator.mul, initial=2.0))
+NORMAL = st.floats(min_value=1e-250, max_value=1e250)
+PART = st.one_of(NORMAL, NORMAL.map(operator.neg), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.builds(complex, PART, PART), min_size=1, max_size=40),
+    st.sampled_from(KERNEL_DIVISORS),
+)
+def test_reciprocal_factor_divides_bit_for_bit(values, d):
+    # the premise of the kernel's reciprocal factors: should numpy change how
+    # it divides a complex array by a real, this fails before any output moves
+    x = np.array(values, dtype=np.complex128)
+    assert _same_bits(x * monodromy._recip(d), x / d)
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
