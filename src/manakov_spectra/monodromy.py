@@ -30,10 +30,15 @@ propagation at the conjugated spectral parameter rather than from adjugate
 minors: the minors cancel catastrophically once ``|Im lam|`` exceeds ~20,
 while the conjugated propagation stays accurate at full scale.
 
+The series of ``_triple_dd`` is cut off per point: each point sums its
+series pairs to the length that its own largest series criterion needs,
+whatever batch it comes in (``_chunk_terms``).
+
 Evaluation is split in two levels.  A *chunk* of about ``_CHUNK_TARGET``
-(lam, run) pairs is the numerical batch: it decides the two things that
-depend on more than one point, the run refinement by its largest
-``|Im lam|`` (``_split_runs``) and the series length of ``_triple_dd``.
+(lam, run) pairs is the numerical batch.  The one thing it decides for all
+its points is the run refinement, by its largest ``|Im lam|``
+(``_split_runs``); real points are never refined, so on the real axis a
+point's bits do not depend on its batch at all.
 Each chunk is evaluated in *row blocks* of about ``_BLOCK_PAIRS`` pairs,
 small enough for the step arrays to stay in cache.  A chunk of fewer than
 ``_POOL_MIN_BLOCKS`` blocks runs inline on the caller's thread.  The blocks
@@ -48,15 +53,15 @@ Each bit-distinct lam of a chunk is evaluated once; its repeats, such as
 the points that neighbouring contours share, get copies of its rows.
 Values are compared by bit pattern, so ``+0.0`` and ``-0.0`` parts stay apart.
 This leaves every bit alone: what a chunk decides for all its points is a
-maximum over them (the largest ``|Im lam|`` and the largest series
-criterion), which repeats do not change, and a row's bits do not depend on
-its block.
+maximum over them (the largest ``|Im lam|``), which repeats do not change,
+and a row's bits do not depend on its block.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import os
 import threading
 
@@ -130,15 +135,50 @@ def _pair_dd(t, a, b):
     return np.exp(t * (a + b) * _HALF) * t * _sinch(t * (a - b) * _HALF)
 
 
+@functools.cache
+def _series_thresholds() -> np.ndarray:
+    """For n = 1, ..., 20, the largest c whose rounded ``c^n / n!`` is <= 2e-18.
+
+    The product is taken as ``np.multiply.accumulate(c / n)``.  Correct
+    rounding is monotone, so the product does not decrease as c grows, and
+    a bisection over the bit patterns of [0, 2], which order like the
+    values, finds each threshold exactly.
+    """
+    n = np.arange(1.0, 21.0)
+    lo = np.zeros(len(n), dtype=np.int64)
+    hi = np.full(len(n), np.float64(2.0).view(np.int64))
+    diag = np.arange(len(n))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        c = mid.view(np.float64)
+        above = np.multiply.accumulate(c[:, None] / n, axis=1)[diag, diag] > 2e-18
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return lo.view(np.float64)
+
+
+def _series_terms(c: np.ndarray) -> np.ndarray:
+    """The series length of ``_triple_dd`` for each largest criterion c in [0, 1].
+
+    The scalar loop ``bound = 0.5; n = 1; while bound > 1e-18 and n < 22:
+    bound *= c / n; n += 1``, vectorised.  Halving is exact, so the loop's
+    ``bound`` after n steps exceeds 1e-18 exactly when the rounded
+    ``c^n / n!`` exceeds 2e-18, that is, when c exceeds the n-th of
+    ``_series_thresholds``.  For c <= 1 the bound never grows, so the loop
+    ends at 2 plus the number of thresholds below c.
+    """
+    return 2 + np.searchsorted(_series_thresholds(), c)
+
+
 def _chunk_terms(lam: np.ndarray, avsq: np.ndarray, widths: np.ndarray):
-    """The batch-wide part of the step kernel for one chunk of parameters.
+    """The generator roots, the series mask and each point's series length.
 
     ``avsq`` holds ``|v1|^2, |v2|^2`` per run, shape (R, 2).  Returns the
     generator roots ``om = sqrt(lam^2 - |v|^2)`` and the mask ``ser`` of the
-    points that ``_triple_dd`` sums as a series (both (L, R)), and the series
-    length ``nterms``.  The series terms are bounded by ``cmax^k / (2 k!)``
-    with ``cmax`` the largest series criterion of the chunk, so the cutoff is
-    a property of the chunk.
+    pairs that ``_triple_dd`` sums as a series (both (L, R)), and the series
+    length ``nterms`` (L,).  The series terms of a point are bounded by
+    ``c^k / (2 k!)`` with ``c`` the largest series criterion of its runs, so
+    the cutoff is a property of the point, whatever batch it comes in.
     """
     lam2 = lam[:, None]
     r2 = avsq[:, 0] + avsq[:, 1]
@@ -149,12 +189,7 @@ def _chunk_terms(lam: np.ndarray, avsq: np.ndarray, widths: np.ndarray):
     spread = np.maximum(np.abs(mu1 - m), np.maximum(np.abs(om - m), np.abs(-om - m)))
     crit = widths * spread  # |t| = |-i w| = w exactly
     ser = crit <= 1.0
-    nterms = 1
-    if ser.any():
-        cmax, bound = float(crit[ser].max()), 0.5
-        while bound > 1e-18 and nterms < 22:
-            bound *= cmax / nterms
-            nterms += 1
+    nterms = _series_terms(np.max(crit, axis=1, initial=0.0, where=ser))
     return om, ser, nterms
 
 
@@ -163,15 +198,23 @@ def _triple_dd(t, mu1, om, ser, nterms, etm):
 
     Hybrid evaluation: where ``ser`` holds (``|t| * spread <= 1``), a
     complete-homogeneous series around the node mean ``m = mu1 / 3``, summed
-    to ``nterms`` terms (uniformly accurate through confluences), with
-    ``etm = exp(t m)`` given; elsewhere the two-term recursive formula with
-    the best-conditioned pairing (largest outer gap).
+    to the row's ``nterms`` terms (uniformly accurate through confluences),
+    with ``etm = exp(t m)`` given; elsewhere the two-term recursive formula
+    with the best-conditioned pairing (largest outer gap).
+
+    All series run unmasked to the shortest length among them.  Past it,
+    each term is added only to the pairs whose series still runs, so every
+    pair's sum is the one its own length gives, bit for bit.
     """
     t, mu1, om = np.broadcast_arrays(t, mu1, om)
     out = np.empty(om.shape, dtype=np.complex128)
 
     if np.any(ser):
         ts, mus, oms = t[ser], mu1[ser], om[ser]
+        nlo, nhi = int(nterms.min()), int(nterms.max())
+        if nlo < nhi:
+            nts = np.broadcast_to(nterms[:, None], ser.shape)[ser]
+            nlo, nhi = int(nts.min()), int(nts.max())
         ms = mus * _THIRD
         a1s = mus - ms
         a2s = oms - ms
@@ -185,13 +228,16 @@ def _triple_dd(t, mu1, om, ser, nterms, etm):
         tpow = np.ones_like(ts)
         fact = 2.0
         s = hh * _recip(fact)
-        for k in range(1, nterms):
+        for k in range(1, nhi):
             a3pow = a3pow * a3s
             g = a2s * g + a3pow
             hh = a1s * hh + g
             tpow = tpow * ts
             fact *= k + 2
-            s = s + tpow * hh * _recip(fact)
+            if k < nlo:
+                s = s + tpow * hh * _recip(fact)
+            else:
+                np.add(s, tpow * hh * _recip(fact), out=s, where=nts > k)
         out[ser] = etm[ser] * ts * ts * s
 
     direct = ~ser
@@ -225,7 +271,7 @@ def _steps_spectral(lam, vals, avsq, tw, inv, om, ser, nterms):
 
     Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), the distinct
     exponents ``tw = -i w`` (U,) and each run's index ``inv`` (R,) into them,
-    and om, ser (L, R) and nterms from ``_chunk_terms`` -> E (L, R, 3, 3),
+    and om, ser (L, R) and nterms (L,) from ``_chunk_terms`` -> E (L, R, 3, 3),
     det (L, R).
 
     A product ``x * (y - z)`` is written with the difference named.  Once a
@@ -384,7 +430,9 @@ def _eval_chunk(lam, runs, psis, dets):
     om, ser, nterms = _chunk_terms(lam, avsq, widths)
 
     def block(sl, blas=contextlib.nullcontext()):
-        e, sd = _steps_spectral(lam[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms)
+        e, sd = _steps_spectral(
+            lam[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms[sl]
+        )
         with blas:
             psis[sl] = _tree_product(e)
         dets[sl] = np.prod(sd, axis=1)

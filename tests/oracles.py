@@ -14,7 +14,9 @@ routine computes by an independent method:
   form, per pair of runs;
 * ``reference_steps`` -- the production step kernel in its plain form, the
   bit oracle for the production one: every exponential is taken per
-  (lam, run) pair and every division by a real number is a division.
+  (lam, run) pair and every division by a real number is a division;
+* ``series_length`` / ``point_series_lengths`` -- the step kernel's series
+  cutoff by its scalar loop, point by point.
 """
 
 from __future__ import annotations
@@ -310,12 +312,35 @@ def _triple_dd(t, mu1, om, ser, nterms):
     return out
 
 
+def series_length(cmax: float) -> int:
+    """The series length of ``_triple_dd`` for a largest series criterion cmax."""
+    nterms, bound = 1, 0.5
+    while bound > 1e-18 and nterms < 22:
+        bound *= cmax / nterms
+        nterms += 1
+    return nterms
+
+
+def point_series_lengths(lam, om, widths) -> list:
+    """Each point's series length: the scalar loop on the largest series
+    criterion of its own runs, or None for a point without series pairs.
+    """
+    lam2 = lam[:, None]
+    m = -lam2 / 3.0
+    spread = np.maximum(np.abs(-lam2 - m), np.maximum(np.abs(om - m), np.abs(-om - m)))
+    crit = widths * spread
+    return [
+        series_length(float(row[row <= 1.0].max())) if (row <= 1.0).any() else None
+        for row in crit
+    ]
+
+
 def reference_steps(lam, vals, widths, avsq, om, ser, nterms):
     """Step matrices and dets like ``monodromy._steps_spectral``'s, bit for bit.
 
     Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), and om,
-    ser (L, R) and nterms from ``monodromy._chunk_terms`` -> E (L, R, 3, 3),
-    det (L, R).
+    ser (L, R) and nterms (L,) from ``monodromy._chunk_terms`` ->
+    E (L, R, 3, 3), det (L, R).
     """
     lam2 = lam[:, None]
     v1 = vals[None, :, 0]
@@ -330,7 +355,11 @@ def reference_steps(lam, vals, widths, avsq, om, ser, nterms):
 
     f0 = np.exp(tb * mu1)
     d12 = _pair_dd(tb, mu1, om)
-    dd = _triple_dd(tb, mu1, om, ser, nterms)
+    # each row summed to its own length: the plain loop, once per length
+    dd = np.empty(om.shape, dtype=np.complex128)
+    for n in np.unique(nterms):
+        rows = nterms == n
+        dd[rows] = _triple_dd(tb[rows], mu1[rows], om[rows], ser[rows], int(n))
 
     alpha = f0 - mu1 * d12 + mu1 * om * dd
     beta = d12 - (mu1 + om) * dd
@@ -402,3 +431,4 @@ def trace_t2(p: Potential, lam) -> np.ndarray | complex:
     if scalar:
         return complex(out[0])
     return out.reshape(np.asarray(lam).shape)
+

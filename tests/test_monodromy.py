@@ -24,7 +24,14 @@ from manakov_spectra import Potential, RangeOverflowError, monodromy_grid
 from manakov_spectra import monodromy
 from manakov_spectra.monodromy import J3
 from conftest import random_potential
-from oracles import pade_psi, picard_monodromy, reference_steps, trace_t2
+from oracles import (
+    pade_psi,
+    picard_monodromy,
+    point_series_lengths,
+    reference_steps,
+    series_length,
+    trace_t2,
+)
 
 
 def free_trace(lam):
@@ -266,20 +273,35 @@ def test_bit_batches_exercise_what_they_name():
 def test_blocks_and_workers_leave_bits_alone(monkeypatch, name):
     # one block per chunk, run inline, against row blocks on a thread pool:
     # every entry of every output must be bit for bit the same, and every
-    # point must be summed with its chunk's series length (a shorter, per-block
-    # cutoff drops only terms below 1e-18, which seldom shows in the bits)
+    # point with series pairs must be summed to its own series length, the
+    # scalar loop's on its own largest criterion, in every layout (a cutoff
+    # taken over a batch drops or adds only terms below 1e-18, which seldom
+    # shows in the bits)
     p, lam = _bit_batches()[name]
     steps = monodromy._steps_spectral
-    threads, cutoffs = set(), []
+    threads, cutoffs, rows = set(), [], []
 
-    def recording(lam_rows, *args):
+    def recording(lam_rows, vals, avsq, tw, inv, om, ser, nterms):
         threads.add(threading.current_thread().name)
-        cutoffs.extend((x.real, x.imag, args[-1]) for x in lam_rows)
-        return steps(lam_rows, *args)
+        has_series = ser.any(axis=1)
+        cutoffs.extend(
+            (x.real, x.imag, int(n))
+            for x, n, s in zip(lam_rows, nterms, has_series)
+            if s
+        )
+        rows.append((lam_rows, om, -tw.imag[inv]))
+        return steps(lam_rows, vals, avsq, tw, inv, om, ser, nterms)
 
     monkeypatch.setattr(monodromy, "_steps_spectral", recording)
     whole = _grid_with(monkeypatch, p, lam, monodromy._CHUNK_TARGET << 10, 1)
     whole_cutoffs = sorted(cutoffs)
+    own = [
+        (x.real, x.imag, n)
+        for lam_rows, om, widths in rows
+        for x, n in zip(lam_rows, point_series_lengths(lam_rows, om, widths))
+        if n is not None
+    ]
+    assert whole_cutoffs == sorted(own)
     for block_pairs in (monodromy._BLOCK_PAIRS, 16 * len(monodromy._runs_of(p)[1])):
         threads.clear()
         cutoffs.clear()
@@ -337,11 +359,57 @@ def test_step_kernel_matches_its_bit_oracle(name):
         for b in range(0, len(lam_c), rows):
             sl = slice(b, b + rows)
             got = monodromy._steps_spectral(
-                lam_c[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms
+                lam_c[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms[sl]
             )
-            want = reference_steps(lam_c[sl], vals, widths, avsq, om[sl], ser[sl], nterms)
+            want = reference_steps(
+                lam_c[sl], vals, widths, avsq, om[sl], ser[sl], nterms[sl]
+            )
             assert _same_bits(got[0], want[0])
             assert _same_bits(got[1], want[1])
+
+
+def test_series_cutoff_belongs_to_the_point():
+    # a point near lam = 0 has a short series; batched with a point whose
+    # series needs 20 terms, a cutoff taken over the batch used to sum it to
+    # 20 terms as well, which moved the last bit of its imaginary part
+    lam0 = complex(6.99173720335054e-05, 0.01378522522039639)
+    w = 0.01220874133962052
+    avsq = np.array([[0.0024244303085281145, 0.0]])
+    widths = np.array([w])
+
+    def dd(lam):
+        lam = np.asarray(lam, dtype=np.complex128)
+        om, ser, nterms = monodromy._chunk_terms(lam, avsq, widths)
+        t = np.full(om.shape, -1j * w)
+        mu1 = np.broadcast_to(-lam[:, None], om.shape)
+        etm = np.exp(t * (mu1 * monodromy._THIRD))
+        assert ser.all()
+        return monodromy._triple_dd(t, mu1, om, ser, nterms, etm)[0], nterms
+
+    alone, n_alone = dd([lam0])
+    batched, n_batched = dd([lam0, 0.9 / (w * 4.0 / 3.0)])
+    assert _same_bits(alone, batched)
+    assert n_alone.tolist() == [6] and n_batched.tolist() == [6, 20]
+
+
+def _threshold_edges():
+    """Every criterion in [0, 1] where the series length steps, and its neighbours."""
+    edges = set()
+    for t in monodromy._series_thresholds():
+        edges.update(float(x) for x in (np.nextafter(t, 0.0), t, np.nextafter(t, 2.0)))
+    return sorted(x for x in edges if x <= 1.0)
+
+
+CRITERIA = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), st.sampled_from(_threshold_edges())
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CRITERIA, min_size=1, max_size=50))
+def test_vectorised_series_length_is_the_scalar_loop(crits):
+    got = monodromy._series_terms(np.array(crits))
+    assert got.tolist() == [series_length(c) for c in crits]
 
 
 # the kernel's real divisors: 3 and the series factorials 2!..23!, as the
