@@ -37,8 +37,8 @@ whatever batch it comes in (``_chunk_terms``).
 Evaluation is split in two levels.  A *chunk* of about ``_CHUNK_TARGET``
 (lam, run) pairs is the numerical batch.  The one thing it decides for all
 its points is the run refinement, by its largest ``|Im lam|``
-(``_split_runs``); real points are never refined, so on the real axis a
-point's bits do not depend on its batch at all.
+(``_split_runs``).  A chunk of real points is never refined, so a real point
+evaluated among real points has the same bits in every such batch.
 Each chunk is evaluated in *row blocks* of about ``_BLOCK_PAIRS`` pairs,
 small enough for the step arrays to stay in cache.  A chunk of fewer than
 ``_POOL_MIN_BLOCKS`` blocks runs inline on the caller's thread.  The blocks

@@ -158,6 +158,11 @@ def multiplier_triple(
 # ----------------------------------------------------------------------------
 
 
+def _disc(t, s, em, ep):
+    """The modified discriminant from the traces and ``em, ep = exp(-+i lam)``."""
+    return -(t * t * s * s - 4.0 * em * t**3 - 4.0 * ep * s**3 + 18.0 * t * s - 27.0) / 64.0
+
+
 def derived_grid(t, s, lam) -> dict:
     """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
     t = np.asarray(t, dtype=np.complex128)
@@ -165,7 +170,7 @@ def derived_grid(t, s, lam) -> dict:
     lam = np.asarray(lam, dtype=np.complex128)
     ep = np.exp(1j * lam)
     em = np.exp(-1j * lam)
-    disc = -(t * t * s * s - 4.0 * em * t**3 - 4.0 * ep * s**3 + 18.0 * t * s - 27.0) / 64.0
+    disc = _disc(t, s, em, ep)
     phi = (t - s) / 2j - np.sin(lam)
     tcal = (t + s) / 2.0
     # Pairwise products of the tau-pairs come out as e^{i lam}*s and e^{-i lam}*t,

@@ -16,7 +16,9 @@ routine computes by an independent method:
   bit oracle for the production one: every exponential is taken per
   (lam, run) pair and every division by a real number is a division;
 * ``series_length`` / ``point_series_lengths`` -- the step kernel's series
-  cutoff by its scalar loop, point by point.
+  cutoff by its scalar loop, point by point;
+* ``refine_sign_changes`` -- the plain bisection of a list of brackets, one
+  engine call per halving: the bit oracle for the scan's speculative one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from manakov_spectra.algebra import adj3, det3
 from manakov_spectra.monodromy import _check_range, _runs_of, _split_runs, _tree_product
 from manakov_spectra.potential import Potential, _e1
+from manakov_spectra.spectrum import ENDPOINT_ACCURACY, _disc_only
 
 # ----------------------------------------------------------------------------
 # matrix exponential: Pade-13 scaling and squaring
@@ -322,8 +325,10 @@ def series_length(cmax: float) -> int:
 
 
 def point_series_lengths(lam, om, widths) -> list:
-    """Each point's series length: the scalar loop on the largest series
-    criterion of its own runs, or None for a point without series pairs.
+    """Each point's series length, or None for a point without series pairs.
+
+    The length is the scalar loop's on the largest series criterion of the
+    point's own runs.
     """
     lam2 = lam[:, None]
     m = -lam2 / 3.0
@@ -432,3 +437,22 @@ def trace_t2(p: Potential, lam) -> np.ndarray | complex:
         return complex(out[0])
     return out.reshape(np.asarray(lam).shape)
 
+
+# ----------------------------------------------------------------------------
+# plain bisection of the discriminant's sign changes
+# ----------------------------------------------------------------------------
+
+
+def refine_sign_changes(p: Potential, brackets: list[tuple[float, float, float]]) -> np.ndarray:
+    """Bisect every bracketed sign change ``(lo, hi, disc_lo)`` of the discriminant in parallel."""
+    if not brackets:
+        return np.empty(0)
+    lo, hi, disc_lo = (np.array(x, dtype=np.float64) for x in zip(*brackets))
+    sign_lo = np.sign(disc_lo)
+    while float(np.max(hi - lo)) > ENDPOINT_ACCURACY:
+        mid = 0.5 * (lo + hi)
+        dm = _disc_only(p, mid)
+        go_right = np.sign(dm) == sign_lo
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)

@@ -13,8 +13,10 @@ from manakov_spectra import (
     scan,
     sheet_count,
 )
-from manakov_spectra.cli import main
+from manakov_spectra import spectrum
+from manakov_spectra.cli import load_potential, main
 from conftest import CONST_JSON, cli_csv_rows
+import oracles
 
 
 def test_zero_potential_all_bands(pot_zero):
@@ -128,3 +130,122 @@ def test_scan_serialization(pot_const, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["interval"] == [-2.0, 2.0]
     assert len(doc["gaps"]) == len(sc.gaps)
+
+
+# ----------------------------------------------------------------------------
+# speculative bisection: the plain bisection's endpoints in fewer engine calls
+# ----------------------------------------------------------------------------
+
+REFINE_INPUTS = {
+    # the golden step input
+    "golden-step": (
+        '{"kind":"piecewise","breakpoints":[0.0,0.25,0.75,1.0],'
+        '"values":[[[0.3,0.1],[0.0,0.2]],[[0.1,0.0],[0.4,0.0]],'
+        '[[0.0,0.0],[0.2,-0.1]]],"resolution":64}'
+    ),
+    # two of the benchmark's small inputs, non-dyadic and dyadic
+    "non-dyadic-step": (
+        '{"kind":"piecewise","breakpoints":[0.0,0.428514,0.732159,1.0],"values":'
+        "[[[-0.19192162710244262,-0.013618740767788781],[0.05747993847496977,"
+        "-0.26658743420064185]],[[-0.2144821108066412,0.03176796410224302],"
+        "[0.3107493980053129,-0.20241551696170068]],[[-0.06509348593893693,"
+        "0.32104522102783895],[-0.34272411256917096,-0.31529274077656183]]]}"
+    ),
+    "dyadic-step": (
+        '{"kind":"piecewise","breakpoints":[0.0,0.8125,1.0],"values":'
+        "[[[0.2929344268863049,0.18905658597040093],[0.421859046944926,"
+        "-0.42139656967331657]],[[-0.597528119148613,0.04028235238165074],"
+        "[-0.05509731182339014,0.20864344169305632]]]}"
+    ),
+    # rank one, 32 runs
+    "rank-one-fourier": (
+        '{"kind":"fourier","resolution":32,"modes":{"2":[[-0.06989414456051281,'
+        "-0.1105117889577312],[-0.1291961539503003,-0.10689437197342963]],"
+        '"0":[[0.18607783623116292,-0.10700452119579844],[0.18423920477036493,'
+        "-0.20451646353054115]]}}"
+    ),
+    # the 512-run reference potential
+    "fourier-512": (
+        '{"kind":"fourier","resolution":512,'
+        '"modes":{"1":[[0.25,0.0],[0.1,0.0]],"-1":[[0.0,0.0],[0.2,0.0]]}}'
+    ),
+}
+
+
+def _float_bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _counting_disc(monkeypatch):
+    """Record the size of every discriminant call, production and oracle alike."""
+    sizes = []
+    disc_only = spectrum._disc_only
+
+    def counting(p, lam):
+        sizes.append(len(lam))
+        return disc_only(p, lam)
+
+    monkeypatch.setattr(spectrum, "_disc_only", counting)
+    monkeypatch.setattr(oracles, "_disc_only", counting)
+    return sizes
+
+
+def _same_endpoints(p, groups, monkeypatch):
+    """Both refinements of ``groups``: endpoints compared bit for bit, call sizes returned."""
+    sizes = _counting_disc(monkeypatch)
+    got = spectrum._refine_sign_changes(p, groups)
+    new_sizes = sizes[:]
+    sizes.clear()
+    want = [oracles.refine_sign_changes(p, g) for g in groups]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(_float_bits(g), _float_bits(w))
+    return new_sizes, sizes[:]
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_INPUTS))
+def test_speculative_bisection_keeps_every_endpoint_bit(monkeypatch, name):
+    p = load_potential(REFINE_INPUTS[name])
+    seen = []
+    refine = spectrum._refine_sign_changes
+
+    def recording(p, groups):
+        seen.append(groups)
+        return refine(p, groups)
+
+    monkeypatch.setattr(spectrum, "_refine_sign_changes", recording)
+    scan(p, -10.0, 10.0, step=0.01)
+    (groups,) = seen
+    assert all(groups)  # gaps open and close inside the window
+    new_sizes, old_sizes = _same_endpoints(p, groups, monkeypatch)
+    # one loop for both groups halves the calls, a deeper tree cuts more
+    assert 2 * len(new_sizes) <= len(old_sizes)
+    if len(p.canonical().runs()[1]) < 512:
+        assert 3 * len(new_sizes) <= len(old_sizes)
+    else:
+        # one tree level per call: the very points of the plain bisection
+        brackets = sum(len(g) for g in groups)
+        assert all(n <= brackets for n in new_sizes)
+        assert sum(new_sizes) == sum(old_sizes)
+
+
+@pytest.mark.parametrize("depth", [None, 1, 5, 9])
+def test_speculative_bisection_groups_and_exact_zeros(monkeypatch, pot_const, depth):
+    # each group halves until its own widest bracket is done (a 0.2 bracket
+    # takes two halvings more than a 0.04 one), and at lam = 0.9, the
+    # midpoint of (0.8, 1.0), the discriminant is exactly zero; fixed tree
+    # depths end some rounds in the middle of a tree, where a group is done
+    if depth is not None:
+        monkeypatch.setattr(spectrum, "_tree_depth", lambda *args: depth)
+    p = pot_const
+    assert 0.5 * (0.8 + 1.0) == 0.9
+    d = spectrum._disc_only(p, np.array([0.8, 0.9, -0.92, -0.905]))
+    assert d[1] == 0.0 and d[0] != 0.0
+    groups = [
+        [(0.8, 1.0, d[0])],
+        [(-0.92, -0.88, d[2]), (-0.905, -0.895, d[3])],
+        [],
+    ]
+    new_sizes, old_sizes = _same_endpoints(p, groups, monkeypatch)
+    assert len(new_sizes) < len(old_sizes)
+    assert spectrum._refine_sign_changes(p, [[], []])[1].shape == (0,)
