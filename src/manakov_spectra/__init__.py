@@ -13,7 +13,6 @@ from .errors import (
     ClassificationConflictWarning,
     ConfigError,
     ContourThroughZeroError,
-    LabelAmbiguityError,
     NonFiniteError,
     NumericalError,
     RangeOverflowError,
@@ -21,15 +20,12 @@ from .errors import (
     SheetConflictError,
     UndersampledContourError,
     WindowTooSmallError,
-    ZeroAtOriginError,
 )
 from .monodromy import monodromy_grid
 from .multipliers import (
-    MultiplierTriple,
     derived_grid,
     identity_suite,
     lyapunov_triple,
-    multiplier_triple,
     multipliers_from_traces,
     unimodular_count,
 )
@@ -42,34 +38,26 @@ from .periodic_eigen import (
     d_pm_from_traces,
     d_pm_grid,
     eigenvalues_in_window,
-    find_cluster_onset,
-    hadamard_eval,
     recover_traces,
 )
 from .potential import Potential, PotentialMoments, fourier_hat, is_rank_one, moments
 from .quasimomentum import (
-    BoundsReport,
     GapMassResult,
     HerglotzFit,
     QProfile,
-    discriminant_bounds_check,
     eps_map,
     herglotz_asymptotic,
     q0_integral,
     q_profile,
 )
 from .spectrum import (
-    Classification,
     SheetVerdict,
     SpectralScan,
-    classify,
     scan,
     sheet_count,
 )
 from .zs_oracle import (
-    GapLengthReport,
     ReductionReport,
-    gap_length_estimate,
     reduction_check,
     scalar_reduction,
     zs_delta_grid,

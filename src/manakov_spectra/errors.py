@@ -37,10 +37,6 @@ class RootResidualError(NumericalError):
     """Polynomial root residual exceeded its bound even after fallback."""
 
 
-class LabelAmbiguityError(NumericalError):
-    """Two multipliers are too close to assign asymptotic labels (label-ambiguous)."""
-
-
 class BranchTrackingError(NumericalError):
     """Branch continuity lost while following a quantity along a path (branch-tracking)."""
 
@@ -59,7 +55,3 @@ class SheetConflictError(NumericalError):
 
 class WindowTooSmallError(NumericalError):
     """A window/tail estimate shows the requested window cannot support the computation."""
-
-
-class ZeroAtOriginError(NumericalError):
-    """A product representation anchored at the origin was requested but the anchor vanishes (zero-at-origin)."""

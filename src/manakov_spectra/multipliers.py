@@ -26,34 +26,21 @@ these together and reports scale-normalized residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
-
 import numpy as np
 
 from .algebra import cubic_roots_stack
-from .errors import LabelAmbiguityError
-from .monodromy import monodromy_grid
-from .potential import Potential
 
 __all__ = [
-    "MultiplierTriple",
     "char_poly",
     "derived_grid",
     "identity_suite",
     "lyapunov_triple",
-    "multiplier_triple",
     "multipliers_from_traces",
     "unimodular_count",
 ]
 
 #: band for |(|tau|) - 1| below which a multiplier counts as unimodular
 UNIMODULAR_TOL = 1e-6
-
-#: offset used to disambiguate labels on the real axis (limit from above)
-_REAL_LABEL_OFFSET = 1e-6
-
-_REAL_AXIS_TOL = 1e-9
 
 
 def char_poly(t, s, lam):
@@ -80,79 +67,6 @@ def unimodular_count(taus: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.abs(taus) - 1.0) <= UNIMODULAR_TOL, axis=-1)
 
 
-@dataclass
-class MultiplierTriple:
-    lam: complex
-    tau: np.ndarray  # (3,) complex
-    labeling: str
-
-
-def _label_complex(tau: np.ndarray, lam: complex) -> np.ndarray:
-    """Order (tau1, tau2, tau3) off the real axis.
-
-    tau3 continues the free branch ``e^{-i lam}``: for Im lam > 0 it is the
-    root of largest modulus, for Im lam < 0 the smallest; the remaining pair
-    is ordered so tau1 has the middle modulus overall (the branch with the
-    smaller average-translation correction).
-    """
-    mags = np.abs(tau)
-    order = np.argsort(mags)  # ascending
-    gaps = np.diff(mags[order])
-    scale = max(1.0, float(mags.max()))
-    if np.imag(lam) > 0:
-        t3, t1, t2 = tau[order[2]], tau[order[1]], tau[order[0]]
-        sep = gaps[1]
-    else:
-        t3, t1, t2 = tau[order[0]], tau[order[1]], tau[order[2]]
-        sep = gaps[0]
-    if sep <= 1e-7 * scale:
-        raise LabelAmbiguityError(
-            f"label-ambiguous: multiplier moduli separated by {sep:.3e} at lam={lam}"
-        )
-    return np.array([t1, t2, t3])
-
-
-def _match(tau: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Permute *tau* to minimize total distance to *reference*."""
-    best, best_cost = None, np.inf
-    for perm in permutations(range(3)):
-        cost = float(np.sum(np.abs(tau[list(perm)] - reference)))
-        if cost < best_cost:
-            best, best_cost = list(perm), cost
-    return tau[best]
-
-
-def multiplier_triple(
-    p: Potential,
-    lam: complex,
-    labeling: str = "asymptotic",
-    previous: MultiplierTriple | None = None,
-) -> MultiplierTriple:
-    """Labeled multiplier triple at one spectral parameter.
-
-    ``labeling`` is one of ``"unordered"``, ``"asymptotic"`` or
-    ``"continuity"``.  Asymptotic labels on the real axis are resolved by
-    evaluating slightly above the axis and matching by proximity, so the
-    labels continue the limit from the upper half plane.  Continuity labeling
-    permutes the triple to track *previous*.
-    """
-    g = monodromy_grid(p, [lam])
-    tau = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])[0]
-    lam = complex(lam)
-    if labeling == "unordered":
-        return MultiplierTriple(lam, tau, labeling)
-    if labeling == "continuity":
-        if previous is None:
-            raise ValueError("continuity labeling needs a previous triple")
-        return MultiplierTriple(lam, _match(tau, previous.tau), labeling)
-    if labeling != "asymptotic":
-        raise ValueError(f"unknown labeling {labeling!r}")
-    if abs(lam.imag) <= _REAL_AXIS_TOL:
-        ref = multiplier_triple(p, lam + 1j * _REAL_LABEL_OFFSET, labeling="asymptotic")
-        return MultiplierTriple(lam, _match(tau, ref.tau), labeling)
-    return MultiplierTriple(lam, _label_complex(tau, lam), labeling)
-
-
 # ----------------------------------------------------------------------------
 # derived scalars
 # ----------------------------------------------------------------------------
@@ -163,6 +77,11 @@ def _disc(t, s, em, ep):
     return -(t * t * s * s - 4.0 * em * t**3 - 4.0 * ep * s**3 + 18.0 * t * s - 27.0) / 64.0
 
 
+def _phi(t, s, lam):
+    """The trace asymmetry ``(T - S)/(2i) - sin(lam)``."""
+    return (t - s) / 2j - np.sin(lam)
+
+
 def derived_grid(t, s, lam) -> dict:
     """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
     t = np.asarray(t, dtype=np.complex128)
@@ -171,7 +90,7 @@ def derived_grid(t, s, lam) -> dict:
     ep = np.exp(1j * lam)
     em = np.exp(-1j * lam)
     disc = _disc(t, s, em, ep)
-    phi = (t - s) / 2j - np.sin(lam)
+    phi = _phi(t, s, lam)
     tcal = (t + s) / 2.0
     # Pairwise products of the tau-pairs come out as e^{i lam}*s and e^{-i lam}*t,
     # so the compact factorization pairs e^{-i lam} with t and e^{+i lam} with s.

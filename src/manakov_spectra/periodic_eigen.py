@@ -6,7 +6,7 @@ multiples of pi) and ``D_- = (T + 1) + e^{i lam}(T~ + 1)`` (antiperiodic
 side, odd multiples).  Each localization disk of radius 1/2 around ``pi n``
 carries exactly three zeros once |n| is large enough; they are located by
 winding-count subdivision followed by Newton polishing, and the resulting
-table feeds the asymptotic checks and the restored-product evaluation.
+table feeds the first-order asymptotic check.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import (
     ConfigError,
     ContourThroughZeroError,
     UndersampledContourError,
-    WindowTooSmallError,
-    ZeroAtOriginError,
 )
 from .monodromy import monodromy_grid
 from .potential import Potential, fourier_hat
@@ -34,9 +32,7 @@ __all__ = [
     "d_pm_from_traces",
     "count_in_disk",
     "eigenvalues_in_window",
-    "find_cluster_onset",
     "asymptotic_residuals",
-    "hadamard_eval",
     "recover_traces",
 ]
 
@@ -50,8 +46,6 @@ _SPLIT_RATIOS = (0.5, 0.53, 0.47, 0.61)
 _RADIUS_NUDGES = (1.0, 1.05, 0.95, 1.10, 0.90)
 _DISK_SAMPLES = 64
 _MAX_CIRCLE_SAMPLES = 8192
-# largest n0 that the cluster-onset search tries
-ONSET_LIMIT = 12
 # exponent of the deviation sums in the asymptotic check
 SUMMABILITY_EXPONENT = 1.5
 
@@ -538,29 +532,6 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
     return EigenvalueTable(entries, (n_min, n_max), failures, notes)
 
 
-def find_cluster_onset(p: Potential) -> int:
-    """Smallest n0 whose next six disks (both signs) all count exactly 3 zeros."""
-    for n0 in range(ONSET_LIMIT + 1):
-        good = True
-        for n in range(n0, n0 + 6):
-            for m in (n, -n):
-                parity = +1 if m % 2 == 0 else -1
-                try:
-                    if count_in_disk(p, np.pi * m, 0.5, parity) != 3:
-                        good = False
-                        break
-                except ContourThroughZeroError:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return n0
-    raise WindowTooSmallError(
-        f"no stable counting onset found for n0 <= {ONSET_LIMIT}"
-    )
-
-
 # ----------------------------------------------------------------------------
 # asymptotics and reconstruction
 # ----------------------------------------------------------------------------
@@ -596,44 +567,10 @@ def asymptotic_residuals(table: EigenvalueTable, p: Potential) -> dict:
         rate = float(np.polyfit(x, y, 1)[0])
     return {
         "deviations": devs,
-        "order": order,
         "partial_sums": partial,
         "delta": SUMMABILITY_EXPONENT,
         "decay_exponent": rate,
     }
-
-
-def hadamard_eval(
-    table: EigenvalueTable, d0: complex, lam: complex, parity: int
-) -> tuple[complex, float]:
-    """Symmetric truncation of the restored product d0 e^{i lam/2} prod(1 - lam/k).
-
-    Returns the value together with a crude truncation indicator: the
-    relative change when the outermost index shell is dropped.  The product
-    converges only conditionally, hence the symmetric (paired) ordering.
-    """
-    if abs(d0) < 1e-12:
-        raise ZeroAtOriginError(
-            f"restored product anchored at zero: |D(0)| = {abs(d0):.3e}"
-        )
-    pname = "periodic" if parity > 0 else "antiperiodic"
-    items = [(e.n, e.z) for e in table.entries if e.parity == pname]
-    if not items:
-        raise WindowTooSmallError("eigenvalue table has no entries of this parity")
-    cover = max(abs(z.real) for _, z in items)
-    if cover < 4.0 * abs(lam):
-        raise WindowTooSmallError(
-            f"table covers |Re k| <= {cover:.3g}, need >= 4|lam| = {4.0 * abs(lam):.3g}"
-        )
-    items.sort(key=lambda nz: (abs(nz[0]), nz[0]))
-    ks = np.array([z for _, z in items])
-    terms = 1.0 - lam / ks
-    full = complex(d0 * np.exp(0.5j * lam) * np.prod(terms))
-    n_out = max(abs(n) for n, _ in items)
-    inner = np.array([1.0 - lam / z for n, z in items if abs(n) != n_out])
-    trimmed = complex(d0 * np.exp(0.5j * lam) * np.prod(inner))
-    indicator = abs(full - trimmed) / max(abs(full), 1e-300)
-    return full, indicator
 
 
 def recover_traces(dp: complex, dm: complex, lam: complex):

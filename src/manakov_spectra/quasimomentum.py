@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from .errors import BranchTrackingError, ConfigError, WindowTooSmallError
 from .monodromy import monodromy_grid
-from .multipliers import _match, derived_grid, lyapunov_triple, multipliers_from_traces
+from .multipliers import lyapunov_triple
 from .potential import Potential
-from .spectrum import SpectralScan
+from .spectrum import SpectralScan, _line_data
 
 # quadrature controls for the per-gap integrals
 QUAD_START_NODES = 64
@@ -45,9 +46,6 @@ EDGE_FRACTION = 0.01
 
 # extra profile samples per gap, graded toward its endpoints
 ENDPOINT_POINTS = 16
-
-# relaxation of both sides of the discriminant envelope check
-ENVELOPE_SLACK = 1e-8
 
 
 def eps_map(z):
@@ -93,11 +91,8 @@ def branch_magnitudes(p: Potential, lam: np.ndarray) -> tuple[np.ndarray, np.nda
     Returns ``(q, q_avg)`` with ``q`` of shape ``(n, 3)``.  All entries are
     clipped at zero; the map guarantees nonnegativity up to rounding.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    g = monodromy_grid(p, lam.astype(np.complex128))
-    taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
-    d = derived_grid(g["trace"], g["trace_conj"], g["lam"])
-    return _magnitudes(taus, d["disc"].real, g["trace"])
+    d = _line_data(p, lam)
+    return _magnitudes(d["taus"], d["disc"], d["trace"])
 
 
 @dataclass
@@ -260,6 +255,16 @@ class HerglotzFit:
     residual_rms: float
 
 
+def _match(tau: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Permute *tau* to minimize total distance to *reference*."""
+    best, best_cost = None, np.inf
+    for perm in permutations(range(3)):
+        cost = float(np.sum(np.abs(tau[list(perm)] - reference)))
+        if cost < best_cost:
+            best, best_cost = list(perm), cost
+    return tau[best]
+
+
 def _match_rows(delta: np.ndarray) -> np.ndarray:
     """Reorder each row of a (n, 3) array to follow its predecessor."""
     out = delta.copy()
@@ -301,53 +306,3 @@ def herglotz_asymptotic(p: Potential, nu_list) -> HerglotzFit:
     c = float(np.sum(r / nu) / np.sum(1.0 / nu**2))
     rms = float(np.sqrt(np.mean((r - c / nu) ** 2)))
     return HerglotzFit(q0=c, residual_rms=rms)
-
-
-@dataclass
-class BoundsReport:
-    """Two-sided envelope check of the modified discriminant on gap samples."""
-
-    checked: int
-    skipped: int
-    ok: bool
-    min_lower_margin: float
-    min_upper_margin: float
-    failures: list[float] = field(default_factory=list)
-
-
-def discriminant_bounds_check(sc: SpectralScan) -> BoundsReport:
-    """Verify the hyperbolic envelope of the modified discriminant on gaps.
-
-    On every sample the scan classified as single-covered, the largest branch
-    magnitude ``q`` must squeeze ``|D|`` between ``sinh(q)^2/4 (cosh(q)-1)^2``
-    and ``sinh(2q)^2/16``, each side relaxed by ``ENVELOPE_SLACK``.  Samples
-    on bands are skipped (both sides collapse to zero there).  The check
-    targets the three-branch regime, so a scan whose skew-average is flat is
-    rejected.
-    """
-    phi_scale = 1e-8 * (1.0 + float(np.max(np.abs(sc.trace))))
-    if float(np.max(np.abs(sc.phi))) <= phi_scale:
-        raise ConfigError(
-            "flat skew-average: the envelope check needs the three-branch regime"
-        )
-    mask = sc.multiplicity == 1
-    skipped = int(np.sum(~mask))
-    if not np.any(mask):
-        return BoundsReport(0, skipped, True, 0.0, 0.0)
-    lam = sc.lam[mask]
-    q_branch, _ = _magnitudes(sc.taus[mask], sc.disc[mask], sc.trace[mask])
-    q = q_branch.max(axis=-1)
-    absd = np.abs(sc.disc[mask])
-    lower = 0.25 * np.sinh(q) ** 2 * (np.cosh(q) - 1.0) ** 2
-    upper = np.sinh(2.0 * q) ** 2 / 16.0
-    lo_margin = absd - lower
-    hi_margin = upper - absd
-    bad = (lo_margin < -ENVELOPE_SLACK) | (hi_margin < -ENVELOPE_SLACK)
-    return BoundsReport(
-        checked=int(np.sum(mask)),
-        skipped=skipped,
-        ok=not bool(np.any(bad)),
-        min_lower_margin=float(np.min(lo_margin)),
-        min_upper_margin=float(np.min(hi_margin)),
-        failures=[float(x) for x in lam[bad]],
-    )

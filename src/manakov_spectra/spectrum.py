@@ -37,17 +37,15 @@ from .monodromy import _runs_of, monodromy_grid
 from .multipliers import (
     UNIMODULAR_TOL,
     _disc,
-    derived_grid,
+    _phi,
     multipliers_from_traces,
     unimodular_count,
 )
 from .potential import Potential, is_rank_one, moments
 
 __all__ = [
-    "Classification",
     "SpectralScan",
     "SheetVerdict",
-    "classify",
     "scan",
     "sheet_count",
 ]
@@ -56,7 +54,6 @@ DISC_REL_TOL = 1e-12
 ENDPOINT_ACCURACY = 1e-9
 ZERO_POTENTIAL_TOL = 1e-14
 MAX_SCAN_STEP = 0.05
-_NEIGHBOR_H = 1e-4
 # (lam, run) pairs that one engine call of the bisection may evaluate.  A
 # call costs about as much as 1k pairs on its own, so a deeper tree pays for
 # itself up to about this size.  On the benchmark's many small potentials,
@@ -69,12 +66,12 @@ _REFINE_PAIRS = 1024
 def _line_data(p: Potential, lam: np.ndarray) -> dict:
     """Discriminant, trace asymmetry, traces, multipliers and unimodular counts on real lam."""
     g = monodromy_grid(p, lam)
-    d = derived_grid(g["trace"], g["trace_conj"], g["lam"])
-    taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
+    t, s, lam = g["trace"], g["trace_conj"], g["lam"]
+    taus = multipliers_from_traces(t, s, lam)
     return {
-        "disc": np.real(d["disc"]),
-        "phi": np.real(d["phi"]),
-        "trace": g["trace"],
+        "disc": np.real(_disc(t, s, np.exp(-1j * lam), np.exp(1j * lam))),
+        "phi": np.real(_phi(t, s, lam)),
+        "trace": t,
         "counts": unimodular_count(taus),
         "taus": taus,
     }
@@ -99,51 +96,6 @@ def _local_tol(disc: np.ndarray) -> np.ndarray:
         s[k:] = np.maximum(s[k:], a[:-k])
         s[:-k] = np.maximum(s[:-k], a[k:])
     return DISC_REL_TOL * s
-
-
-@dataclass
-class Classification:
-    lam: float
-    disc: float
-    multiplicity: int
-    boundary: bool
-    unimodular: int
-    conflict: bool
-
-
-def classify(p: Potential, lam: float) -> Classification:
-    """Multiplicity (1 or 3) of one real spectral parameter.
-
-    Points inside the relative boundary band around a discriminant zero are
-    resolved by the signs at two flanking offsets; an unresolved boundary
-    point counts as multiplicity 3 (band boundaries belong to the closed
-    band set).  The unimodular-multiplier count provides the cross-check.
-    """
-    lam = float(lam)
-    if moments(p).b3 < ZERO_POTENTIAL_TOL:
-        return Classification(lam, 0.0, 3, True, 3, False)
-    grid = np.array([lam - _NEIGHBOR_H, lam, lam + _NEIGHBOR_H])
-    data = _line_data(p, grid)
-    disc = data["disc"]
-    tol = DISC_REL_TOL * max(float(np.max(np.abs(disc))), 1e-300)
-    d = float(disc[1])
-    boundary = abs(d) <= tol
-    if not boundary:
-        mult = 3 if d > 0.0 else 1
-    elif disc[0] < -tol and disc[2] < -tol:
-        mult = 1
-    else:
-        mult = 3
-    count = int(data["counts"][1])
-    conflict = (not boundary) and count != mult
-    if conflict:
-        warnings.warn(
-            f"classification-conflict at lam={lam:.9g}: discriminant sign gives "
-            f"multiplicity {mult} but {count} unimodular multipliers",
-            ClassificationConflictWarning,
-            stacklevel=2,
-        )
-    return Classification(lam, d, mult, boundary, count, conflict)
 
 
 @dataclass

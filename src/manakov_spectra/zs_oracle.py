@@ -16,7 +16,7 @@ generator is traceless, hence the propagator determinant is one to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .monodromy import _sinch, monodromy_grid
 from .multipliers import derived_grid, multipliers_from_traces
 from .periodic_eigen import d_pm_from_traces
-from .potential import Potential, fourier_hat, is_rank_one, moments
+from .potential import Potential, is_rank_one, moments
 from .quasimomentum import eps_map
 
 ENDPOINT_TOL = 1e-12
@@ -240,65 +240,4 @@ def reduction_check(p: Potential, lam_grid) -> ReductionReport:
         tol=REDUCTION_TOL,
         ok=not bool(np.any(failed)),
         n_failed=int(np.sum(failed)),
-    )
-
-
-@dataclass
-class GapLengthReport:
-    """Norm bounds from the ell^2 size of the 2x2 gap radii."""
-
-    g: float
-    norm: float
-    lower_ok: bool
-    upper_ok: bool | None
-    tail_sq: float
-    gap_radii: dict[int, float] = field(default_factory=dict)
-
-
-def gap_length_estimate(p: Potential, n_window: int) -> GapLengthReport:
-    """Two-sided norm bounds from gap sizes over ``|n| <= n_window``.
-
-    ``g`` is the ell^2 norm of the gap half-lengths found in the window, each
-    gap assigned to its nearest half-integer multiple of pi.  Half-lengths
-    are the right measure here: to first order the radius of the n-th gap is
-    the modulus of the n-th potential coefficient, so ``g`` tends to the
-    potential norm itself for small amplitudes, and the constant potential
-    (single gap, radius equal to the amplitude) keeps the lower bound strict.
-    The lower bound ``g/sqrt(2) <= ||v||`` is asserted as found (truncation
-    only shrinks ``g``); the upper bound folds in a spectral tail estimate for
-    the missed gaps and is reported as ``None`` (inconclusive) when that tail
-    exceeds 10 percent of ``g^2``.
-    """
-    if n_window < 1:
-        raise ConfigError("window must cover at least |n| <= 1")
-    u, _ = scalar_reduction(p)
-    norm = float(np.sqrt(moments(p).b3))
-    hw = (n_window + 0.499) * np.pi
-    gaps = zs_gaps(u, -hw, hw)
-    radii: dict[int, float] = {}
-    for a, b in gaps:
-        n = int(np.rint(0.5 * (a + b) / np.pi))
-        radii[n] = radii.get(n, 0.0) + 0.5 * (b - a)
-    gsq = float(sum(x * x for x in radii.values()))
-    g = float(np.sqrt(gsq))
-
-    # spectral tail of the missed gaps: radii shrink like |v_hat(pi n)|
-    ns = np.arange(n_window + 1, 4 * n_window + 9)
-    ns = np.concatenate([-ns, ns])
-    hat = fourier_hat(p, np.pi * ns)
-    tail_sq = float(np.sum(np.sum(np.abs(hat) ** 2, axis=-1)))
-
-    lower_ok = bool(g / np.sqrt(2.0) <= norm + 1e-12)
-    if gsq > 0.0 and tail_sq > 0.1 * gsq:
-        upper_ok: bool | None = None
-    else:
-        g_full = float(np.sqrt(gsq + tail_sq))
-        upper_ok = bool(norm <= 2.0 * g_full * (1.0 + g_full) + 1e-12)
-    return GapLengthReport(
-        g=g,
-        norm=norm,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        tail_sq=tail_sq,
-        gap_radii=radii,
     )

@@ -18,7 +18,11 @@ routine computes by an independent method:
 * ``series_length`` / ``point_series_lengths`` -- the step kernel's series
   cutoff by its scalar loop, point by point;
 * ``refine_sign_changes`` -- the plain bisection of a list of brackets, one
-  engine call per halving: the bit oracle for the scan's speculative one.
+  engine call per halving: the bit oracle for the scan's speculative one;
+* ``classify`` -- the multiplicity of one real spectral parameter on its
+  own, against the multiplicities of a whole ``scan``;
+* ``hadamard_eval`` -- the characteristic function restored as a product
+  over an eigenvalue table, against its direct evaluation.
 """
 
 from __future__ import annotations
@@ -29,8 +33,14 @@ import numpy as np
 
 from manakov_spectra.algebra import adj3, det3
 from manakov_spectra.monodromy import _check_range, _runs_of, _split_runs, _tree_product
-from manakov_spectra.potential import Potential, _e1
-from manakov_spectra.spectrum import ENDPOINT_ACCURACY, _disc_only
+from manakov_spectra.potential import Potential, _e1, moments
+from manakov_spectra.spectrum import (
+    DISC_REL_TOL,
+    ENDPOINT_ACCURACY,
+    ZERO_POTENTIAL_TOL,
+    _disc_only,
+    _line_data,
+)
 
 # ----------------------------------------------------------------------------
 # matrix exponential: Pade-13 scaling and squaring
@@ -456,3 +466,77 @@ def refine_sign_changes(p: Potential, brackets: list[tuple[float, float, float]]
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
+
+
+# ----------------------------------------------------------------------------
+# pointwise classification
+# ----------------------------------------------------------------------------
+
+# offset of the two flanking points that resolve a boundary point
+_NEIGHBOR_H = 1e-4
+
+
+@dataclass
+class Classification:
+    multiplicity: int
+    boundary: bool
+    unimodular: int
+
+
+def classify(p: Potential, lam: float) -> Classification:
+    """Multiplicity (1 or 3) of one real spectral parameter.
+
+    Points inside the relative boundary band around a discriminant zero are
+    resolved by the signs at two flanking offsets; an unresolved boundary
+    point counts as multiplicity 3 (band boundaries belong to the closed
+    band set).  ``unimodular`` is the point's unimodular-multiplier count.
+    """
+    if moments(p).b3 < ZERO_POTENTIAL_TOL:
+        return Classification(3, True, 3)
+    data = _line_data(p, np.array([lam - _NEIGHBOR_H, lam, lam + _NEIGHBOR_H]))
+    disc = data["disc"]
+    tol = DISC_REL_TOL * max(float(np.max(np.abs(disc))), 1e-300)
+    boundary = abs(disc[1]) <= tol
+    if not boundary:
+        mult = 3 if disc[1] > 0.0 else 1
+    elif disc[0] < -tol and disc[2] < -tol:
+        mult = 1
+    else:
+        mult = 3
+    return Classification(mult, bool(boundary), int(data["counts"][1]))
+
+
+# ----------------------------------------------------------------------------
+# restored product over the eigenvalue table
+# ----------------------------------------------------------------------------
+
+
+def hadamard_eval(table, d0: complex, lam: complex, parity: int) -> tuple[complex, float]:
+    """Symmetric truncation of the restored product d0 e^{i lam/2} prod(1 - lam/k).
+
+    ``table`` is an ``EigenvalueTable`` and ``d0`` the characteristic value
+    at the origin.  Returns the value together with a crude truncation
+    indicator: the relative change when the outermost index shell is
+    dropped.  The product converges only conditionally, hence the symmetric
+    (paired) ordering.  Raises ``ValueError`` when the product is anchored at
+    a zero, or when the table has no entry of this parity or covers less
+    than ``4|lam|``.
+    """
+    if abs(d0) < 1e-12:
+        raise ValueError(f"restored product anchored at zero: |D(0)| = {abs(d0):.3e}")
+    pname = "periodic" if parity > 0 else "antiperiodic"
+    items = [(e.n, e.z) for e in table.entries if e.parity == pname]
+    if not items:
+        raise ValueError("eigenvalue table has no entries of this parity")
+    cover = max(abs(z.real) for _, z in items)
+    if cover < 4.0 * abs(lam):
+        raise ValueError(
+            f"table covers |Re k| <= {cover:.3g}, need >= 4|lam| = {4.0 * abs(lam):.3g}"
+        )
+    items.sort(key=lambda nz: (abs(nz[0]), nz[0]))
+    ks = np.array([z for _, z in items])
+    full = complex(d0 * np.exp(0.5j * lam) * np.prod(1.0 - lam / ks))
+    n_out = max(abs(n) for n, _ in items)
+    inner = np.array([1.0 - lam / z for n, z in items if abs(n) != n_out])
+    trimmed = complex(d0 * np.exp(0.5j * lam) * np.prod(inner))
+    return full, abs(full - trimmed) / max(abs(full), 1e-300)

@@ -271,7 +271,7 @@ def test_each_real_point_propagated_once(command, args, monkeypatch, capsys):
         real_points.extend(float(x.real) for x in g["lam"] if x.imag == 0.0)
         return g
 
-    for name in ("cli", "multipliers", "periodic_eigen", "quasimomentum", "spectrum", "zs_oracle"):
+    for name in ("cli", "periodic_eigen", "quasimomentum", "spectrum", "zs_oracle"):
         module = importlib.import_module(f"manakov_spectra.{name}")
         monkeypatch.setattr(module, "monodromy_grid", recording)
     rc, _, _ = run_main([command, "--potential", FOURIER, *args], capsys)

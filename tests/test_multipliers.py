@@ -6,15 +6,12 @@ random trace data as well as on genuine propagator output.
 """
 
 import numpy as np
-import pytest
 
 from manakov_spectra import (
-    LabelAmbiguityError,
     derived_grid,
     identity_suite,
     lyapunov_triple,
     monodromy_grid,
-    multiplier_triple,
     multipliers_from_traces,
     unimodular_count,
 )
@@ -158,34 +155,6 @@ def test_unimodular_count_band_gap(pot_const):
         taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
         counts = unimodular_count(taus)
         assert np.all(counts == want)
-
-
-def test_labeling_modes(pot_const):
-    trip = multiplier_triple(pot_const, 0.4, labeling="unordered")
-    assert trip.tau.shape == (3,)
-    # asymptotic labels on the real axis continue the upper-half-plane limit
-    up = multiplier_triple(pot_const, 0.4 + 0.05j, labeling="asymptotic")
-    down = multiplier_triple(pot_const, 0.4, labeling="asymptotic")
-    assert np.abs(up.tau - down.tau).max() <= 0.2  # same branch ordering
-    # continuity tracking follows a short path without branch swaps
-    prev = multiplier_triple(pot_const, 0.4 + 0.05j, labeling="asymptotic")
-    for x in (0.42, 0.44, 0.46):
-        cur = multiplier_triple(
-            pot_const, x + 0.05j, labeling="continuity", previous=prev
-        )
-        assert np.abs(cur.tau - prev.tau).max() <= 0.1
-        prev = cur
-    with pytest.raises(ValueError):
-        multiplier_triple(pot_const, 0.4, labeling="continuity")
-    with pytest.raises(ValueError):
-        multiplier_triple(pot_const, 0.4, labeling="sideways")
-
-
-def test_label_ambiguity_in_band(pot_const):
-    # just off the axis above a band point all three moduli collapse to the
-    # circle, which the asymptotic labeler must refuse to order
-    with pytest.raises(LabelAmbiguityError):
-        multiplier_triple(pot_const, 2.0 + 1e-8j, labeling="asymptotic")
 
 
 def test_disc_real_on_real_axis(rng):

@@ -11,7 +11,6 @@ import pytest
 from manakov_spectra import (
     ConfigError,
     WindowTooSmallError,
-    discriminant_bounds_check,
     eps_map,
     herglotz_asymptotic,
     q0_integral,
@@ -20,7 +19,7 @@ from manakov_spectra import (
     scan,
     zs_q0_integral,
 )
-from manakov_spectra.quasimomentum import branch_magnitudes
+from manakov_spectra.quasimomentum import _magnitudes, branch_magnitudes
 from conftest import CONST_JSON, cli_csv_rows
 
 
@@ -108,21 +107,19 @@ def test_herglotz_validation(pot_const):
 
 
 def test_envelope_bounds_generic(pot_two_mode):
+    # on every gap sample of a three-sheeted potential the largest branch
+    # magnitude q squeezes |D| between sinh(q)^2 (cosh(q) - 1)^2 / 4 and
+    # sinh(2q)^2 / 16 (on bands both sides collapse to zero)
     sc = scan(pot_two_mode, -5.0, 5.0, step=0.01)
-    rep = discriminant_bounds_check(sc)
-    assert rep.ok
-    assert rep.checked >= 50
-    assert rep.failures == []
-    assert rep.min_lower_margin >= -1e-8
-    assert rep.min_upper_margin >= -1e-8
-
-
-def test_envelope_bounds_refuses_flat_case(pot_const):
-    # with a two-sheeted potential the skew-average vanishes identically and
-    # the two-sided envelope carries no information
-    sc = scan(pot_const, -7.0, 7.0, step=0.01)
-    with pytest.raises(ConfigError):
-        discriminant_bounds_check(sc)
+    gap = sc.multiplicity == 1
+    assert np.count_nonzero(gap) >= 50
+    q_branch, _ = _magnitudes(sc.taus[gap], sc.disc[gap], sc.trace[gap])
+    q = q_branch.max(axis=-1)
+    absd = np.abs(sc.disc[gap])
+    lower = 0.25 * np.sinh(q) ** 2 * (np.cosh(q) - 1.0) ** 2
+    upper = np.sinh(2.0 * q) ** 2 / 16.0
+    assert np.min(absd - lower) >= -1e-8
+    assert np.min(upper - absd) >= -1e-8
 
 
 def test_profile_serialization(pot_const, capsys):

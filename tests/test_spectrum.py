@@ -9,13 +9,12 @@ from manakov_spectra import (
     ClassificationConflictWarning,
     ConfigError,
     Potential,
-    classify,
     scan,
     sheet_count,
 )
 from manakov_spectra import spectrum
 from manakov_spectra.cli import load_potential, main
-from conftest import CONST_JSON, cli_csv_rows
+from conftest import CONST_JSON, cli_csv_rows, random_potential
 import oracles
 
 
@@ -45,24 +44,32 @@ def test_constant_gap_endpoints(pot_const):
 
 
 def test_classify_points(pot_const):
-    mid = classify(pot_const, 0.0)
+    mid = oracles.classify(pot_const, 0.0)
     assert mid.multiplicity == 1
     assert mid.unimodular == 1
     assert not mid.boundary
-    band = classify(pot_const, 2.0)
+    band = oracles.classify(pot_const, 2.0)
     assert band.multiplicity == 3
     assert band.unimodular == 3
-    edge = classify(pot_const, 0.9)
+    edge = oracles.classify(pot_const, 0.9)
     assert edge.boundary
 
 
-def test_scan_classify_agree(pot_two_mode):
-    sc = scan(pot_two_mode, -5.0, 5.0, step=0.01)
-    idx = [137, 400, 612, 800, 903]
-    for k in idx:
-        c = classify(pot_two_mode, float(sc.lam[k]))
-        if not c.boundary:
-            assert c.multiplicity == sc.multiplicity[k]
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_scan_classify_agree(pot_two_mode, rng):
+    # the scan's multiplicities against the pointwise oracle, on every
+    # seventh grid point that the oracle does not call a boundary
+    cases = [(pot_two_mode, 5.0)] + [(random_potential(rng), 6.0) for _ in range(4)]
+    for p, half in cases:
+        sc = scan(p, -half, half, step=0.01)
+        ks = range(0, sc.lam.size, 7)
+        points = [oracles.classify(p, float(sc.lam[k])) for k in ks]
+        pairs = [
+            (c.multiplicity, sc.multiplicity[k]) for k, c in zip(ks, points) if not c.boundary
+        ]
+        oracle, scanned = np.array(pairs).T
+        assert np.array_equal(oracle, scanned)
+        assert set(scanned) == {1, 3}
 
 
 def test_two_mode_gap_structure(pot_two_mode):

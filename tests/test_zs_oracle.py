@@ -10,8 +10,6 @@ import pytest
 
 from manakov_spectra import (
     ConfigError,
-    Potential,
-    gap_length_estimate,
     moments,
     monodromy_grid,
     reduction_check,
@@ -111,29 +109,6 @@ def test_band_indicator_agreement(pot_const):
     inside_zs = np.abs(zs_delta_grid(u, lam).real) <= 1.0
     mismatch = np.count_nonzero((disc >= 0.0) != inside_zs)
     assert mismatch <= 1
-
-
-def test_gap_radius_first_order_single_mode():
-    # radius of the gap at pi n matches |u_hat(pi n)| to first order
-    amp = 0.3
-    p = Potential.from_fourier({1: (amp, 0.0)}, resolution=128)
-    rep = gap_length_estimate(p, n_window=6)
-    assert rep.lower_ok
-    radii = dict(rep.gap_radii)
-    assert abs(radii[1] - amp) <= 0.05 * amp
-    # the aggregate matches the norm for a one-mode profile
-    assert abs(rep.g - amp) <= 0.05 * amp
-    assert abs(rep.norm - amp) <= 1e-6
-
-
-def test_gap_length_bounds_constant(pot_const):
-    rep = gap_length_estimate(pot_const, n_window=6)
-    assert rep.lower_ok
-    assert rep.upper_ok in (True, None)
-    assert rep.tail_sq >= 0.0
-    # constant profile: single dominant gap of radius |u| at the origin
-    radii = dict(rep.gap_radii)
-    assert abs(radii[0] - 0.9) <= 1e-6
 
 
 def test_reduced_gap_mass_quadrature_stability():
