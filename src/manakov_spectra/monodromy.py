@@ -55,6 +55,14 @@ Values are compared by bit pattern, so ``+0.0`` and ``-0.0`` parts stay apart.
 This leaves every bit alone: what a chunk decides for all its points is a
 maximum over them (the largest ``|Im lam|``), which repeats do not change,
 and a row's bits do not depend on its block.
+
+A caller that evaluates overlapping batches, such as the eigenvalue
+locator, opens a ``_memo_scope``.  Inside it, each chunk looks its points up
+by lam's bits *and* its run refinement, keyed exactly by the bytes of the
+runs ``_split_runs`` returned (never by the largest ``|Im lam|``), and
+evaluates only the misses, on that refinement.  A point's bits depend on lam
+and the refinement alone, so every value is the one the chunk computes
+unscoped.  The memo lives in a context variable and goes with its scope.
 """
 
 from __future__ import annotations
@@ -473,16 +481,72 @@ def _distinct(lam: np.ndarray):
     return order[new], back
 
 
+class _Memo:
+    """psi and det of every point evaluated in one scope.
+
+    The values sit in contiguous arrays whose capacity doubles.  Each run
+    refinement, keyed by the bytes of the split runs' values and widths,
+    indexes them by the sorted 16-byte patterns of its lam values.
+    """
+
+    def __init__(self):
+        self.index: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.psi = np.empty((0, 3, 3), dtype=np.complex128)
+        self.det = np.empty(0, dtype=np.complex128)
+        self.size = 0
+
+    def fill(self, lam: np.ndarray, runs, psis, dets):
+        """``_eval_chunk`` for lam on the split runs ``runs``, evaluating only the misses."""
+        refinement = runs[0].tobytes() + runs[1].tobytes()
+        keys, rows = self.index.get(refinement, (np.empty(0, "V16"), np.empty(0, np.intp)))
+        want = lam.view("V16")
+        pos = np.searchsorted(keys, want)
+        hit = pos < len(keys)
+        hit[hit] = keys[pos[hit]] == want[hit]
+        if not hit.all():
+            new = np.unique(want[~hit])
+            lo, hi = self.size, self.size + len(new)
+            if hi > len(self.det):
+                cap = max(hi, 2 * len(self.det))
+                self.psi, self.det = np.resize(self.psi, (cap, 3, 3)), np.resize(self.det, cap)
+            _eval_chunk(new.view(np.complex128), runs, self.psi[lo:hi], self.det[lo:hi])
+            self.size = hi
+            at = np.searchsorted(keys, new)
+            keys, rows = np.insert(keys, at, new), np.insert(rows, at, np.arange(lo, hi))
+            self.index[refinement] = keys, rows
+            pos = np.searchsorted(keys, want)
+        np.take(self.psi, rows[pos], axis=0, out=psis)
+        np.take(self.det, rows[pos], out=dets)
+
+
+# The memo of the innermost open ``_memo_scope``, or None.
+_MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar("memo", default=None)
+
+
+@contextlib.contextmanager
+def _memo_scope():
+    """Evaluate each (lam, split runs) pair at most once in the block."""
+    token = _MEMO.set(_Memo())
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def _raw_grid(p: Potential, lam: np.ndarray):
     """psi, trace, det for a 1-D array of spectral parameters."""
     runs = _runs_of(p)
     chunk = max(1, _CHUNK_TARGET // len(runs[1]))
     psis = np.empty((len(lam), 3, 3), dtype=np.complex128)
     dets = np.empty(len(lam), dtype=np.complex128)
+    memo = _MEMO.get()
     for lo in range(0, len(lam), chunk):
         sl = slice(lo, lo + chunk)
         lam_c = lam[sl]
         runs_c = _split_runs(*runs, float(np.abs(lam_c.imag).max()))
+        if memo is not None:
+            memo.fill(lam_c, runs_c, psis[sl], dets[sl])
+            continue
         distinct = _distinct(lam_c)
         if distinct is None:
             _eval_chunk(lam_c, runs_c, psis[sl], dets[sl])

@@ -7,6 +7,10 @@ side, odd multiples).  Each localization disk of radius 1/2 around ``pi n``
 carries exactly three zeros once |n| is large enough; they are located by
 winding-count subdivision followed by Newton polishing, and the resulting
 table feeds the first-order asymptotic check.
+
+Each parity runs inside one engine memo scope (``monodromy._memo_scope``):
+contours that share points, sample escalations and repeated Newton points
+read what the engine computed for them before, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     ContourThroughZeroError,
     UndersampledContourError,
 )
-from .monodromy import monodromy_grid
+from .monodromy import _memo_scope, monodromy_grid
 from .potential import Potential, fourier_hat
 
 __all__ = [
@@ -154,6 +158,8 @@ def _windings_batch(p: Potential, cells: list[_Cell], parity: int) -> list[int |
 
     Undersampled cells are retried together at 4x, then 16x the edge
     sampling, so a batch never degenerates into one-by-one escalation.
+    Every old sample is a sample of the finer contour (k/n = 4k/4n exactly);
+    inside the eigen scope its value comes from the engine memo.
     """
     if not cells:
         return []
@@ -490,32 +496,33 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
         ns = [n for n in range(n_min, n_max + 1) if (n % 2 == 0) == (parity > 0)]
         if not ns:
             continue
-        counted: list[tuple[int, str | None]] = []
-        for n in ns:
-            try:
-                counted.append((count_in_disk(p, np.pi * n, 0.5, parity), None))
-            except ContourThroughZeroError as exc:
-                counted.append((-1, f"disk n={n}: {exc}"))
-        # the enclosing squares of all disks of this parity share one batch
-        squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n in ns]
-        winds = _windings_batch(p, squares, parity)
-        tops: list[_Cell] = []
-        for n, (cnt, error), cell, w in zip(ns, counted, squares, winds):
-            if error is not None:
-                failures.append(error)
-            if w is None:
-                failures.append(f"disk n={n}: enclosing square contour through zero")
-                continue
-            if cnt >= 0 and w != cnt:
-                failures.append(
-                    f"disk n={n}: square count {w} differs from disk count {cnt}"
-                )
-            if cnt >= 0 and cnt != 3:
-                failures.append(f"disk n={n}: expected 3 zeros in disk, counted {cnt}")
-            cell.wind = w
-            tops.append(cell)
-        leaves = _subdivide(p, tops, parity, notes)
-        per_disk = _polish_leaves(p, leaves, parity, failures)
+        with _memo_scope():
+            counted: list[tuple[int, str | None]] = []
+            for n in ns:
+                try:
+                    counted.append((count_in_disk(p, np.pi * n, 0.5, parity), None))
+                except ContourThroughZeroError as exc:
+                    counted.append((-1, f"disk n={n}: {exc}"))
+            # the enclosing squares of all disks of this parity share one batch
+            squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n in ns]
+            winds = _windings_batch(p, squares, parity)
+            tops: list[_Cell] = []
+            for n, (cnt, error), cell, w in zip(ns, counted, squares, winds):
+                if error is not None:
+                    failures.append(error)
+                if w is None:
+                    failures.append(f"disk n={n}: enclosing square contour through zero")
+                    continue
+                if cnt >= 0 and w != cnt:
+                    failures.append(
+                        f"disk n={n}: square count {w} differs from disk count {cnt}"
+                    )
+                if cnt >= 0 and cnt != 3:
+                    failures.append(f"disk n={n}: expected 3 zeros in disk, counted {cnt}")
+                cell.wind = w
+                tops.append(cell)
+            leaves = _subdivide(p, tops, parity, notes)
+            per_disk = _polish_leaves(p, leaves, parity, failures)
         pname = "periodic" if parity > 0 else "antiperiodic"
         for n in ns:
             got = per_disk.get(n, [])

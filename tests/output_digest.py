@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import pkgutil
 import sys
 import tempfile
 import warnings
@@ -48,26 +49,24 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
-from manakov_spectra import cli  # noqa: E402
+import manakov_spectra  # noqa: E402
+from manakov_spectra import cli, monodromy  # noqa: E402
 
 FORMATS = {"line-sweep": ("json",), "eigen-window": ("json",), "many-small": ("json", "csv")}
-# every package module that binds the name monodromy_grid
-ENGINE_USERS = (
-    "cli",
-    "monodromy",
-    "multipliers",
-    "periodic_eigen",
-    "quasimomentum",
-    "spectrum",
-    "zs_oracle",
-)
+
+
+def _engine_users() -> list:
+    """Every module of the package that binds the name ``monodromy_grid``."""
+    names = (info.name for info in pkgutil.iter_modules(manakov_spectra.__path__))
+    modules = (import_module(f"manakov_spectra.{name}") for name in names)
+    return [module for module in modules if hasattr(module, "monodromy_grid")]
 
 
 @contextlib.contextmanager
 def _engine_digest():
     """Hash every ``monodromy_grid`` result while the block runs."""
-    modules = [import_module(f"manakov_spectra.{name}") for name in ENGINE_USERS]
-    propagate = modules[ENGINE_USERS.index("monodromy")].monodromy_grid
+    modules = _engine_users()
+    propagate = monodromy.monodromy_grid
     state = {"hash": hashlib.sha256(), "calls": 0}
 
     def recording(p, lam, **kwargs):

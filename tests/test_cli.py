@@ -3,12 +3,14 @@
 import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import manakov_spectra
 from manakov_spectra import NumericalError, cli, monodromy
 from manakov_spectra.cli import _csv_text, _json_text, main
 
@@ -271,9 +273,11 @@ def test_each_real_point_propagated_once(command, args, monkeypatch, capsys):
         real_points.extend(float(x.real) for x in g["lam"] if x.imag == 0.0)
         return g
 
-    for name in ("cli", "periodic_eigen", "quasimomentum", "spectrum", "zs_oracle"):
-        module = importlib.import_module(f"manakov_spectra.{name}")
-        monkeypatch.setattr(module, "monodromy_grid", recording)
+    # every package module that binds the name, so that none escapes the check
+    for info in pkgutil.iter_modules(manakov_spectra.__path__):
+        module = importlib.import_module(f"manakov_spectra.{info.name}")
+        if hasattr(module, "monodromy_grid"):
+            monkeypatch.setattr(module, "monodromy_grid", recording)
     rc, _, _ = run_main([command, "--potential", FOURIER, *args], capsys)
     assert rc == 0
     assert real_points

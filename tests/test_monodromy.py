@@ -6,6 +6,8 @@ else is cross-checked between independent code paths (the Pade step
 oracle, the series expansion, the conjugate-parameter route).
 """
 
+import contextlib
+import gc
 import itertools
 import operator
 import os
@@ -14,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +343,82 @@ def test_repeated_points_are_evaluated_once(monkeypatch):
     want = monodromy_grid(p, distinct, want_psi=True)
     for key in GRID_KEYS:
         assert _same_bits(got[key], want[key][back]), key
+
+
+# one run of width 1: any chunk with |Im lam| > _IM_WIDTH_CAP splits it
+ONE_RUN = Potential.from_constant((0.7, 0.2j), resolution=64)
+MEMO_REAL = np.array([0.5, 2.5, 4.0, *TWINS, 0.5, 4.0])
+MEMO_BATCHES = {
+    "real": MEMO_REAL,
+    # the real points again, reversed, with repeats: 3.0 splits the run in 6
+    "mixed": np.concatenate([MEMO_REAL[::-1], [1.0 + 3.0j, 2.0 - 2.6j, 1.0 + 3.0j]]),
+    # a smaller largest |Im lam| (2.9) that splits the run in 6 all the same
+    "mixed-lower": np.concatenate([MEMO_REAL, [3.0 - 2.9j]]),
+}
+
+
+def _memo_evaluations(monkeypatch):
+    """Patch _eval_chunk to record each (lam bits, split widths) it evaluates."""
+    evaluated = []
+    eval_chunk = monodromy._eval_chunk
+
+    def recording(lam, runs, psis, dets):
+        evaluated.extend((key, runs[1].tobytes()) for key in _bit_keys(lam))
+        return eval_chunk(lam, runs, psis, dets)
+
+    monkeypatch.setattr(monodromy, "_eval_chunk", recording)
+    return evaluated
+
+
+def test_memo_keys_points_by_bits_and_run_refinement(monkeypatch):
+    # inside a scope, a point is evaluated once per run refinement and every
+    # call returns the bits that the same call returns unscoped, whatever
+    # came before it; the real points get other bits in the mixed chunks, so
+    # a memo keyed by lam alone would hand out the wrong ones
+    assert len(monodromy._runs_of(ONE_RUN)[1]) == 1
+    want = {
+        name: monodromy_grid(ONE_RUN, lam, want_psi=True)
+        for name, lam in MEMO_BATCHES.items()
+    }
+    n_real = len(set(_bit_keys(MEMO_REAL)))
+    assert not _same_bits(want["real"]["trace"], want["mixed"]["trace"][: len(MEMO_REAL)][::-1])
+    assert _same_bits(want["mixed"]["trace"][::-1][3:], want["mixed-lower"]["trace"][:-1])
+    other = Potential.from_constant((0.3, 0.0), resolution=64)
+    want_other = monodromy_grid(other, MEMO_REAL, want_psi=True)
+    evaluated = _memo_evaluations(monkeypatch)
+    for order in (("real", "mixed", "mixed-lower"), ("mixed-lower", "mixed", "real")):
+        evaluated.clear()
+        with monodromy._memo_scope():
+            for name in order + order:
+                got = monodromy_grid(ONE_RUN, MEMO_BATCHES[name], want_psi=True)
+                for key in GRID_KEYS:
+                    assert _same_bits(got[key], want[name][key]), (order, name, key)
+            assert len(evaluated) == len(set(evaluated)) == 2 * n_real + 3
+            # the same lam and widths with other run values are other keys
+            got = monodromy_grid(other, MEMO_REAL, want_psi=True)
+            assert len(evaluated) == 3 * n_real + 3
+        for key in GRID_KEYS:
+            assert _same_bits(got[key], want_other[key]), key
+
+
+def test_memo_lives_only_inside_its_scope(monkeypatch):
+    # the memo is freed when its scope exits, also when the block raises and
+    # when the pool's workers ran in copies of the scope's context
+    lam = np.linspace(-3.0, 3.0, 64) + 0.25j
+    for raises in (False, True):
+        with contextlib.ExitStack() as stack:
+            if raises:
+                stack.enter_context(pytest.raises(ZeroDivisionError))
+            stack.enter_context(monodromy._memo_scope())
+            memo = weakref.ref(monodromy._MEMO.get())
+            pooled = _grid_with(monkeypatch, ONE_RUN, lam, 8, 2)
+            assert memo().size == len(lam)
+            if raises:
+                1 / 0
+        gc.collect()
+        assert monodromy._MEMO.get() is None
+        assert memo() is None
+    assert _same_bits(pooled["trace"], monodromy_grid(ONE_RUN, lam)["trace"])
 
 
 @pytest.mark.parametrize("name", sorted(_bit_batches()))
