@@ -435,10 +435,12 @@ def _polish_leaves(
                 break
             z = complex(np.mean(g))
             spread = float(np.max(np.abs(g - z))) if g.size > 1 else 0.0
-            m = _multiplicity_by_contour(p, z, spread, parity)
+            left = c.wind - total
+            # with one root left, any count is clamped to 1
+            m = _multiplicity_by_contour(p, z, spread, parity) if left > 1 else 1
             if m is None or m < 1:
                 m = 1
-            m = min(m, c.wind - total)
+            m = min(m, left)
             found.append((z, m))
             total += m
         if total < c.wind and found:

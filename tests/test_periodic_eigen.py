@@ -6,6 +6,8 @@ refinement accuracy, and the first-order deviation trend can all be checked
 against paper-and-pencil values.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,10 @@ from manakov_spectra import (
     monodromy_grid,
     recover_traces,
 )
+from manakov_spectra import monodromy, periodic_eigen
+from manakov_spectra.cli import load_potential
 from conftest import CONST_JSON, cli_csv_rows
+from test_golden import INPUTS
 import oracles
 
 
@@ -141,3 +146,49 @@ def test_table_serialization(pot_const, capsys):
     rows = cli_csv_rows(["eigen", "--potential", CONST_JSON, "--window", "1", "2"], capsys)
     assert rows[0] == ["n", "j", "re_z", "im_z", "parity", "residual", "dev_first_order"]
     assert len(rows) == 1 + len(tab.entries)
+
+
+def _table_bits(tab):
+    entries = [
+        (e.n, e.j, e.parity, e.z.real.hex(), e.z.imag.hex(), e.residual.hex())
+        for e in tab.entries
+    ]
+    return entries, tab.failures, tab.notes
+
+
+@pytest.mark.parametrize("name", ["fourier", "const"])
+def test_window_evaluates_each_point_once(name, monkeypatch):
+    # within one window, the engine evaluates each (lam bits, run refinement)
+    # pair once, the multiplicity contour runs only while a leaf still has
+    # two or more roots to place, and the table is the one the engine gives
+    # without its memo
+    p = load_potential(INPUTS[name])
+    with monkeypatch.context() as m:
+        m.setattr(periodic_eigen, "_memo_scope", contextlib.nullcontext)
+        unscoped = _table_bits(eigenvalues_in_window(p, 1, 2))
+    evaluated, leaves, contours = [], [], []
+    eval_chunk = monodromy._eval_chunk
+    polish = periodic_eigen._polish_leaves
+    multiplicity = periodic_eigen._multiplicity_by_contour
+
+    def evaluating(lam, runs, psis, dets):
+        keys = lam.view(np.int64).reshape(-1, 2).tolist()
+        evaluated.extend((re, im, runs[1].tobytes()) for re, im in keys)
+        return eval_chunk(lam, runs, psis, dets)
+
+    def polishing(p, cells, *args):
+        leaves.extend(cells)
+        return polish(p, cells, *args)
+
+    def counting(*args):
+        contours.append(args)
+        return multiplicity(*args)
+
+    monkeypatch.setattr(monodromy, "_eval_chunk", evaluating)
+    monkeypatch.setattr(periodic_eigen, "_polish_leaves", polishing)
+    monkeypatch.setattr(periodic_eigen, "_multiplicity_by_contour", counting)
+    assert _table_bits(eigenvalues_in_window(p, 1, 2)) == unscoped
+    assert evaluated and len(evaluated) == len(set(evaluated))
+    # a leaf of count w places a root per contour, the last one without
+    assert any(c.wind == 1 for c in leaves)
+    assert len(contours) <= sum(c.wind - 1 for c in leaves)
