@@ -49,20 +49,15 @@ of pairs is in flight.  A point's bits depend on its chunk and never on its
 block or on the worker count.  They may differ between machines, since
 numpy and BLAS pick their kernels by CPU.
 
-Each bit-distinct lam of a chunk is evaluated once; its repeats, such as
-the points that neighbouring contours share, get copies of its rows.
-Values are compared by bit pattern, so ``+0.0`` and ``-0.0`` parts stay apart.
-This leaves every bit alone: what a chunk decides for all its points is a
-maximum over them (the largest ``|Im lam|``), which repeats do not change,
-and a row's bits do not depend on its block.
-
-A caller that evaluates overlapping batches, such as the eigenvalue
-locator, opens a ``_memo_scope``.  Inside it, each chunk looks its points up
-by lam's bits *and* its run refinement, keyed exactly by the bytes of the
-runs ``_split_runs`` returned (never by the largest ``|Im lam|``), and
-evaluates only the misses, on that refinement.  A point's bits depend on lam
-and the refinement alone, so every value is the one the chunk computes
-unscoped.  The memo lives in a context variable and goes with its scope.
+Each chunk goes through a memo (``_Memo``) that looks its points up by
+lam's bit pattern *and* the chunk's run refinement, keyed exactly by the
+bytes of the runs ``_split_runs`` returned (never by the largest
+``|Im lam|``), and evaluates each bit-distinct miss once, on that
+refinement; ``+0.0`` and ``-0.0`` parts stay apart.  A point's bits depend
+on lam and the refinement alone, so this leaves every bit alone.  Outside a
+scope each chunk has a memo of its own.  A caller that evaluates overlapping
+batches, such as the eigenvalue locator, opens a ``_memo_scope``, whose
+chunks share one memo, held in a context variable.
 """
 
 from __future__ import annotations
@@ -463,34 +458,36 @@ def _eval_chunk(lam, runs, psis, dets):
 
 
 def _distinct(lam: np.ndarray):
-    """Where lam's bit-distinct values first occur and the map back, or None.
+    """Where lam's bit-distinct values first occur, in lam's order, and the map back.
 
     Values are compared by bit pattern, so ``+0.0`` and ``-0.0`` parts stay
-    apart.  None means no value repeats.
+    apart.
     """
-    bits = lam.view(np.int64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    sb = bits[order]
-    new = np.empty(len(lam), dtype=bool)
-    new[0] = True
-    np.any(sb[1:] != sb[:-1], axis=1, out=new[1:])
-    if new.all():
-        return None
+    real, imag = lam.view(np.int64).reshape(-1, 2).T
+    order = np.lexsort((imag, real))
+    real, imag = real[order], imag[order]
+    new = np.concatenate([[True], (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])])
+    lead = order[new]  # the sort is stable: each value's first occurrence
+    first = np.sort(lead)
     back = np.empty(len(lam), dtype=np.intp)
-    back[order] = np.cumsum(new) - 1
-    return order[new], back
+    back[order] = np.searchsorted(first, lead)[np.cumsum(new) - 1]
+    return first, back
+
+
+_MIX = np.int64(-0x61C8864680B583EB)  # odd hash multiplier: 2**64 over the golden ratio
 
 
 class _Memo:
-    """psi and det of every point evaluated in one scope.
+    """psi and det of the points evaluated in one chunk, or in one scope.
 
-    The values sit in contiguous arrays whose capacity doubles.  Each run
-    refinement, keyed by the bytes of the split runs' values and widths,
-    indexes them by the sorted 16-byte patterns of its lam values.
+    The values sit in contiguous arrays whose capacity doubles.  Per run
+    refinement, an int64 index holds (hash, real bits, imaginary bits, row)
+    for each lam, sorted by the hash when next looked up.  A hit must match
+    all 16 bytes, so a hash collision costs an evaluation, never a wrong row.
     """
 
     def __init__(self):
-        self.index: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.index: dict[bytes, np.ndarray] = {}
         self.psi = np.empty((0, 3, 3), dtype=np.complex128)
         self.det = np.empty(0, dtype=np.complex128)
         self.size = 0
@@ -498,28 +495,32 @@ class _Memo:
     def fill(self, lam: np.ndarray, runs, psis, dets):
         """``_eval_chunk`` for lam on the split runs ``runs``, evaluating only the misses."""
         refinement = runs[0].tobytes() + runs[1].tobytes()
-        keys, rows = self.index.get(refinement, (np.empty(0, "V16"), np.empty(0, np.intp)))
-        want = lam.view("V16")
-        pos = np.searchsorted(keys, want)
-        hit = pos < len(keys)
-        hit[hit] = keys[pos[hit]] == want[hit]
-        if not hit.all():
-            new = np.unique(want[~hit])
-            lo, hi = self.size, self.size + len(new)
+        first, back = _distinct(lam)
+        bits = lam[first].view(np.int64).reshape(-1, 2)
+        key = np.column_stack([bits[:, 0] ^ bits[:, 1] * _MIX, bits])
+        at = np.full(len(first), -1, dtype=np.int64)
+        index = self.index.get(refinement)
+        if index is not None:
+            # new entries go in unsorted; the stable sort merges them in
+            index = self.index[refinement] = index[np.argsort(index[:, 0], kind="stable")]
+            pos = np.minimum(np.searchsorted(index[:, 0], key[:, 0]), len(index) - 1)
+            hit = np.all(index[pos, :3] == key, axis=1)
+            at[hit] = index[pos[hit], 3]
+        miss = np.flatnonzero(at < 0)
+        if len(miss):
+            lo, hi = self.size, self.size + len(miss)
             if hi > len(self.det):
                 cap = max(hi, 2 * len(self.det))
                 self.psi, self.det = np.resize(self.psi, (cap, 3, 3)), np.resize(self.det, cap)
-            _eval_chunk(new.view(np.complex128), runs, self.psi[lo:hi], self.det[lo:hi])
+            _eval_chunk(lam[first[miss]], runs, self.psi[lo:hi], self.det[lo:hi])
             self.size = hi
-            at = np.searchsorted(keys, new)
-            keys, rows = np.insert(keys, at, new), np.insert(rows, at, np.arange(lo, hi))
-            self.index[refinement] = keys, rows
-            pos = np.searchsorted(keys, want)
-        np.take(self.psi, rows[pos], axis=0, out=psis)
-        np.take(self.det, rows[pos], out=dets)
+            at[miss] = np.arange(lo, hi)
+            new = np.column_stack([key[miss], at[miss]])
+            self.index[refinement] = new if index is None else np.concatenate([index, new])
+        np.take(self.psi, at[back], axis=0, out=psis)
+        np.take(self.det, at[back], out=dets)
 
 
-# The memo of the innermost open ``_memo_scope``, or None.
 _MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar("memo", default=None)
 
 
@@ -544,19 +545,7 @@ def _raw_grid(p: Potential, lam: np.ndarray):
         sl = slice(lo, lo + chunk)
         lam_c = lam[sl]
         runs_c = _split_runs(*runs, float(np.abs(lam_c.imag).max()))
-        if memo is not None:
-            memo.fill(lam_c, runs_c, psis[sl], dets[sl])
-            continue
-        distinct = _distinct(lam_c)
-        if distinct is None:
-            _eval_chunk(lam_c, runs_c, psis[sl], dets[sl])
-        else:
-            first, back = distinct
-            psi_u = np.empty((len(first), 3, 3), dtype=np.complex128)
-            det_u = np.empty(len(first), dtype=np.complex128)
-            _eval_chunk(lam_c[first], runs_c, psi_u, det_u)
-            np.take(psi_u, back, axis=0, out=psis[sl])
-            np.take(det_u, back, out=dets[sl])
+        (memo or _Memo()).fill(lam_c, runs_c, psis[sl], dets[sl])
     traces = psis[:, 0, 0] + psis[:, 1, 1] + psis[:, 2, 2]
     return psis, traces, dets
 

@@ -401,6 +401,19 @@ def test_memo_keys_points_by_bits_and_run_refinement(monkeypatch):
             assert _same_bits(got[key], want_other[key]), key
 
 
+def test_memo_hash_collision_is_a_miss(monkeypatch):
+    # with a zero multiplier the index hash is the real part's bits alone, so
+    # the points on one vertical line collide; each still gets its own bits
+    lam = np.array([1.0 + 0.5j, 1.0 - 0.5j, 1.0 + 0.25j, 2.0 + 0.5j, 1.0 + 0.5j])
+    want = monodromy_grid(ONE_RUN, lam, want_psi=True)
+    monkeypatch.setattr(monodromy, "_MIX", np.int64(0))
+    with monodromy._memo_scope():
+        for batch, back in ((lam, slice(None)), (lam[::-1], slice(None, None, -1))) * 2:
+            got = monodromy_grid(ONE_RUN, batch, want_psi=True)
+            for key in GRID_KEYS:
+                assert _same_bits(got[key], want[key][back]), key
+
+
 def test_memo_lives_only_inside_its_scope(monkeypatch):
     # the memo is freed when its scope exits, also when the block raises and
     # when the pool's workers ran in copies of the scope's context
