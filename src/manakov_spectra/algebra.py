@@ -1,8 +1,8 @@
 """Small dense linear algebra used by the spectral machinery.
 
 Everything here is fixed-size (3x3 matrices, monic cubics) and
-batch-friendly: the hot paths operate on stacks of shape (..., 3, 3) so that grid sweeps over many spectral parameters amortize numpy
-dispatch overhead.
+batch-friendly: the hot paths operate on stacks of shape (..., 3, 3) so that
+grid sweeps over many spectral parameters amortize numpy dispatch overhead.
 
 Contents:
 
@@ -10,13 +10,12 @@ Contents:
 * ``cubic_roots_stack`` -- closed-form monic-cubic solver with one mandatory Newton
   polish per root and a deflation fallback for badly scaled root sets.
 * ``winding_count`` -- discrete argument-principle winding number with
-  explicit undersampling and zero-proximity guards.
-* ``Contour`` -- circular contour descriptor used by root counting.
+  explicit undersampling and zero-proximity guards; the contours themselves
+  belong to the caller (``periodic_eigen._windings`` samples circles and
+  squares).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Contour",
     "adj3",
     "cubic_roots_stack",
     "det3",
@@ -286,7 +284,7 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# winding numbers and contours
+# winding numbers
 # ----------------------------------------------------------------------------
 
 
@@ -326,25 +324,3 @@ def winding_count(values: np.ndarray) -> int:
         )
     return w
 
-
-@dataclass(frozen=True)
-class Contour:
-    """Circle ``center + radius * exp(2 pi i k / samples)``, k = 0..samples-1."""
-
-    center: complex
-    radius: float
-    samples: int = 128
-
-    def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ValueError(f"contour radius must be positive, got {self.radius}")
-        n = self.samples
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"contour samples must be a power of two >= 16, got {n}")
-
-    def points(self) -> np.ndarray:
-        k = np.arange(self.samples)
-        return self.center + self.radius * np.exp(2j * np.pi * k / self.samples)
-
-    def with_samples(self, samples: int) -> "Contour":
-        return Contour(self.center, self.radius, samples)

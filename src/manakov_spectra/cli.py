@@ -292,9 +292,9 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     lam_re = np.linspace(-12.0, 12.0, 241)
     lam_cx = np.array([1.3 + 0.8j, -2.2 + 1.7j, 0.4 - 1.1j, 3.7 + 2.5j])
     lam = np.concatenate([lam_re.astype(np.complex128), lam_cx])
-    g = monodromy_grid(p, lam, want_psi=True)
+    g = monodromy_grid(p, lam)
     # a real point is its own conjugate: only the non-real ones propagate again
-    gc = monodromy_grid(p, np.conj(lam_cx), want_psi=True)
+    gc = monodromy_grid(p, np.conj(lam_cx))
     psi = g["psi"]
     psi_c = np.concatenate([psi[: len(lam_re)], gc["psi"]])
     if corrupt:

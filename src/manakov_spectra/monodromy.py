@@ -550,13 +550,14 @@ def _raw_grid(p: Potential, lam: np.ndarray):
     return psis, traces, dets
 
 
-def monodromy_grid(p: Potential, lam, *, want_psi: bool = False) -> dict:
+def monodromy_grid(p: Potential, lam) -> dict:
     """Vectorized monodromy data over an array of spectral parameters.
 
-    Returns a dict with keys ``trace`` (T), ``trace_conj`` (the trace of the
-    inverse propagator), ``det`` and optionally ``psi``.  For non-real
-    parameters the conjugate trace costs a second propagation at the
-    conjugated parameters; on the real axis it is free.
+    Returns a dict with keys ``lam``, ``trace`` (T), ``trace_conj`` (the
+    trace of the inverse propagator), ``det`` and ``psi``.  On the real axis
+    the conjugate trace is free; off it, it comes from the adjugate, and
+    where ``|Im lam| > _ADJ_IM_LIMIT`` from a second propagation at the
+    conjugated parameters.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.complex128)).ravel()
     _check_range(lam)
@@ -579,7 +580,4 @@ def monodromy_grid(p: Potential, lam, *, want_psi: bool = False) -> dict:
         tt[mid] = np.trace(adj, axis1=-2, axis2=-1) / dets[:n][mid]
     if np.any(big):
         tt[big] = np.conj(traces[n:])
-    out = {"lam": lam, "trace": t, "trace_conj": tt, "det": dets[:n]}
-    if want_psi:
-        out["psi"] = psis[:n]
-    return out
+    return {"lam": lam, "trace": t, "trace_conj": tt, "det": dets[:n], "psi": psis[:n]}

@@ -8,9 +8,16 @@ carries exactly three zeros once |n| is large enough; they are located by
 winding-count subdivision followed by Newton polishing, and the resulting
 table feeds the first-order asymptotic check.
 
-Each parity runs inside one engine memo scope (``monodromy._memo_scope``):
-contours that share points, sample escalations and repeated Newton points
-read what the engine computed for them before, bit for bit.
+Every zero count -- disks, enclosing squares, subdivision cells and the
+multiplicity circles of polished clusters -- goes through one driver,
+``_windings``: a contour is a sampler and a schedule of sample counts, and
+each round evaluates all pending contours in one ``d_pm_grid`` call.
+
+Each group of at most ``_SCOPE_DISKS`` disks of a parity runs inside one
+engine memo scope (``monodromy._memo_scope``): contours that share points,
+sample escalations and repeated Newton points read what the engine computed
+for them before, bit for bit, while memory stays bounded however wide the
+window.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Contour, winding_count
+from .algebra import winding_count
 from .errors import (
     ConfigError,
     ContourThroughZeroError,
@@ -48,8 +55,10 @@ NEWTON_ACCEPT = 1e-11
 RESIDUAL_TOL = 1e-9
 _SPLIT_RATIOS = (0.5, 0.53, 0.47, 0.61)
 _RADIUS_NUDGES = (1.0, 1.05, 0.95, 1.10, 0.90)
-_DISK_SAMPLES = 64
-_MAX_CIRCLE_SAMPLES = 8192
+# disk circles double their samples from 64 up to 8192
+_DISK_SCHEDULE = tuple(64 << k for k in range(8))
+# disks of one parity that share an engine memo scope
+_SCOPE_DISKS = 8
 # exponent of the deviation sums in the asymptotic check
 SUMMABILITY_EXPONENT = 1.5
 
@@ -84,36 +93,60 @@ def _envelope(lam: np.ndarray) -> np.ndarray:
     return np.exp(np.abs(im)) + np.exp(2.0 * np.clip(-im, 0.0, None))
 
 
-def _winding_normalized(vals: np.ndarray, pts: np.ndarray) -> int:
-    return winding_count(vals / _envelope(pts))
+def _circle(center: complex, r: float):
+    """Sampler of the circle ``|lam - center| = r``: n points, counterclockwise."""
+    return lambda n: center + r * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _windings(p: Potential, contours: list, parity: int) -> list[int | None]:
+    """Zero count of D(parity) inside each contour, or None.
+
+    A contour is ``(points, schedule)``: ``points(k)`` samples it in
+    traversal order at each entry ``k`` of ``schedule`` in turn.  Each round
+    evaluates every pending contour in one ``d_pm_grid`` call.  An
+    undersampled contour moves on to the next entry of its schedule; one
+    that runs through a zero, or is still undersampled at its last entry,
+    gets None.  Samples are divided by the growth envelope first, which
+    changes no phase.
+    """
+    out: list[int | None] = [None] * len(contours)
+    todo = list(range(len(contours)))
+    rnd = 0
+    while todo:
+        pts = [contours[i][0](contours[i][1][rnd]) for i in todo]
+        vals = d_pm_grid(p, np.concatenate(pts), parity)
+        again: list[int] = []
+        pos = 0
+        for i, q in zip(todo, pts):
+            v = vals[pos : pos + q.size]
+            pos += q.size
+            try:
+                out[i] = winding_count(v / _envelope(q))
+            except UndersampledContourError:
+                if rnd + 1 < len(contours[i][1]):
+                    again.append(i)
+            except ContourThroughZeroError:
+                pass
+        todo = again
+        rnd += 1
+    return out
 
 
 def count_in_disk(p: Potential, center: float, radius: float, parity: int) -> int:
     """Number of zeros of D(parity) inside |lam - center| < radius.
 
-    The circle starts with 64 samples.  The radius is nudged by +-5% then
-    +-10% when the contour runs through a zero; the sample count doubles (up
-    to 8192) when the phase is undersampled.
+    The circle starts with 64 samples, doubling up to 8192 while the phase
+    is undersampled.  When that fails, the radius is nudged by +-5% then
+    +-10%.
     """
-    last: Exception | None = None
     for factor in _RADIUS_NUDGES:
-        c = Contour(center, radius * factor, _DISK_SAMPLES)
-        while True:
-            pts = c.points()
-            vals = d_pm_grid(p, pts, parity)
-            try:
-                return _winding_normalized(vals, pts)
-            except UndersampledContourError as exc:
-                if c.samples >= _MAX_CIRCLE_SAMPLES:
-                    last = exc
-                    break
-                c = c.with_samples(c.samples * 2)
-            except ContourThroughZeroError as exc:
-                last = exc
-                break
+        contour = (_circle(center, radius * factor), _DISK_SCHEDULE)
+        (w,) = _windings(p, [contour], parity)
+        if w is not None:
+            return w
     raise ContourThroughZeroError(
         f"contour-through-zero persists near center={center:.6g} radius={radius:.3g} "
-        f"after radius nudges: {last}"
+        f"after radius nudges"
     )
 
 
@@ -140,51 +173,22 @@ class _Cell:
         return complex(self.x0 + 0.5 * self.wx, self.y0 + 0.5 * self.wy)
 
 
-def _cell_contour(c: _Cell, per_edge: int) -> np.ndarray:
-    t = np.arange(per_edge) / per_edge
-    bottom = c.x0 + c.wx * t + 1j * c.y0
-    right = c.x0 + c.wx + 1j * (c.y0 + c.wy * t)
-    top = c.x0 + c.wx * (1.0 - t) + 1j * (c.y0 + c.wy)
-    left = c.x0 + 1j * (c.y0 + c.wy * (1.0 - t))
-    return np.concatenate([bottom, right, top, left])
+def _square(c: _Cell):
+    """The cell's boundary as a contour for ``_windings``.
 
-
-def _per_edge_for(c: _Cell) -> int:
-    return 16 if c.size > 0.25 else 8
-
-
-def _windings_batch(p: Potential, cells: list[_Cell], parity: int) -> list[int | None]:
-    """Winding number for every cell, or None where the contour hits a zero.
-
-    Undersampled cells are retried together at 4x, then 16x the edge
-    sampling, so a batch never degenerates into one-by-one escalation.
-    Every old sample is a sample of the finer contour (k/n = 4k/4n exactly);
-    inside the eigen scope its value comes from the engine memo.
+    Each edge takes 16, 64, then 256 samples; 8, 32, then 128 once the cell
+    is at most 0.25 wide.
     """
-    if not cells:
-        return []
-    out: list[int | None] = [None] * len(cells)
-    todo = list(range(len(cells)))
-    factor = 1
-    while todo and factor <= 16:
-        per = [min(_per_edge_for(cells[i]) * factor, 256) for i in todo]
-        pts = np.concatenate([_cell_contour(cells[i], k) for i, k in zip(todo, per)])
-        vals = d_pm_grid(p, pts, parity)
-        again: list[int] = []
-        pos = 0
-        for i, k in zip(todo, per):
-            v, q = vals[pos : pos + 4 * k], pts[pos : pos + 4 * k]
-            pos += 4 * k
-            try:
-                out[i] = _winding_normalized(v, q)
-            except UndersampledContourError:
-                if k < 256:
-                    again.append(i)
-            except ContourThroughZeroError:
-                pass
-        todo = again
-        factor *= 4
-    return out
+
+    def points(k: int) -> np.ndarray:
+        t = np.arange(k) / k
+        bottom = c.x0 + c.wx * t + 1j * c.y0
+        right = c.x0 + c.wx + 1j * (c.y0 + c.wy * t)
+        top = c.x0 + c.wx * (1.0 - t) + 1j * (c.y0 + c.wy)
+        left = c.x0 + 1j * (c.y0 + c.wy * (1.0 - t))
+        return np.concatenate([bottom, right, top, left])
+
+    return points, (16, 64, 256) if c.size > 0.25 else (8, 32, 128)
 
 
 def _children(c: _Cell, r: float) -> list[_Cell]:
@@ -224,7 +228,7 @@ def _zoom_rounds(p: Potential, cells: list[_Cell], parity: int) -> list[_Cell]:
         if not idx:
             return cells
         cands = [_shrunk(cells[i]) for i in idx]
-        winds = _windings_batch(p, cands, parity)
+        winds = _windings(p, [_square(c) for c in cands], parity)
         changed = False
         for i, cand, w in zip(idx, cands, winds):
             if w is not None and w == cells[i].wind:
@@ -256,7 +260,7 @@ def _subdivide(
                 break
             kids = [_children(c, ratio) for c in pending]
             flat = [k for group in kids for k in group]
-            winds = _windings_batch(p, flat, parity)
+            winds = _windings(p, [_square(c) for c in flat], parity)
             retry: list[_Cell] = []
             for idx, parent in enumerate(pending):
                 w4 = winds[4 * idx : 4 * idx + 4]
@@ -364,9 +368,8 @@ def _muller(p: Potential, z0: complex, parity: int) -> tuple[complex, bool, bool
 
 def _cluster(points: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
     """Group nearby converged iterates; returns member arrays."""
-    remaining = list(points)
     groups: list[list[complex]] = []
-    for z in remaining:
+    for z in points:
         for g in groups:
             if abs(z - g[0]) <= tol:
                 g.append(z)
@@ -379,79 +382,62 @@ def _cluster(points: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
 def _multiplicity_by_contour(
     p: Potential, center: complex, spread: float, parity: int
 ) -> int | None:
-    radius = max(3e-7, 5.0 * spread)
-    try:
-        c = Contour(center, radius, 64)
-        pts = c.points()
-        return _winding_normalized(d_pm_grid(p, pts, parity), pts)
-    except (ContourThroughZeroError, UndersampledContourError):
-        return None
+    contour = (_circle(center, max(3e-7, 5.0 * spread)), (64,))
+    return _windings(p, [contour], parity)[0]
 
 
 def _polish_leaves(
     p: Potential, leaves: list[_Cell], parity: int, failures: list[str]
 ) -> dict[int, list[tuple[complex, float]]]:
-    """Newton/Muller polishing of every leaf; returns roots per disk index."""
+    """Newton/Muller polishing of every leaf; returns roots per disk index.
+
+    A leaf of count w starts from its center and, for w > 1, from
+    max(4, 2w) points on a ring around it.  The clusters of its converged
+    iterates take the counts of their contours, up to w in all; roots that
+    no cluster accounts for stay missing, so the caller reports the disk.
+    """
     starts: list[complex] = []
-    meta: list[int] = []  # leaf index per start
-    for li, c in enumerate(leaves):
-        if c.wind == 1:
-            starts.append(c.center)
-            meta.append(li)
-        else:
+    ends: list[int] = []  # leaf i owns starts[ends[i - 1] : ends[i]]
+    for c in leaves:
+        starts.append(c.center)
+        if c.wind > 1:
             k = max(4, 2 * c.wind)
             ring = c.center + (c.size / 3.0) * np.exp(2j * np.pi * np.arange(k) / k)
-            starts.append(c.center)
-            meta.append(li)
-            for z in ring:
-                starts.append(complex(z))
-                meta.append(li)
-
-    if starts:
-        zs, ok, strict = _newton_batch(p, np.array(starts), parity)
-    else:
-        zs, ok, strict = np.empty(0), np.empty(0, bool), np.empty(0, bool)
+            starts.extend(complex(z) for z in ring)
+        ends.append(len(starts))
+    zs, ok, strict = _newton_batch(p, np.array(starts, dtype=np.complex128), parity)
     for i in np.flatnonzero(~ok):
         zs[i], ok[i], strict[i] = _muller(p, starts[i], parity)
 
     out: dict[int, list[tuple[complex, float]]] = {}
-    for li, c in enumerate(leaves):
-        ks = [k for k in range(len(meta)) if meta[k] == li and ok[k]]
-        mine = [complex(zs[k]) for k in ks]
+    for c, lo, hi in zip(leaves, [0, *ends], ends):
+        z = zs[lo:hi]
         # keep iterates that stayed near the leaf (wild escapes belong elsewhere)
-        keep = [abs(z - c.center) <= 4.0 * max(c.size, 1e-3) for z in mine]
-        mine = [z for z, kp in zip(mine, keep) if kp]
-        if not mine:
+        keep = ok[lo:hi] & (np.abs(z - c.center) <= 4.0 * max(c.size, 1e-3))
+        if not keep.any():
             failures.append(f"no converged root for cell near {c.center:.6g}")
             continue
         # noise-stalled accepts are only located to their walk radius
-        all_strict = all(strict[k] for k, kp in zip(ks, keep) if kp)
-        groups = _cluster(np.array(mine), tol=1e-8 if all_strict else 1e-5)
+        groups = _cluster(z[keep], tol=1e-8 if strict[lo:hi][keep].all() else 1e-5)
         groups.sort(key=lambda g: abs(np.mean(g) - c.center))
         found: list[tuple[complex, int]] = []
-        total = 0
+        left = c.wind
         for g in groups:
-            if total >= c.wind:
+            if left <= 0:
                 break
-            z = complex(np.mean(g))
-            spread = float(np.max(np.abs(g - z))) if g.size > 1 else 0.0
-            left = c.wind - total
+            zc = complex(np.mean(g))
+            spread = float(np.max(np.abs(g - zc))) if g.size > 1 else 0.0
             # with one root left, any count is clamped to 1
-            m = _multiplicity_by_contour(p, z, spread, parity) if left > 1 else 1
+            m = _multiplicity_by_contour(p, zc, spread, parity) if left > 1 else 1
             if m is None or m < 1:
                 m = 1
             m = min(m, left)
-            found.append((z, m))
-            total += m
-        if total < c.wind and found:
-            # remaining multiplicity sits on the closest cluster (merged roots)
-            z, m = found[0]
-            found[0] = (z, m + c.wind - total)
-            total = c.wind
+            found.append((zc, m))
+            left -= m
         rl = out.setdefault(c.n, [])
-        for z, m in found:
-            res = abs(d_pm(p, z, parity))
-            rl.extend([(z, res)] * m)
+        for zc, m in found:
+            res = abs(d_pm(p, zc, parity))
+            rl.extend([(zc, res)] * m)
     return out
 
 
@@ -483,11 +469,43 @@ class EigenvalueTable:
         return sorted({e.n for e in self.entries})
 
 
+def _disk_roots(
+    p: Potential, ns: list[int], parity: int, failures: list[str], notes: list[str]
+) -> dict[int, list[tuple[complex, float]]]:
+    """Count, subdivide and polish the disks |lam - pi n| <= 1/2 for n in *ns*."""
+    counted: list[tuple[int, str | None]] = []
+    for n in ns:
+        try:
+            counted.append((count_in_disk(p, np.pi * n, 0.5, parity), None))
+        except ContourThroughZeroError as exc:
+            counted.append((-1, f"disk n={n}: {exc}"))
+    # the enclosing squares of all the disks share one batch
+    squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n in ns]
+    winds = _windings(p, [_square(c) for c in squares], parity)
+    tops: list[_Cell] = []
+    for n, (cnt, error), cell, w in zip(ns, counted, squares, winds):
+        if error is not None:
+            failures.append(error)
+        if w is None:
+            failures.append(f"disk n={n}: enclosing square contour through zero")
+            continue
+        if cnt >= 0 and w != cnt:
+            failures.append(f"disk n={n}: square count {w} differs from disk count {cnt}")
+        if cnt >= 0 and cnt != 3:
+            failures.append(f"disk n={n}: expected 3 zeros in disk, counted {cnt}")
+        cell.wind = w
+        tops.append(cell)
+    leaves = _subdivide(p, tops, parity, notes)
+    return _polish_leaves(p, leaves, parity, failures)
+
+
 def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTable:
     """Locate all three eigenvalues in every disk |lam - pi n| <= 1/2.
 
     Disks whose zero count is not 3 are reported in ``failures`` and still
-    searched; per-root failures never abort the window.
+    searched; per-root failures never abort the window.  Each parity's disks
+    go in groups of ``_SCOPE_DISKS``, each group in its own memo scope, so
+    failures and notes come group by group.
     """
     if n_max < n_min:
         raise ConfigError(f"empty index window [{n_min}, {n_max}]")
@@ -495,48 +513,23 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
     notes: list[str] = []
     entries: list[EigenEntry] = []
     for parity in (+1, -1):
-        ns = [n for n in range(n_min, n_max + 1) if (n % 2 == 0) == (parity > 0)]
-        if not ns:
-            continue
-        with _memo_scope():
-            counted: list[tuple[int, str | None]] = []
-            for n in ns:
-                try:
-                    counted.append((count_in_disk(p, np.pi * n, 0.5, parity), None))
-                except ContourThroughZeroError as exc:
-                    counted.append((-1, f"disk n={n}: {exc}"))
-            # the enclosing squares of all disks of this parity share one batch
-            squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n in ns]
-            winds = _windings_batch(p, squares, parity)
-            tops: list[_Cell] = []
-            for n, (cnt, error), cell, w in zip(ns, counted, squares, winds):
-                if error is not None:
-                    failures.append(error)
-                if w is None:
-                    failures.append(f"disk n={n}: enclosing square contour through zero")
-                    continue
-                if cnt >= 0 and w != cnt:
-                    failures.append(
-                        f"disk n={n}: square count {w} differs from disk count {cnt}"
-                    )
-                if cnt >= 0 and cnt != 3:
-                    failures.append(f"disk n={n}: expected 3 zeros in disk, counted {cnt}")
-                cell.wind = w
-                tops.append(cell)
-            leaves = _subdivide(p, tops, parity, notes)
-            per_disk = _polish_leaves(p, leaves, parity, failures)
         pname = "periodic" if parity > 0 else "antiperiodic"
-        for n in ns:
-            got = per_disk.get(n, [])
-            got.sort(key=lambda zr: (zr[0].real, zr[0].imag))
-            if len(got) != 3:
-                failures.append(f"disk n={n}: located {len(got)} of 3 roots")
-            for j, (z, res) in enumerate(got, start=1):
-                if res > RESIDUAL_TOL * np.exp(abs(z.imag)):
-                    failures.append(
-                        f"root n={n} j={j}: residual {res:.3e} above tolerance"
-                    )
-                entries.append(EigenEntry(n, j, z, pname, res))
+        ns = [n for n in range(n_min, n_max + 1) if (n % 2 == 0) == (parity > 0)]
+        for lo in range(0, len(ns), _SCOPE_DISKS):
+            group = ns[lo : lo + _SCOPE_DISKS]
+            with _memo_scope():
+                per_disk = _disk_roots(p, group, parity, failures, notes)
+            for n in group:
+                got = per_disk.get(n, [])
+                got.sort(key=lambda zr: (zr[0].real, zr[0].imag))
+                if len(got) != 3:
+                    failures.append(f"disk n={n}: located {len(got)} of 3 roots")
+                for j, (z, res) in enumerate(got, start=1):
+                    if res > RESIDUAL_TOL * np.exp(abs(z.imag)):
+                        failures.append(
+                            f"root n={n} j={j}: residual {res:.3e} above tolerance"
+                        )
+                    entries.append(EigenEntry(n, j, z, pname, res))
     entries.sort(key=lambda e: (e.n, e.j))
     return EigenvalueTable(entries, (n_min, n_max), failures, notes)
 

@@ -180,19 +180,6 @@ class Potential:
         idx = np.minimum(np.searchsorted(b, mid) - 1, len(v) - 1)
         return StepGrid(v[idx].copy(), m_ref, exact=False)
 
-    # -- simple algebra ----------------------------------------------------
-
-    def scaled(self, s: complex) -> "Potential":
-        if self.kind == "piecewise":
-            return Potential.from_piecewise(
-                self.data["breakpoints"].copy(), s * self.data["values"], self.resolution
-            )
-        if self.kind == "fourier":
-            return Potential.from_fourier(
-                {n: s * c for n, c in self.data["modes"].items()}, self.resolution
-            )
-        return Potential.from_samples(s * self.data["values"])
-
 
 # ----------------------------------------------------------------------------
 # module-level operations
@@ -216,10 +203,6 @@ class PotentialMoments:
     b1: float
     b2: float
     b3: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.b3))
 
 
 def moments(p: Potential) -> PotentialMoments:

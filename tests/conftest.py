@@ -96,3 +96,8 @@ def random_potential(rng, max_norm=2.0, n_modes=3, resolution=128):
     scale = target / total
     modes = {n: tuple(scale * c) for n, c in modes.items()}
     return Potential.from_fourier(modes, resolution=resolution)
+
+
+def scaled(p, s):
+    """The Fourier potential *p* times the constant *s*."""
+    return Potential.from_fourier({n: s * c for n, c in p.data["modes"].items()}, p.resolution)

@@ -177,7 +177,7 @@ def pade_psi(p: Potential, lam: complex) -> np.ndarray:
 
     Runs, step splitting and the ordered tree product are the production
     engine's, so only the step kernel differs from
-    ``monodromy_grid(p, [lam], want_psi=True)["psi"][0]``.
+    ``monodromy_grid(p, [lam])["psi"][0]``.
     """
     lam_arr = np.array([lam], dtype=np.complex128)
     _check_range(lam_arr)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from manakov_spectra.algebra import (
-    Contour,
     ContourThroughZeroError,
     RootResidualError,
     UndersampledContourError,
@@ -131,23 +130,26 @@ def test_cubic_nan_residual_raises():
 # -- winding counts --------------------------------------------------------
 
 
+def _circle(radius, samples):
+    """*samples* points on the circle |z| = radius, counterclockwise."""
+    return radius * np.exp(2j * np.pi * np.arange(samples) / samples)
+
+
 def test_winding_simple_and_multiple():
     a, b = 0.2 + 0.1j, 2.0 - 0.5j
-    c = Contour(0.0, 1.0, samples=256)
-    z = c.points()
+    z = _circle(1.0, 256)
     f = (z - a) * (z - b) ** 2
     assert winding_count(f) == 1
-    c_big = Contour(0.0, 4.0, samples=512)
-    z = c_big.points()
+    z = _circle(4.0, 512)
     f = (z - a) * (z - b) ** 2
     assert winding_count(f) == 3
 
 
 def test_winding_guards():
-    z = Contour(0.0, 1.0, samples=16).points()
+    z = _circle(1.0, 16)
     with pytest.raises(UndersampledContourError):
         winding_count((z - 0.01) ** 5)  # 5 turns on 16 samples
-    z = Contour(0.0, 1.0, samples=256).points()
+    z = _circle(1.0, 256)
     with pytest.raises(ContourThroughZeroError):
         winding_count(z - 1.0)  # root sits on the contour
 
@@ -155,7 +157,7 @@ def test_winding_guards():
 @settings(max_examples=40, deadline=None)
 @given(st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
 def test_winding_indicator_property(root):
-    z = Contour(0.0, 1.0, samples=512).points()
+    z = _circle(1.0, 512)
     if abs(abs(root) - 1.0) < 0.05:
         return  # too close to the contour for a clean count
     w = winding_count(z - root)

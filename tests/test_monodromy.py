@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from manakov_spectra import Potential, RangeOverflowError, monodromy_grid
 from manakov_spectra import monodromy
 from manakov_spectra.monodromy import J3
-from conftest import random_potential
+from conftest import random_potential, scaled
 from oracles import (
     pade_psi,
     picard_monodromy,
@@ -43,15 +43,15 @@ def free_trace(lam):
 
 def test_free_closed_form(pot_zero):
     lam = np.array([0.0, 1.3, -4.7, 2.0 + 1.5j, -3.0 - 2.0j])
-    g = monodromy_grid(pot_zero, lam, want_psi=True)
+    g = monodromy_grid(pot_zero, lam)
     assert np.abs(g["trace"] - free_trace(lam)).max() <= 1e-13 * np.exp(
         np.abs(lam.imag).max()
     )
-    want_psi = np.zeros((len(lam), 3, 3), dtype=np.complex128)
-    want_psi[:, 0, 0] = np.exp(-1j * lam)
-    want_psi[:, 1, 1] = np.exp(1j * lam)
-    want_psi[:, 2, 2] = np.exp(1j * lam)
-    assert np.abs(g["psi"] - want_psi).max() <= 1e-12 * np.exp(np.abs(lam.imag).max())
+    free_psi = np.zeros((len(lam), 3, 3), dtype=np.complex128)
+    free_psi[:, 0, 0] = np.exp(-1j * lam)
+    free_psi[:, 1, 1] = np.exp(1j * lam)
+    free_psi[:, 2, 2] = np.exp(1j * lam)
+    assert np.abs(g["psi"] - free_psi).max() <= 1e-12 * np.exp(np.abs(lam.imag).max())
 
 
 def test_constant_rank_one_closed_form():
@@ -78,8 +78,8 @@ def test_wronskian_defect_small(rng):
     p = random_potential(rng, max_norm=1.0)
     # psi(conj lam)^* J psi(lam) = J, entry by entry
     lam = np.array([0.7, -5.3, 2.0 + 1.0j, -1.0 - 2.5j])
-    a = monodromy_grid(p, lam, want_psi=True)["psi"]
-    b = monodromy_grid(p, np.conj(lam), want_psi=True)["psi"]
+    a = monodromy_grid(p, lam)["psi"]
+    b = monodromy_grid(p, np.conj(lam))["psi"]
     defect = np.abs(np.conj(np.swapaxes(b, -1, -2)) @ J3 @ a - J3).max(axis=(-2, -1))
     assert np.all(defect <= 1e-10 * np.exp(2 * np.abs(lam.imag)))
 
@@ -102,7 +102,7 @@ def test_trace_conj_route_consistency(rng):
 def test_two_steppers_agree(rng):
     p = random_potential(rng, max_norm=1.5)
     for lam in (0.9, -3.7, 1.5 + 2.0j):
-        a = monodromy_grid(p, [lam], want_psi=True)["psi"][0]
+        a = monodromy_grid(p, [lam])["psi"][0]
         b = pade_psi(p, lam)
         assert np.abs(a - b).max() <= 1e-11 * max(1.0, np.abs(a).max())
 
@@ -110,7 +110,7 @@ def test_two_steppers_agree(rng):
 def test_potential_sign_symmetry(rng):
     # the trace only sees the potential through even powers
     p = random_potential(rng, max_norm=1.5)
-    q = p.scaled(-1.0)
+    q = scaled(p, -1.0)
     lam = np.linspace(-6, 6, 31)
     ga, gb = monodromy_grid(p, lam), monodromy_grid(q, lam)
     assert np.abs(ga["trace"] - gb["trace"]).max() <= 1e-12
@@ -122,7 +122,7 @@ def test_expansion_odd_terms_traceless(rng):
     for n in (1, 3, 5, 7):
         assert abs(np.trace(res.orders[n])) <= 1e-13
     # and the truncated series approximates the full propagator
-    full = monodromy_grid(p, [1.7], want_psi=True)["psi"][0]
+    full = monodromy_grid(p, [1.7])["psi"][0]
     assert np.abs(res.partial - full).max() <= 1e-5
 
 
@@ -131,7 +131,7 @@ def test_expansion_scaling_in_amplitude(rng):
     p = random_potential(rng, max_norm=0.5)
     lam = np.array([2.3])
     t2a = trace_t2(p, lam)
-    t2b = trace_t2(p.scaled(2.0), lam)
+    t2b = trace_t2(scaled(p, 2.0), lam)
     assert np.abs(t2b - 4.0 * t2a).max() <= 1e-10 * max(1.0, np.abs(t2a).max())
 
 
@@ -241,7 +241,7 @@ def _grid_with(monkeypatch, p, lam, block_pairs, workers):
         m.setattr(monodromy, "_BLOCK_PAIRS", block_pairs)
         m.setattr(monodromy, "_workers", lambda: workers)
         m.setattr(monodromy, "_POOLS", {})
-        return monodromy_grid(p, lam, want_psi=True)
+        return monodromy_grid(p, lam)
 
 
 def test_bit_batches_exercise_what_they_name():
@@ -334,13 +334,13 @@ def test_repeated_points_are_evaluated_once(monkeypatch):
         return steps(lam_rows, *args)
 
     monkeypatch.setattr(monodromy, "_steps_spectral", recording)
-    got = monodromy_grid(p, lam, want_psi=True)
+    got = monodromy_grid(p, lam)
     big = np.abs(lam.imag) > monodromy._ADJ_IM_LIMIT
     propagated = set(_bit_keys(np.concatenate([lam, np.conj(lam[big])])))
     assert len(seen) == len(set(seen)) == len(propagated)
     assert set(seen) == propagated
     assert set(_bit_keys(TWINS)) <= set(seen)
-    want = monodromy_grid(p, distinct, want_psi=True)
+    want = monodromy_grid(p, distinct)
     for key in GRID_KEYS:
         assert _same_bits(got[key], want[key][back]), key
 
@@ -377,25 +377,25 @@ def test_memo_keys_points_by_bits_and_run_refinement(monkeypatch):
     # a memo keyed by lam alone would hand out the wrong ones
     assert len(monodromy._runs_of(ONE_RUN)[1]) == 1
     want = {
-        name: monodromy_grid(ONE_RUN, lam, want_psi=True)
+        name: monodromy_grid(ONE_RUN, lam)
         for name, lam in MEMO_BATCHES.items()
     }
     n_real = len(set(_bit_keys(MEMO_REAL)))
     assert not _same_bits(want["real"]["trace"], want["mixed"]["trace"][: len(MEMO_REAL)][::-1])
     assert _same_bits(want["mixed"]["trace"][::-1][3:], want["mixed-lower"]["trace"][:-1])
     other = Potential.from_constant((0.3, 0.0), resolution=64)
-    want_other = monodromy_grid(other, MEMO_REAL, want_psi=True)
+    want_other = monodromy_grid(other, MEMO_REAL)
     evaluated = _memo_evaluations(monkeypatch)
     for order in (("real", "mixed", "mixed-lower"), ("mixed-lower", "mixed", "real")):
         evaluated.clear()
         with monodromy._memo_scope():
             for name in order + order:
-                got = monodromy_grid(ONE_RUN, MEMO_BATCHES[name], want_psi=True)
+                got = monodromy_grid(ONE_RUN, MEMO_BATCHES[name])
                 for key in GRID_KEYS:
                     assert _same_bits(got[key], want[name][key]), (order, name, key)
             assert len(evaluated) == len(set(evaluated)) == 2 * n_real + 3
             # the same lam and widths with other run values are other keys
-            got = monodromy_grid(other, MEMO_REAL, want_psi=True)
+            got = monodromy_grid(other, MEMO_REAL)
             assert len(evaluated) == 3 * n_real + 3
         for key in GRID_KEYS:
             assert _same_bits(got[key], want_other[key]), key
@@ -405,11 +405,11 @@ def test_memo_hash_collision_is_a_miss(monkeypatch):
     # with a zero multiplier the index hash is the real part's bits alone, so
     # the points on one vertical line collide; each still gets its own bits
     lam = np.array([1.0 + 0.5j, 1.0 - 0.5j, 1.0 + 0.25j, 2.0 + 0.5j, 1.0 + 0.5j])
-    want = monodromy_grid(ONE_RUN, lam, want_psi=True)
+    want = monodromy_grid(ONE_RUN, lam)
     monkeypatch.setattr(monodromy, "_MIX", np.int64(0))
     with monodromy._memo_scope():
         for batch, back in ((lam, slice(None)), (lam[::-1], slice(None, None, -1))) * 2:
-            got = monodromy_grid(ONE_RUN, batch, want_psi=True)
+            got = monodromy_grid(ONE_RUN, batch)
             for key in GRID_KEYS:
                 assert _same_bits(got[key], want[key][back]), key
 
@@ -568,14 +568,14 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
     monkeypatch.setattr(monodromy, "_workers", lambda: 2)
     monkeypatch.setattr(monodromy, "_POOLS", {})
     lam = np.linspace(-4.0, 4.0, 64)
-    want = monodromy_grid(M512, lam, want_psi=True)
+    want = monodromy_grid(M512, lam)
     assert os.getpid() in monodromy._POOLS
     pid = os.fork()
     if pid == 0:  # child: never return into pytest
         code = 1
         try:
             signal.alarm(20)
-            got = monodromy_grid(M512, lam, want_psi=True)
+            got = monodromy_grid(M512, lam)
             code = 0 if all(np.array_equal(got[k], want[k]) for k in GRID_KEYS) else 3
         finally:
             os._exit(code)

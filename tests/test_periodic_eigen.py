@@ -192,3 +192,32 @@ def test_window_evaluates_each_point_once(name, monkeypatch):
     # a leaf of count w places a root per contour, the last one without
     assert any(c.wind == 1 for c in leaves)
     assert len(contours) <= sum(c.wind - 1 for c in leaves)
+
+
+def test_unsplit_cell_reports_missing_roots(monkeypatch):
+    # with no split ratio every top cell is polished unrefined; the n = 3
+    # cluster then yields two roots for its count of three, and the third
+    # is reported missing rather than listed as a copy of another
+    monkeypatch.setattr(periodic_eigen, "_SPLIT_RATIOS", ())
+    tab = eigenvalues_in_window(load_potential(INPUTS["fourier"]), 1, 3)
+    assert len(tab.notes) == 3
+    assert all("could not be split cleanly" in note for note in tab.notes)
+    assert tab.failures == ["disk n=3: located 2 of 3 roots"]
+    zs = [e.z for e in tab.entries]
+    assert len(zs) == 8 and len(set(zs)) == 8
+
+
+@pytest.mark.parametrize("name", ["step", "fourier"])
+def test_muller_rescues_stalled_newton(name, monkeypatch):
+    p = load_potential(INPUTS[name])
+    newton = eigenvalues_in_window(p, 1, 3)
+
+    def stalled(p, z0, parity):
+        z = np.array(z0, dtype=np.complex128)
+        return z, np.zeros(z.size, bool), np.zeros(z.size, bool)
+
+    monkeypatch.setattr(periodic_eigen, "_newton_batch", stalled)
+    muller = eigenvalues_in_window(p, 1, 3)
+    assert newton.failures == muller.failures == []
+    assert [(e.n, e.j) for e in muller.entries] == [(e.n, e.j) for e in newton.entries]
+    assert max(abs(a.z - b.z) for a, b in zip(newton.entries, muller.entries)) <= 1e-7
