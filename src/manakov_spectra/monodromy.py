@@ -30,34 +30,26 @@ propagation at the conjugated spectral parameter rather than from adjugate
 minors: the minors cancel catastrophically once ``|Im lam|`` exceeds ~20,
 while the conjugated propagation stays accurate at full scale.
 
-The series of ``_triple_dd`` is cut off per point: each point sums its
-series pairs to the length that its own largest series criterion needs,
-whatever batch it comes in (``_chunk_terms``).
+A point's bits depend on lam alone: its runs are cut into equal parts of
+``|Im lam| * width <= _IM_WIDTH_CAP`` by its own ``|Im lam|``
+(``_split_runs``), and ``_triple_dd`` sums its series to the length that its
+own largest series criterion needs (``_chunk_terms``).  A call is cut into
+*chunks* of about ``_CHUNK_TARGET`` (lam, run) pairs.  The points of a chunk
+with the same split counts are evaluated together, in *row blocks* of about
+``_BLOCK_PAIRS`` pairs that keep the step arrays in cache: inline below
+``_POOL_MIN_BLOCKS`` blocks, else on a thread pool, created on first use in
+each process, with one worker per usable core and at most
+``_CHUNK_TARGET // _BLOCK_PAIRS`` workers.  Bits never depend on the batch,
+the block or the worker count, but may differ between machines: numpy and
+BLAS pick their kernels by CPU.
 
-Evaluation is split in two levels.  A *chunk* of about ``_CHUNK_TARGET``
-(lam, run) pairs is the numerical batch.  The one thing it decides for all
-its points is the run refinement, by its largest ``|Im lam|``
-(``_split_runs``).  A chunk of real points is never refined, so a real point
-evaluated among real points has the same bits in every such batch.
-Each chunk is evaluated in *row blocks* of about ``_BLOCK_PAIRS`` pairs,
-small enough for the step arrays to stay in cache.  A chunk of fewer than
-``_POOL_MIN_BLOCKS`` blocks runs inline on the caller's thread.  The blocks
-of a larger chunk run on a thread pool, created on first use in each
-process, with one worker per usable core and at most
-``_CHUNK_TARGET // _BLOCK_PAIRS`` workers, so no more than one chunk's worth
-of pairs is in flight.  A point's bits depend on its chunk and never on its
-block or on the worker count.  They may differ between machines, since
-numpy and BLAS pick their kernels by CPU.
-
-Each chunk goes through a memo (``_Memo``) that looks its points up by
-lam's bit pattern *and* the chunk's run refinement, keyed exactly by the
-bytes of the runs ``_split_runs`` returned (never by the largest
-``|Im lam|``), and evaluates each bit-distinct miss once, on that
-refinement; ``+0.0`` and ``-0.0`` parts stay apart.  A point's bits depend
-on lam and the refinement alone, so this leaves every bit alone.  Outside a
-scope each chunk has a memo of its own.  A caller that evaluates overlapping
-batches, such as the eigenvalue locator, opens a ``_memo_scope``, whose
-chunks share one memo, held in a context variable.
+Each chunk goes through a memo (``_Memo``) of one potential that looks its
+points up by lam's bit pattern, ``+0.0`` and ``-0.0`` parts apart, and
+evaluates each bit-distinct miss once; since a point's bits depend on lam
+alone, this leaves every bit alone.  Outside a scope each chunk has a memo
+of its own.  A caller that evaluates overlapping batches, such as the
+eigenvalue locator, opens a ``_memo_scope(p)``, whose chunks share one memo,
+held in a context variable; calls for another potential go past it.
 """
 
 from __future__ import annotations
@@ -478,45 +470,55 @@ _MIX = np.int64(-0x61C8864680B583EB)  # odd hash multiplier: 2**64 over the gold
 
 
 class _Memo:
-    """psi and det of the points evaluated in one chunk, or in one scope.
+    """psi and det of the points of one potential evaluated in one chunk, or in one scope.
 
-    The values sit in contiguous arrays whose capacity doubles.  Per run
-    refinement, an int64 index holds (hash, real bits, imaginary bits, row)
-    for each lam, sorted by the hash when next looked up.  A hit must match
-    all 16 bytes, so a hash collision costs an evaluation, never a wrong row.
+    The values sit in contiguous arrays whose capacity doubles.  An int64
+    index holds (hash, real bits, imaginary bits, row) for each row in use,
+    sorted by the hash when next looked up.  A hit must match all 16 bytes,
+    so a hash collision costs an evaluation, never a wrong row.
     """
 
-    def __init__(self):
-        self.index: dict[bytes, np.ndarray] = {}
+    def __init__(self, p: Potential):
+        self.p = p
+        self.index = np.empty((0, 4), dtype=np.int64)
         self.psi = np.empty((0, 3, 3), dtype=np.complex128)
         self.det = np.empty(0, dtype=np.complex128)
-        self.size = 0
 
-    def fill(self, lam: np.ndarray, runs, psis, dets):
-        """``_eval_chunk`` for lam on the split runs ``runs``, evaluating only the misses."""
-        refinement = runs[0].tobytes() + runs[1].tobytes()
+    def fill(self, lam: np.ndarray, psis, dets):
+        """psi and det of every lam into psis and dets, evaluating only the misses."""
         first, back = _distinct(lam)
         bits = lam[first].view(np.int64).reshape(-1, 2)
         key = np.column_stack([bits[:, 0] ^ bits[:, 1] * _MIX, bits])
         at = np.full(len(first), -1, dtype=np.int64)
-        index = self.index.get(refinement)
-        if index is not None:
+        if len(self.index):
             # new entries go in unsorted; the stable sort merges them in
-            index = self.index[refinement] = index[np.argsort(index[:, 0], kind="stable")]
+            index = self.index = self.index[np.argsort(self.index[:, 0], kind="stable")]
             pos = np.minimum(np.searchsorted(index[:, 0], key[:, 0]), len(index) - 1)
             hit = np.all(index[pos, :3] == key, axis=1)
             at[hit] = index[pos[hit], 3]
         miss = np.flatnonzero(at < 0)
         if len(miss):
-            lo, hi = self.size, self.size + len(miss)
+            lo, hi = len(self.index), len(self.index) + len(miss)
             if hi > len(self.det):
                 cap = max(hi, 2 * len(self.det))
                 self.psi, self.det = np.resize(self.psi, (cap, 3, 3)), np.resize(self.det, cap)
-            _eval_chunk(lam[first[miss]], runs, self.psi[lo:hi], self.det[lo:hi])
-            self.size = hi
+            runs = _runs_of(self.p)
+            im = np.abs(lam[first[miss]].imag)
+            # misses with equal split counts share an _eval_chunk call, unsplit ones in
+            # lam's order; the counts grow with |Im lam|, so their sum tells them apart
+            reps = np.ceil(np.multiply.outer(im, -runs[2].imag) / _IM_WIDTH_CAP)
+            splits = np.maximum(1.0, reps).sum(axis=1)
+            order = np.argsort(splits, kind="stable")
+            miss, im, splits = miss[order], im[order], splits[order]
+            start = 0
+            while start < len(miss):
+                end = int(np.searchsorted(splits, splits[start], side="right"))
+                runs_g = _split_runs(*runs, float(im[start:end].max()))
+                rows = slice(lo + start, lo + end)
+                _eval_chunk(lam[first[miss[start:end]]], runs_g, self.psi[rows], self.det[rows])
+                start = end
             at[miss] = np.arange(lo, hi)
-            new = np.column_stack([key[miss], at[miss]])
-            self.index[refinement] = new if index is None else np.concatenate([index, new])
+            self.index = np.concatenate([self.index, np.column_stack([key[miss], at[miss]])])
         np.take(self.psi, at[back], axis=0, out=psis)
         np.take(self.det, at[back], out=dets)
 
@@ -525,9 +527,9 @@ _MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar("memo", def
 
 
 @contextlib.contextmanager
-def _memo_scope():
-    """Evaluate each (lam, split runs) pair at most once in the block."""
-    token = _MEMO.set(_Memo())
+def _memo_scope(p: Potential):
+    """Evaluate each lam of ``p`` at most once in the block."""
+    token = _MEMO.set(_Memo(p))
     try:
         yield
     finally:
@@ -536,16 +538,13 @@ def _memo_scope():
 
 def _raw_grid(p: Potential, lam: np.ndarray):
     """psi, trace, det for a 1-D array of spectral parameters."""
-    runs = _runs_of(p)
-    chunk = max(1, _CHUNK_TARGET // len(runs[1]))
+    chunk = max(1, _CHUNK_TARGET // len(_runs_of(p)[1]))
     psis = np.empty((len(lam), 3, 3), dtype=np.complex128)
     dets = np.empty(len(lam), dtype=np.complex128)
     memo = _MEMO.get()
     for lo in range(0, len(lam), chunk):
         sl = slice(lo, lo + chunk)
-        lam_c = lam[sl]
-        runs_c = _split_runs(*runs, float(np.abs(lam_c.imag).max()))
-        (memo or _Memo()).fill(lam_c, runs_c, psis[sl], dets[sl])
+        (memo if memo is not None and memo.p is p else _Memo(p)).fill(lam[sl], psis[sl], dets[sl])
     traces = psis[:, 0, 0] + psis[:, 1, 1] + psis[:, 2, 2]
     return psis, traces, dets
 

@@ -15,9 +15,8 @@ each round evaluates all pending contours in one ``d_pm_grid`` call.
 
 Each group of at most ``_SCOPE_DISKS`` disks of a parity runs inside one
 engine memo scope (``monodromy._memo_scope``): contours that share points,
-sample escalations and repeated Newton points read what the engine computed
-for them before, bit for bit, while memory stays bounded however wide the
-window.
+sample escalations and repeated Newton points read the bits the engine
+computed for them before, and memory stays bounded however wide the window.
 """
 
 from __future__ import annotations
@@ -517,7 +516,7 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
         ns = [n for n in range(n_min, n_max + 1) if (n % 2 == 0) == (parity > 0)]
         for lo in range(0, len(ns), _SCOPE_DISKS):
             group = ns[lo : lo + _SCOPE_DISKS]
-            with _memo_scope():
+            with _memo_scope(p):
                 per_disk = _disk_roots(p, group, parity, failures, notes)
             for n in group:
                 got = per_disk.get(n, [])

@@ -285,8 +285,8 @@ def herglotz_asymptotic(p: Potential, nu_list) -> HerglotzFit:
     nu = np.sort(np.asarray(nu_list, dtype=np.float64))
     if nu.size < 2:
         raise ConfigError("need at least two nu samples for the decay fit")
-    if nu[0] < 10.0:
-        raise ConfigError("nu samples must be >= 10; got %.3g" % nu[0])
+    if not (np.isfinite(nu[-1]) and nu[0] >= 10.0):  # NaN sorts last
+        raise ConfigError(f"nu samples must be finite and >= 10; got {nu.tolist()}")
     lam = 1j * nu
     g = monodromy_grid(p, lam)
     # the averages' own cubic stays conditioned far up the imaginary axis,

@@ -15,10 +15,9 @@ both halves, and so on, each formed as ``0.5 * (lo + hi)`` from the ends the
 halving would give it.  The halvings are then replayed from these values
 under the plain bisection's loop condition, which each group of brackets
 keeps for itself.  The replay takes the same path, and so gives the same
-ends, bit for bit, as one engine call per halving would: every point is
-real, and the discriminant at a real point evaluated among real points does
-not depend on which points those are (see ``monodromy``).  How many levels
-a call takes is set by ``_REFINE_PAIRS``.
+ends, bit for bit, as one engine call per halving would, since a point's
+bits depend on lam alone (see ``monodromy``).  How many levels a call takes
+is set by ``_REFINE_PAIRS``.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ DISC_REL_TOL = 1e-12
 ENDPOINT_ACCURACY = 1e-9
 ZERO_POTENTIAL_TOL = 1e-14
 MAX_SCAN_STEP = 0.05
+MAX_SCAN_POINTS = 1 << 20  # a scan grid's largest size, checked before it is built
 # (lam, run) pairs that one engine call of the bisection may evaluate.  A
 # call costs about as much as 1k pairs on its own, so a deeper tree pays for
 # itself up to about this size.  On the benchmark's many small potentials,
@@ -235,12 +235,14 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
     kissing point rather than a gap.
     """
     a, b, step = float(a), float(b), float(step)
-    if not b > a:
-        raise ConfigError(f"empty scan interval [{a}, {b}]")
+    if not -np.inf < a < b < np.inf:
+        raise ConfigError(f"scan interval [{a}, {b}] must be finite and not empty")
     if not 0.0 < step <= MAX_SCAN_STEP:
         raise ConfigError(f"scan step must lie in (0, {MAX_SCAN_STEP}], got {step}")
-
-    n = max(2, int(np.ceil((b - a) / step)) + 1)
+    steps = np.ceil((b - a) / step)
+    if not steps < MAX_SCAN_POINTS:
+        raise ConfigError(f"scan grid of {steps:.3g} steps exceeds {MAX_SCAN_POINTS} points")
+    n = max(2, int(steps) + 1)
     eff_step = (b - a) / (n - 1)
     lam = np.linspace(a, b, n)
     if moments(p).b3 < ZERO_POTENTIAL_TOL:

@@ -8,6 +8,9 @@ routine computes by an independent method:
   complex spectral parameters), stacked 3x3 and dense n x n;
 * ``pade_psi`` -- the period propagator with every step exponential taken by
   Pade instead of the production spectral kernel;
+* ``mp_psi`` / ``mp_herglotz_fit`` -- the period propagator, and the decay
+  fit of the averaged map up the imaginary axis, in 40-digit arithmetic
+  (mpmath): the accuracy oracle for the engine's traces and the fit;
 * ``picard_monodromy`` -- the propagator's expansion in powers of the
   potential, term by term;
 * ``trace_t2`` -- the second-order term of the propagator trace in closed
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from manakov_spectra.algebra import adj3, det3
@@ -184,6 +188,61 @@ def pade_psi(p: Potential, lam: complex) -> np.ndarray:
     vals, widths = _split_runs(*_runs_of(p), abs(lam_arr[0].imag))[:2]
     e, _ = _steps_pade(lam_arr, vals, widths)
     return _tree_product(e)[0]
+
+
+# ----------------------------------------------------------------------------
+# 40-digit propagator and decay fit
+# ----------------------------------------------------------------------------
+
+MP_DIGITS = 40
+
+
+def mp_psi(p: Potential, lam, inverse: bool = False) -> mpmath.matrix:
+    """Period propagator at one parameter, one 40-digit ``mpmath.expm`` per canonical run.
+
+    The runs are not split.  With ``inverse``, the inverse propagator, as the
+    product of the runs' ``expm(-w A)`` in reverse order, so that no matrix is
+    inverted: a propagator's condition number reaches e^{2 |Im lam|}.
+    """
+    vals, widths = _runs_of(p)[:2]
+    with mpmath.workdps(MP_DIGITS):
+        lam = mpmath.mpc(lam)
+        out = mpmath.eye(3)
+        for (v1, v2), w in zip(vals, widths):
+            v1, v2 = mpmath.mpc(v1), mpmath.mpc(v2)
+            gen = [[lam, -mpmath.conj(v1), -mpmath.conj(v2)], [v1, -lam, 0], [v2, 0, -lam]]
+            # the generator A = -i J (lam - V) over the run's width
+            a = mpmath.matrix(gen) * mpmath.mpc(0, -w)
+            out = out * mpmath.expm(-a) if inverse else mpmath.expm(a) * out
+        return out
+
+
+def mp_herglotz_fit(p: Potential, nu) -> float:
+    """``herglotz_asymptotic``'s coefficient ``c`` with every step in 40 digits.
+
+    The traces come from ``mp_psi``.  The branch averages are the roots of
+    their monic cubic, with ``multipliers.derived_grid``'s coefficients, as
+    ``lyapunov_triple`` has them; the fit is the same least squares.  The
+    mean over the three branches needs no branch tracking.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        r = []
+        for x in nu:
+            lam = mpmath.mpc(0, x)
+            t, s = (m[0, 0] + m[1, 1] + m[2, 2] for m in (mp_psi(p, lam), mp_psi(p, lam, True)))
+            ep, em = mpmath.exp(1j * lam), mpmath.exp(-1j * lam)
+            t1 = (em * t + 1) * (ep * s + 1) / 4 - 1
+            det8 = 2 * mpmath.cos(lam) + ep * (s * s - 2 * em * t) + em * (t * t - 2 * ep * s)
+            cubic = [1, -(t + s) / 2, t1, -det8 / 8]
+            mags = []
+            for d in mpmath.polyroots(cubic, maxsteps=200, extraprec=200):
+                # log |eps(delta)| on the branch with |eps| >= 1
+                root = mpmath.sqrt(d * d - 1)
+                mags.append(mpmath.log(max(abs(d + root), abs(d - root))))
+            r.append(mpmath.fsum(mags) / 3 - x)
+        w = [1 / mpmath.mpf(x) for x in nu]
+        c = mpmath.fsum(ri * wi for ri, wi in zip(r, w)) / mpmath.fsum(wi * wi for wi in w)
+        return float(c)
 
 
 # ----------------------------------------------------------------------------

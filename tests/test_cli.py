@@ -210,6 +210,31 @@ def test_config_errors_exit_two(capsys):
         assert out == "" and err.startswith("configuration error:"), doc
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--interval", "0", "inf"],
+        ["scan", "--interval", "0", "nan"],
+        ["scan", "--interval", "0", "1e9", "--step", "0.05"],
+        ["scan", "--interval", "1e300", "1.0000001e300"],
+        ["sheets", "--interval", "0", "inf"],
+        ["qmomentum", "--interval", "0", "1e9"],
+    ],
+)
+def test_unbounded_scan_grid_exits_two(capsys, args):
+    # checked before the grid is built: no overflow, no huge allocation
+    rc, out, err = run_main([*args, "--potential", CONST], capsys)
+    assert rc == 2
+    assert out == "" and err.startswith("configuration error: scan"), err
+
+
+def test_non_finite_nu_exits_two(capsys):
+    args = ["--interval", "-2", "2", "--nu", "nan", "12"]
+    rc, out, err = run_main(["qmomentum", "--potential", FOURIER, *args], capsys)
+    assert rc == 2
+    assert out == "" and "nu samples must be finite" in err
+
+
 def test_reversed_eigen_window_exit_two(capsys):
     rc, out, err = run_main(
         ["eigen", "--potential", CONST, "--window", "10", "5"], capsys

@@ -6,6 +6,7 @@ else is cross-checked between independent code paths (the Pade step
 oracle, the series expansion, the conjugate-parameter route).
 """
 
+import collections
 import contextlib
 import gc
 import itertools
@@ -26,8 +27,11 @@ from hypothesis import given, settings, strategies as st
 from manakov_spectra import Potential, RangeOverflowError, monodromy_grid
 from manakov_spectra import monodromy
 from manakov_spectra.monodromy import J3
+from manakov_spectra.cli import DEFAULT_NU, load_potential
 from conftest import random_potential, scaled
+from test_golden import INPUTS
 from oracles import (
+    mp_psi,
     pade_psi,
     picard_monodromy,
     point_series_lengths,
@@ -159,13 +163,37 @@ def test_smooth_refinement_order():
     assert order >= 1.8
 
 
+# the non-real points of the verify command's checks
+VERIFY_POINTS = (1.3 + 0.8j, -2.2 + 1.7j, 0.4 - 1.1j, 3.7 + 2.5j)
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [
+        ("const", VERIFY_POINTS),
+        ("step", VERIFY_POINTS),
+        ("step", tuple(1j * nu for nu in DEFAULT_NU)),  # qmomentum's decay fit
+    ],
+    ids=["const-verify", "step-verify", "step-nu"],
+)
+def test_traces_match_a_40_digit_propagator(name, points):
+    # trace from the adjugate below |Im lam| = 6 and from the conjugate
+    # propagation above it, against 40-digit arithmetic
+    p = load_potential(INPUTS[name])
+    g = monodromy_grid(p, points)
+    for x, t, s in zip(points, g["trace"], g["trace_conj"]):
+        for got, m in ((t, mp_psi(p, x)), (s, mp_psi(p, x, inverse=True))):
+            want = complex(m[0, 0] + m[1, 1] + m[2, 2])
+            assert abs(got - want) <= 1e-13 * abs(want), (x, got, want)
+
+
 def test_imaginary_range_guard(pot_zero):
     with pytest.raises(RangeOverflowError):
         monodromy_grid(pot_zero, np.array([1000.0j]))
 
 
 # ----------------------------------------------------------------------------
-# chunk/block evaluation: bits depend on the chunk only
+# chunk/block evaluation: bits depend on lam only
 # ----------------------------------------------------------------------------
 
 M512 = Potential.from_fourier({1: (0.25, 0.1), -1: (0.0, 0.2)}, resolution=512)
@@ -217,7 +245,15 @@ def _bit_batches():
         ),
         "unequal-widths": (
             UNEQUAL_STEP,
-            rng.uniform(-80, 80, 2000) + 1j * rng.uniform(-30, 30, 2000),
+            np.concatenate(
+                [
+                    rng.uniform(-80, 80, 2000) + 1j * rng.uniform(-30, 30, 2000),
+                    # one split count per width throughout |Im lam| in
+                    # [29, 29.4]: a group big enough for the pool
+                    rng.uniform(-80, 80, 1200)
+                    + 1j * rng.choice([-1.0, 1.0], 1200) * rng.uniform(29.0, 29.4, 1200),
+                ]
+            ),
         ),
     }
 
@@ -263,6 +299,11 @@ def test_bit_batches_exercise_what_they_name():
     assert len(runs[2]) == 3 and len(tw) == 3 and len(widths) > 3
     _, ser, _ = monodromy._chunk_terms(lam, np.abs(vals) ** 2, widths)
     assert ser.any() and not ser.all()
+    # points with the same split runs are evaluated together: one such group
+    # must have enough row blocks to go to the pool
+    groups = collections.Counter(len(monodromy._split_runs(*runs, abs(x.imag))[1]) for x in lam)
+    blocks = [-(-n // (monodromy._BLOCK_PAIRS // r)) for r, n in groups.items() if r > len(runs[1])]
+    assert max(blocks) >= monodromy._POOL_MIN_BLOCKS
     p, lam = batches["repeats"]
     keys = _bit_keys(lam)
     assert len(set(keys)) < len(keys)
@@ -345,60 +386,74 @@ def test_repeated_points_are_evaluated_once(monkeypatch):
         assert _same_bits(got[key], want[key][back]), key
 
 
-# one run of width 1: any chunk with |Im lam| > _IM_WIDTH_CAP splits it
+# one run of width 1: any point with |Im lam| > _IM_WIDTH_CAP splits it
 ONE_RUN = Potential.from_constant((0.7, 0.2j), resolution=64)
 MEMO_REAL = np.array([0.5, 2.5, 4.0, *TWINS, 0.5, 4.0])
-MEMO_BATCHES = {
-    "real": MEMO_REAL,
-    # the real points again, reversed, with repeats: 3.0 splits the run in 6
-    "mixed": np.concatenate([MEMO_REAL[::-1], [1.0 + 3.0j, 2.0 - 2.6j, 1.0 + 3.0j]]),
-    # a smaller largest |Im lam| (2.9) that splits the run in 6 all the same
-    "mixed-lower": np.concatenate([MEMO_REAL, [3.0 - 2.9j]]),
-}
+
+
+def _mixed_batches():
+    """Real, unsplit complex and split complex points, with repeats, per potential."""
+    rng = np.random.default_rng(SEED_BITS)
+    # ONE_RUN's run stays whole at |Im lam| = 0.4 and 0.45; 1.2 cuts it in 3,
+    # 2.6, 2.9 and 3.0 in 6, and 6.5, propagated at its conjugate too, in 13
+    one_run = [0.7 + 0.4j, 1.5 - 1.2j, 1.0 + 3.0j, 2.0 - 2.6j, 3.0 - 2.9j, 0.2 - 0.45j, 1.0 + 6.5j]
+    # the widest run of UNEQUAL_STEP is 0.45: |Im lam| <= 1.11 splits nothing
+    unsplit = rng.uniform(-9, 9, 6) + 1j * rng.uniform(-1.1, 1.1, 6)
+    split = rng.uniform(-9, 9, 16) + 1j * rng.uniform(-30, 30, 16)
+    return {
+        "one-run": (ONE_RUN, np.concatenate([MEMO_REAL, one_run, one_run[:2], MEMO_REAL[:2]])),
+        "unequal-widths": (
+            UNEQUAL_STEP,
+            np.concatenate([MEMO_REAL, unsplit, split, split[:3], unsplit[:2], MEMO_REAL[:3]]),
+        ),
+    }
 
 
 def _memo_evaluations(monkeypatch):
-    """Patch _eval_chunk to record each (lam bits, split widths) it evaluates."""
+    """Patch _eval_chunk to record the bits of each lam it evaluates."""
     evaluated = []
     eval_chunk = monodromy._eval_chunk
 
     def recording(lam, runs, psis, dets):
-        evaluated.extend((key, runs[1].tobytes()) for key in _bit_keys(lam))
+        evaluated.extend(_bit_keys(lam))
         return eval_chunk(lam, runs, psis, dets)
 
     monkeypatch.setattr(monodromy, "_eval_chunk", recording)
     return evaluated
 
 
-def test_memo_keys_points_by_bits_and_run_refinement(monkeypatch):
-    # inside a scope, a point is evaluated once per run refinement and every
-    # call returns the bits that the same call returns unscoped, whatever
-    # came before it; the real points get other bits in the mixed chunks, so
-    # a memo keyed by lam alone would hand out the wrong ones
-    assert len(monodromy._runs_of(ONE_RUN)[1]) == 1
-    want = {
-        name: monodromy_grid(ONE_RUN, lam)
-        for name, lam in MEMO_BATCHES.items()
-    }
-    n_real = len(set(_bit_keys(MEMO_REAL)))
-    assert not _same_bits(want["real"]["trace"], want["mixed"]["trace"][: len(MEMO_REAL)][::-1])
-    assert _same_bits(want["mixed"]["trace"][::-1][3:], want["mixed-lower"]["trace"][:-1])
+@pytest.mark.parametrize("name", sorted(_mixed_batches()))
+def test_point_bits_depend_on_lam_alone(monkeypatch, name):
+    # every point of a batch that mixes real, unsplit and split points gets
+    # the bits it gets alone, in either order, inside a scope and outside;
+    # inside, each lam is evaluated once, and another potential's call is
+    # never served from the scope's memo
+    p, lam = _mixed_batches()[name]
+    runs = monodromy._runs_of(p)
+    parts = [len(monodromy._split_runs(*runs, abs(x.imag))[1]) for x in lam]
+    assert min(parts) == len(runs[1]) < max(parts)
+    assert any(x.imag != 0.0 and n == len(runs[1]) for x, n in zip(lam, parts))
+    alone = [monodromy_grid(p, [x]) for x in lam]
+    want = {key: np.concatenate([g[key] for g in alone]) for key in GRID_KEYS}
     other = Potential.from_constant((0.3, 0.0), resolution=64)
-    want_other = monodromy_grid(other, MEMO_REAL)
+    want_other = monodromy_grid(other, lam)
+    big = np.abs(lam.imag) > monodromy._ADJ_IM_LIMIT
+    propagated = set(_bit_keys(np.concatenate([lam, np.conj(lam[big])])))
     evaluated = _memo_evaluations(monkeypatch)
-    for order in (("real", "mixed", "mixed-lower"), ("mixed-lower", "mixed", "real")):
-        evaluated.clear()
-        with monodromy._memo_scope():
-            for name in order + order:
-                got = monodromy_grid(ONE_RUN, MEMO_BATCHES[name])
+    for back in (slice(None), slice(None, None, -1)):
+        for scoped in (False, True):
+            evaluated.clear()
+            with monodromy._memo_scope(p) if scoped else contextlib.nullcontext():
+                for _ in range(2):
+                    got = monodromy_grid(p, lam[back])
+                    for key in GRID_KEYS:
+                        assert _same_bits(got[key], want[key][back]), (scoped, key)
+                if scoped:
+                    assert len(evaluated) == len(set(evaluated)) == len(propagated)
+                got = monodromy_grid(other, lam[back])
                 for key in GRID_KEYS:
-                    assert _same_bits(got[key], want[name][key]), (order, name, key)
-            assert len(evaluated) == len(set(evaluated)) == 2 * n_real + 3
-            # the same lam and widths with other run values are other keys
-            got = monodromy_grid(other, MEMO_REAL)
-            assert len(evaluated) == 3 * n_real + 3
-        for key in GRID_KEYS:
-            assert _same_bits(got[key], want_other[key]), key
+                    assert _same_bits(got[key], want_other[key][back]), (scoped, key)
+            assert len(evaluated) == (2 if scoped else 3) * len(propagated)
 
 
 def test_memo_hash_collision_is_a_miss(monkeypatch):
@@ -407,7 +462,7 @@ def test_memo_hash_collision_is_a_miss(monkeypatch):
     lam = np.array([1.0 + 0.5j, 1.0 - 0.5j, 1.0 + 0.25j, 2.0 + 0.5j, 1.0 + 0.5j])
     want = monodromy_grid(ONE_RUN, lam)
     monkeypatch.setattr(monodromy, "_MIX", np.int64(0))
-    with monodromy._memo_scope():
+    with monodromy._memo_scope(ONE_RUN):
         for batch, back in ((lam, slice(None)), (lam[::-1], slice(None, None, -1))) * 2:
             got = monodromy_grid(ONE_RUN, batch)
             for key in GRID_KEYS:
@@ -422,10 +477,10 @@ def test_memo_lives_only_inside_its_scope(monkeypatch):
         with contextlib.ExitStack() as stack:
             if raises:
                 stack.enter_context(pytest.raises(ZeroDivisionError))
-            stack.enter_context(monodromy._memo_scope())
+            stack.enter_context(monodromy._memo_scope(ONE_RUN))
             memo = weakref.ref(monodromy._MEMO.get())
             pooled = _grid_with(monkeypatch, ONE_RUN, lam, 8, 2)
-            assert memo().size == len(lam)
+            assert len(memo().index) == len(lam)
             if raises:
                 1 / 0
         gc.collect()

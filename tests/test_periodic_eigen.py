@@ -158,10 +158,9 @@ def _table_bits(tab):
 
 @pytest.mark.parametrize("name", ["fourier", "const"])
 def test_window_evaluates_each_point_once(name, monkeypatch):
-    # within one window, the engine evaluates each (lam bits, run refinement)
-    # pair once, the multiplicity contour runs only while a leaf still has
-    # two or more roots to place, and the table is the one the engine gives
-    # without its memo
+    # within one window, the engine evaluates each lam once, the multiplicity
+    # contour runs only while a leaf still has two or more roots to place,
+    # and the table is the one the engine gives without its memo
     p = load_potential(INPUTS[name])
     with monkeypatch.context() as m:
         m.setattr(periodic_eigen, "_memo_scope", contextlib.nullcontext)
@@ -172,8 +171,7 @@ def test_window_evaluates_each_point_once(name, monkeypatch):
     multiplicity = periodic_eigen._multiplicity_by_contour
 
     def evaluating(lam, runs, psis, dets):
-        keys = lam.view(np.int64).reshape(-1, 2).tolist()
-        evaluated.extend((re, im, runs[1].tobytes()) for re, im in keys)
+        evaluated.extend(map(tuple, lam.view(np.int64).reshape(-1, 2).tolist()))
         return eval_chunk(lam, runs, psis, dets)
 
     def polishing(p, cells, *args):

@@ -20,7 +20,10 @@ from manakov_spectra import (
     zs_q0_integral,
 )
 from manakov_spectra.quasimomentum import _magnitudes, branch_magnitudes
+from manakov_spectra.cli import DEFAULT_NU, load_potential
 from conftest import CONST_JSON, cli_csv_rows
+from oracles import mp_herglotz_fit
+from test_golden import INPUTS
 
 
 def test_eps_map_contracts(rng):
@@ -104,6 +107,20 @@ def test_herglotz_validation(pot_const):
         herglotz_asymptotic(pot_const, (5, 8))  # below the asymptotic regime
     with pytest.raises(ConfigError):
         herglotz_asymptotic(pot_const, (15,))  # cannot fit two parameters
+    for bad in (np.nan, np.inf, -np.inf):
+        # the sort puts NaN last, where a check of the smallest sample misses it
+        with pytest.raises(ConfigError, match="finite"):
+            herglotz_asymptotic(pot_const, (12.0, bad, 16.0))
+
+
+@pytest.mark.parametrize("name", ["const", "step"])
+def test_herglotz_fit_near_its_40_digit_value(name):
+    # the near-triple cubic of the branch averages magnifies the traces'
+    # rounding; the golden fourier input, left out for its 64 runs' mpmath
+    # cost, sits 2.0e-10 from its 40-digit fit
+    p = load_potential(INPUTS[name])
+    fit = herglotz_asymptotic(p, DEFAULT_NU).q0
+    assert abs(fit - mp_herglotz_fit(p, DEFAULT_NU)) <= 3e-10
 
 
 def test_envelope_bounds_generic(pot_two_mode):

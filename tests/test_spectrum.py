@@ -124,6 +124,8 @@ def test_scan_validation():
         scan(p, -3.0, 3.0, step=0.0)
     with pytest.raises(ConfigError):
         scan(p, -3.0, 3.0, step=2.0)  # coarser than the allowed ceiling
+    with pytest.raises(ConfigError):
+        scan(p, -1e308, 1e308)  # finite ends, but their distance overflows
 
 
 def test_scan_serialization(pot_const, capsys):
