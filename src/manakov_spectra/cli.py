@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from itertools import chain
 
@@ -465,8 +466,29 @@ def cmd_sheets(p: Potential, args):
 # ----------------------------------------------------------------------------
 
 
+# a negative float() literal: a decimal with an optional exponent, -inf or -nan
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number as a value.
+
+    argparse takes an argument that starts with '-' for an option unless it
+    is a plain negative decimal, so ``--interval -1e1 2`` failed with
+    "expected 2 arguments".  Here exponent notation, ``-inf`` and ``-nan``
+    are numbers too, and reach the commands' own checks.  Subparsers are
+    made with the parent's class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="manakov-spectra",
         description="Floquet spectral pipelines for the periodic two-component transfer problem",
     )

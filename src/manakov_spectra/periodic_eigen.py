@@ -4,14 +4,25 @@ The eigenvalues of the doubled-period problem are the zeros of
 ``D_+ = (T - 1) - e^{i lam}(T~ - 1)`` (periodic side, clusters near even
 multiples of pi) and ``D_- = (T + 1) + e^{i lam}(T~ + 1)`` (antiperiodic
 side, odd multiples).  Each localization disk of radius 1/2 around ``pi n``
-carries exactly three zeros once |n| is large enough; they are located by
-winding-count subdivision followed by Newton polishing, and the resulting
+carries exactly three zeros once |n| is large enough, and the resulting
 table feeds the first-order asymptotic check.
 
-Every zero count -- disks, enclosing squares, subdivision cells and the
-multiplicity circles of polished clusters -- goes through one driver,
-``_windings``: a contour is a sampler and a schedule of sample counts, and
-each round evaluates all pending contours in one ``d_pm_grid`` call.
+A disk's zeros come first from the circle that counted them: the FFT of its
+samples gives ``D'/D`` there, the trapezoid rule the power sums of the
+zeros, Newton's identities a cubic whose roots start a Newton polish
+(Delves & Lyness, Math. Comp. 21 (1967); Kravanja & Van Barel, LNM 1727
+(2000)).  A disk keeps these roots only if they certify: the moment count
+is 3, each root converged inside the disk, and a circle around each one
+counts exactly one zero.  The samples of that circle then place its root
+below the noise at which Newton stops.  Only the other disks -- double
+roots, counts other than 3 -- are located by winding-count subdivision of
+their enclosing squares and polished from the leaf cells.
+
+Every zero count -- disks, certification circles, enclosing squares,
+subdivision cells and the multiplicity circles of polished clusters -- goes
+through one driver, ``_windings``: a contour is a sampler and a schedule of
+sample counts, and each round evaluates all pending contours in one
+``d_pm_grid`` call.
 
 Each group of at most ``_SCOPE_DISKS`` disks of a parity runs inside one
 engine memo scope (``monodromy._memo_scope``): contours that share points,
@@ -25,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import winding_count
+from .algebra import cubic_roots_stack, winding_count
 from .errors import (
     ConfigError,
     ContourThroughZeroError,
+    RootResidualError,
     UndersampledContourError,
 )
 from .monodromy import _memo_scope, monodromy_grid
@@ -56,6 +68,8 @@ _SPLIT_RATIOS = (0.5, 0.53, 0.47, 0.61)
 _RADIUS_NUDGES = (1.0, 1.05, 0.95, 1.10, 0.90)
 # disk circles double their samples from 64 up to 8192
 _DISK_SCHEDULE = tuple(64 << k for k in range(8))
+# samples of the circles that certify a moment root
+_ROOT_SCHEDULE = (16, 64, 256)
 # disks of one parity that share an engine memo scope
 _SCOPE_DISKS = 8
 # exponent of the deviation sums in the asymptotic check
@@ -97,7 +111,9 @@ def _circle(center: complex, r: float):
     return lambda n: center + r * np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _windings(p: Potential, contours: list, parity: int) -> list[int | None]:
+def _windings(
+    p: Potential, contours: list, parity: int, samples: list | None = None
+) -> list[int | None]:
     """Zero count of D(parity) inside each contour, or None.
 
     A contour is ``(points, schedule)``: ``points(k)`` samples it in
@@ -106,7 +122,8 @@ def _windings(p: Potential, contours: list, parity: int) -> list[int | None]:
     undersampled contour moves on to the next entry of its schedule; one
     that runs through a zero, or is still undersampled at its last entry,
     gets None.  Samples are divided by the growth envelope first, which
-    changes no phase.
+    changes no phase.  With *samples*, a list as long as *contours*, each
+    counted contour's values of D go into its entry.
     """
     out: list[int | None] = [None] * len(contours)
     todo = list(range(len(contours)))
@@ -121,6 +138,8 @@ def _windings(p: Potential, contours: list, parity: int) -> list[int | None]:
             pos += q.size
             try:
                 out[i] = winding_count(v / _envelope(q))
+                if samples is not None:
+                    samples[i] = v
             except UndersampledContourError:
                 if rnd + 1 < len(contours[i][1]):
                     again.append(i)
@@ -131,17 +150,23 @@ def _windings(p: Potential, contours: list, parity: int) -> list[int | None]:
     return out
 
 
-def count_in_disk(p: Potential, center: float, radius: float, parity: int) -> int:
+def count_in_disk(
+    p: Potential, center: float, radius: float, parity: int, samples: list | None = None
+) -> int:
     """Number of zeros of D(parity) inside |lam - center| < radius.
 
     The circle starts with 64 samples, doubling up to 8192 while the phase
     is undersampled.  When that fails, the radius is nudged by +-5% then
-    +-10%.
+    +-10%.  With *samples*, the circle that gave the count is appended to it
+    as ``(r, values)``: D at ``_circle(center, r)(len(values))``.
     """
     for factor in _RADIUS_NUDGES:
-        contour = (_circle(center, radius * factor), _DISK_SCHEDULE)
-        (w,) = _windings(p, [contour], parity)
+        r = radius * factor
+        vals: list = [None]
+        (w,) = _windings(p, [(_circle(center, r), _DISK_SCHEDULE)], parity, vals)
         if w is not None:
+            if samples is not None:
+                samples.append((r, vals[0]))
             return w
     raise ContourThroughZeroError(
         f"contour-through-zero persists near center={center:.6g} radius={radius:.3g} "
@@ -441,6 +466,96 @@ def _polish_leaves(
 
 
 # ----------------------------------------------------------------------------
+# roots from the count circle's moments
+# ----------------------------------------------------------------------------
+
+
+def _moment_starts(samples: list[np.ndarray], centers, radii):
+    """Moment count s_0 and three zeros from each sampled circle, as (s_0, zeros).
+
+    ``samples[i]`` holds an analytic f at ``centers[i] + radii[i] u_j`` with
+    ``u_j = e^{2 pi i j / N}``.  The FFT gives f's Taylor coefficients in u
+    and so ``u f'/f`` on the circle; its trapezoid means against ``u^k``
+    are the power sums s_k, k = 0..3, of the zeros' u inside the circle.
+    Newton's identities turn s_1..s_3 into the monic cubic of three zeros.
+    Raises ``RootResidualError`` when the cubic solve does.
+    """
+    sums = []
+    for f in samples:
+        uf = np.fft.ifft(np.arange(f.size) * np.fft.fft(f))
+        sums.append(np.fft.ifft(uf / f)[:4])
+    s = np.array(sums).reshape(-1, 4)
+    e1 = s[:, 1]
+    e2 = (e1 * s[:, 1] - s[:, 2]) / 2.0
+    e3 = (e2 * s[:, 1] - e1 * s[:, 2] + s[:, 3]) / 3.0
+    u = cubic_roots_stack(-e1, e2, -e3)
+    return s[:, 0], np.asarray(centers)[:, None] + np.asarray(radii)[:, None] * u
+
+
+def _moment_roots(
+    p: Potential, circles: dict[int, tuple[float, np.ndarray]], parity: int
+) -> dict[int, list[tuple[complex, float]]]:
+    """Certified roots with their residuals, per disk, from the disks' count circles.
+
+    *circles* maps a disk index n of count 3 to its count circle
+    ``(r, values)`` around pi n.  The moment starts of all the disks are
+    polished in one ``_newton_batch`` call.  A disk keeps its roots only if
+    round(s_0) is 3, all three converged inside the circle, and a circle of
+    half the nearest neighbour's distance around each root counts exactly
+    one zero; those circles share one ``_windings`` call, and each one's
+    samples then place its root (``_taylor_root``).  Other disks are left
+    out.
+    """
+    ns = list(circles)
+    if not ns:
+        return {}
+    centers = np.pi * np.array(ns, dtype=float)
+    radii = np.array([circles[n][0] for n in ns])
+    try:
+        s0, starts = _moment_starts([circles[n][1] for n in ns], centers, radii)
+    except RootResidualError:
+        return {}
+    idx = np.flatnonzero(np.rint(s0.real) == 3)
+    z, ok, _ = _newton_batch(p, starts[idx].ravel(), parity)
+    z, ok = z.reshape(-1, 3), ok.reshape(-1, 3)
+    inside = np.abs(z - centers[idx, None]) < radii[idx, None]
+    gaps = np.abs(z[:, :, None] - z[:, None, :]) + np.diag([np.inf] * 3)
+    half = 0.5 * gaps.min(axis=2)
+    keep = np.flatnonzero((ok & inside & (half > 0)).all(axis=1))
+    around = list(zip(z[keep].flat, half[keep].flat))
+    vals: list = [None] * len(around)
+    winds = _windings(p, [(_circle(c, r), _ROOT_SCHEDULE) for c, r in around], parity, vals)
+    cert = np.flatnonzero(np.reshape([w == 1 for w in winds], (-1, 3)).all(axis=1))
+    if not len(cert):
+        return {}
+    roots = np.array([[_taylor_root(vals[j], *around[j]) for j in range(3 * i, 3 * i + 3)]
+                      for i in cert])
+    res = np.abs(d_pm_grid(p, roots.ravel(), parity)).reshape(-1, 3)
+    return {
+        ns[idx[keep[i]]]: [(complex(zk), float(rk)) for zk, rk in zip(zs, r)]
+        for i, zs, r in zip(cert, roots, res)
+    }
+
+
+def _taylor_root(f: np.ndarray, center: complex, radius: float) -> complex:
+    """The zero inside a circle that holds exactly one, from D's samples on it.
+
+    The FFT of the samples gives D's Taylor coefficients in ``u = (lam -
+    center) / radius``, each a mean over the circle; Newton on that
+    polynomial from u = 0 places the zero to D's rounding noise over the
+    square root of the sample count.  A Newton iterate on D itself stops
+    at that noise, which near a cluster, where |D'| is small, is several
+    1e-7 in lam.  Returns *center* if u leaves the inner half of the circle.
+    """
+    b = np.fft.fft(f)[::-1] / f.size
+    db = np.polyder(b)
+    u = 0j
+    for _ in range(8):
+        u = u - np.polyval(b, u) / np.polyval(db, u)
+    return complex(center + radius * u) if abs(u) < 0.5 else complex(center)
+
+
+# ----------------------------------------------------------------------------
 # the table
 # ----------------------------------------------------------------------------
 
@@ -471,18 +586,29 @@ class EigenvalueTable:
 def _disk_roots(
     p: Potential, ns: list[int], parity: int, failures: list[str], notes: list[str]
 ) -> dict[int, list[tuple[complex, float]]]:
-    """Count, subdivide and polish the disks |lam - pi n| <= 1/2 for n in *ns*."""
+    """Locate the roots of the disks |lam - pi n| <= 1/2 for n in *ns*.
+
+    Disks of count 3 take the certified roots of their count circles'
+    moments; every other disk is subdivided from its enclosing square and
+    polished.
+    """
     counted: list[tuple[int, str | None]] = []
+    circles: dict[int, tuple[float, np.ndarray]] = {}
     for n in ns:
+        samples: list = []
         try:
-            counted.append((count_in_disk(p, np.pi * n, 0.5, parity), None))
+            counted.append((count_in_disk(p, np.pi * n, 0.5, parity, samples), None))
         except ContourThroughZeroError as exc:
             counted.append((-1, f"disk n={n}: {exc}"))
-    # the enclosing squares of all the disks share one batch
-    squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n in ns]
+        if counted[-1][0] == 3:
+            circles[n] = samples[0]
+    out = _moment_roots(p, circles, parity)
+    rest = [(n, c) for n, c in zip(ns, counted) if n not in out]
+    # the enclosing squares of all the other disks share one batch
+    squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n, _ in rest]
     winds = _windings(p, [_square(c) for c in squares], parity)
     tops: list[_Cell] = []
-    for n, (cnt, error), cell, w in zip(ns, counted, squares, winds):
+    for (n, (cnt, error)), cell, w in zip(rest, squares, winds):
         if error is not None:
             failures.append(error)
         if w is None:
@@ -495,7 +621,8 @@ def _disk_roots(
         cell.wind = w
         tops.append(cell)
     leaves = _subdivide(p, tops, parity, notes)
-    return _polish_leaves(p, leaves, parity, failures)
+    out.update(_polish_leaves(p, leaves, parity, failures))
+    return out
 
 
 def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTable:

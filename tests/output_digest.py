@@ -10,10 +10,12 @@ default formatter, whose text carries the file path and line number of the
 warning site.
 
 After each workload, one ``engine`` line gives the number of
-``monodromy_grid`` calls and one SHA-256 over the bytes of every call's
-``trace``, ``trace_conj`` and ``det``, in call order.  Outputs are rounded
-and reduced, so they can hide a changed bit of the propagator; this line
-does not.
+``monodromy_grid`` calls, one SHA-256 over the bytes of every call's
+``trace``, ``trace_conj`` and ``det``, in call order, and the number of rows
+``monodromy._eval_chunk`` evaluated.  Outputs are rounded and reduced, so
+they can hide a changed bit of the propagator; this line does not.  The
+calls count the points callers request, the rows the points the engine
+propagated after its memo served the repeats.
 
 To check that a change leaves every output byte and every engine bit alone,
 run the script at both commits and compare::
@@ -64,10 +66,11 @@ def _engine_users() -> list:
 
 @contextlib.contextmanager
 def _engine_digest():
-    """Hash every ``monodromy_grid`` result while the block runs."""
+    """Hash every ``monodromy_grid`` result and count evaluated rows while the block runs."""
     modules = _engine_users()
     propagate = monodromy.monodromy_grid
-    state = {"hash": hashlib.sha256(), "calls": 0}
+    eval_chunk = monodromy._eval_chunk
+    state = {"hash": hashlib.sha256(), "calls": 0, "rows": 0}
 
     def recording(p, lam, **kwargs):
         g = propagate(p, lam, **kwargs)
@@ -76,11 +79,17 @@ def _engine_digest():
             state["hash"].update(np.ascontiguousarray(g[key]).tobytes())
         return g
 
+    def evaluating(lam, *args):
+        state["rows"] += len(lam)
+        return eval_chunk(lam, *args)
+
     for module in modules:
         module.monodromy_grid = recording
+    monodromy._eval_chunk = evaluating
     try:
         yield state
     finally:
+        monodromy._eval_chunk = eval_chunk
         for module in modules:
             module.monodromy_grid = propagate
 
@@ -111,7 +120,8 @@ def main() -> int:
                         line = _digest([*argv, "--format", fmt], out)
                         print(f"{name} {i:02d} {inv['command']} {fmt} {line}", flush=True)
             digest = engine["hash"].hexdigest()
-            print(f"{name} engine sha256={digest} calls={engine['calls']}", flush=True)
+            calls, rows = engine["calls"], engine["rows"]
+            print(f"{name} engine sha256={digest} calls={calls} rows={rows}", flush=True)
     return 0
 
 

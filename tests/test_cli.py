@@ -228,6 +228,23 @@ def test_unbounded_scan_grid_exits_two(capsys, args):
     assert out == "" and err.startswith("configuration error: scan"), err
 
 
+@pytest.mark.parametrize("command", ["scan", "sheets", "qmomentum"])
+def test_interval_takes_negative_exponent_notation(command, capsys):
+    # a bound like -1e1 is a number, not an unknown option
+    args = [command, "--potential", CONST, "--format", "csv", "--step", "0.05"]
+    plain = run_main([*args, "--interval", "-10", "10"], capsys)
+    assert plain[0] == 0
+    for lo in ("-1e1", "-1E+1", "-10.0e0"):
+        assert run_main([*args, "--interval", lo, "10"], capsys) == plain
+
+
+@pytest.mark.parametrize("lo", ["-inf", "-Infinity", "-nan"])
+def test_negative_non_finite_bound_reaches_scan(lo, capsys):
+    rc, out, err = run_main(["scan", "--potential", CONST, "--interval", lo, "0"], capsys)
+    assert rc == 2
+    assert out == "" and err.startswith("configuration error: scan interval"), err
+
+
 def test_non_finite_nu_exits_two(capsys):
     args = ["--interval", "-2", "2", "--nu", "nan", "12"]
     rc, out, err = run_main(["qmomentum", "--potential", FOURIER, *args], capsys)

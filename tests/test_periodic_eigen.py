@@ -156,23 +156,51 @@ def _table_bits(tab):
     return entries, tab.failures, tab.notes
 
 
-@pytest.mark.parametrize("name", ["fourier", "const"])
-def test_window_evaluates_each_point_once(name, monkeypatch):
-    # within one window, the engine evaluates each lam once, the multiplicity
-    # contour runs only while a leaf still has two or more roots to place,
-    # and the table is the one the engine gives without its memo
-    p = load_potential(INPUTS[name])
-    with monkeypatch.context() as m:
-        m.setattr(periodic_eigen, "_memo_scope", contextlib.nullcontext)
-        unscoped = _table_bits(eigenvalues_in_window(p, 1, 2))
-    evaluated, leaves, contours = [], [], []
+def _reject_all(p, circles, parity):
+    """A ``_moment_roots`` that certifies no disk: every disk is subdivided."""
+    return {}
+
+
+def _evaluated_rows(monkeypatch) -> list:
+    """The bits of every lam ``monodromy._eval_chunk`` evaluates from now on."""
+    evaluated = []
     eval_chunk = monodromy._eval_chunk
-    polish = periodic_eigen._polish_leaves
-    multiplicity = periodic_eigen._multiplicity_by_contour
 
     def evaluating(lam, runs, psis, dets):
         evaluated.extend(map(tuple, lam.view(np.int64).reshape(-1, 2).tolist()))
         return eval_chunk(lam, runs, psis, dets)
+
+    monkeypatch.setattr(monodromy, "_eval_chunk", evaluating)
+    return evaluated
+
+
+def _subdivided_tops(monkeypatch) -> list:
+    """The top cells ``periodic_eigen._subdivide`` receives from now on."""
+    tops = []
+    subdivide = periodic_eigen._subdivide
+
+    def recording(p, cells, *args):
+        tops.extend(cells)
+        return subdivide(p, cells, *args)
+
+    monkeypatch.setattr(periodic_eigen, "_subdivide", recording)
+    return tops
+
+
+@pytest.mark.parametrize("name", ["fourier", "const"])
+def test_window_evaluates_each_point_once(name, monkeypatch):
+    # within one window, the engine evaluates each lam once, the multiplicity
+    # contour runs only while a leaf still has two or more roots to place,
+    # and the table is the one the engine gives without its memo; every
+    # disk takes the subdivision path
+    monkeypatch.setattr(periodic_eigen, "_moment_roots", _reject_all)
+    p = load_potential(INPUTS[name])
+    with monkeypatch.context() as m:
+        m.setattr(periodic_eigen, "_memo_scope", contextlib.nullcontext)
+        unscoped = _table_bits(eigenvalues_in_window(p, 1, 2))
+    leaves, contours = [], []
+    polish = periodic_eigen._polish_leaves
+    multiplicity = periodic_eigen._multiplicity_by_contour
 
     def polishing(p, cells, *args):
         leaves.extend(cells)
@@ -182,7 +210,7 @@ def test_window_evaluates_each_point_once(name, monkeypatch):
         contours.append(args)
         return multiplicity(*args)
 
-    monkeypatch.setattr(monodromy, "_eval_chunk", evaluating)
+    evaluated = _evaluated_rows(monkeypatch)
     monkeypatch.setattr(periodic_eigen, "_polish_leaves", polishing)
     monkeypatch.setattr(periodic_eigen, "_multiplicity_by_contour", counting)
     assert _table_bits(eigenvalues_in_window(p, 1, 2)) == unscoped
@@ -196,6 +224,7 @@ def test_unsplit_cell_reports_missing_roots(monkeypatch):
     # with no split ratio every top cell is polished unrefined; the n = 3
     # cluster then yields two roots for its count of three, and the third
     # is reported missing rather than listed as a copy of another
+    monkeypatch.setattr(periodic_eigen, "_moment_roots", _reject_all)
     monkeypatch.setattr(periodic_eigen, "_SPLIT_RATIOS", ())
     tab = eigenvalues_in_window(load_potential(INPUTS["fourier"]), 1, 3)
     assert len(tab.notes) == 3
@@ -203,6 +232,78 @@ def test_unsplit_cell_reports_missing_roots(monkeypatch):
     assert tab.failures == ["disk n=3: located 2 of 3 roots"]
     zs = [e.z for e in tab.entries]
     assert len(zs) == 8 and len(set(zs)) == 8
+
+
+def test_moment_path_evaluates_each_point_once(monkeypatch):
+    # the moment path shares the memo too: each lam once, and the table the
+    # engine gives without its memo
+    p = load_potential(INPUTS["fourier"])
+    with monkeypatch.context() as m:
+        m.setattr(periodic_eigen, "_memo_scope", contextlib.nullcontext)
+        unscoped = _table_bits(eigenvalues_in_window(p, 1, 2))
+    tops = _subdivided_tops(monkeypatch)
+    evaluated = _evaluated_rows(monkeypatch)
+    assert _table_bits(eigenvalues_in_window(p, 1, 2)) == unscoped
+    assert evaluated and len(evaluated) == len(set(evaluated))
+    assert tops == []
+
+
+def test_moment_starts_of_a_synthetic_function():
+    # (z - a)(z - b)(z - d) e^z on a 64-point circle: three zeros inside, and
+    # an entire factor that the power sums must not see
+    zeros = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.05 - 0.25j])
+    center, radius = 0.3 - 0.1j, 0.8
+    z = center + radius * np.exp(2j * np.pi * np.arange(64) / 64)
+    f = np.prod(z[:, None] - zeros, axis=1) * np.exp(z)
+    s0, starts = periodic_eigen._moment_starts([f], [center], [radius])
+    assert abs(s0[0] - 3.0) <= 1e-10
+    got = np.sort_complex(starts[0])
+    assert np.abs(got - np.sort_complex(zeros)).max() <= 1e-10
+
+
+def test_taylor_root_of_a_synthetic_function():
+    # one zero inside a 16-point circle, two more just outside it
+    zeros = np.array([0.01 - 0.02j, 0.25 + 0.1j, -0.2 - 0.2j])
+    center, radius = 0.0, 0.2
+    z = center + radius * np.exp(2j * np.pi * np.arange(16) / 16)
+    f = np.prod(z[:, None] - zeros, axis=1) * np.exp(z)
+    assert abs(periodic_eigen._taylor_root(f, center, radius) - zeros[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["const", "step"])
+def test_only_uncertified_disks_are_subdivided(name, monkeypatch):
+    # the constant's double roots fail certification and go through the
+    # enclosing squares; the step input's simple roots keep their moment roots
+    tops = _subdivided_tops(monkeypatch)
+    tab = eigenvalues_in_window(load_potential(INPUTS[name]), 1, 2)
+    assert tab.failures == [] and len(tab.entries) == 6
+    assert {c.n for c in tops} == ({1, 2} if name == "const" else set())
+
+
+def _located(name, monkeypatch, subdivide_all):
+    """Golden *name*'s table for window 1..2 and the rows the engine evaluated."""
+    with monkeypatch.context() as m:
+        if subdivide_all:
+            m.setattr(periodic_eigen, "_moment_roots", _reject_all)
+        evaluated = _evaluated_rows(m)
+        tab = eigenvalues_in_window(load_potential(INPUTS[name]), 1, 2)
+    assert tab.failures == []
+    return tab, len(evaluated)
+
+
+@pytest.mark.parametrize("name", ["step", "fourier"])
+def test_moment_roots_match_subdivision(name, monkeypatch):
+    moments, _ = _located(name, monkeypatch, subdivide_all=False)
+    squares, _ = _located(name, monkeypatch, subdivide_all=True)
+    assert [(e.n, e.j) for e in moments.entries] == [(e.n, e.j) for e in squares.entries]
+    assert max(abs(a.z - b.z) for a, b in zip(moments.entries, squares.entries)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["step", "fourier"])
+def test_moment_path_evaluates_a_quarter_of_the_rows(name, monkeypatch):
+    _, moments = _located(name, monkeypatch, subdivide_all=False)
+    _, squares = _located(name, monkeypatch, subdivide_all=True)
+    assert 4 * moments <= squares
 
 
 @pytest.mark.parametrize("name", ["step", "fourier"])
