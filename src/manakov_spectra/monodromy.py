@@ -43,13 +43,8 @@ each process, with one worker per usable core and at most
 the block or the worker count, but may differ between machines: numpy and
 BLAS pick their kernels by CPU.
 
-Each chunk goes through a memo (``_Memo``) of one potential that looks its
-points up by lam's bit pattern, ``+0.0`` and ``-0.0`` parts apart, and
-evaluates each bit-distinct miss once; since a point's bits depend on lam
-alone, this leaves every bit alone.  Outside a scope each chunk has a memo
-of its own.  A caller that evaluates overlapping batches, such as the
-eigenvalue locator, opens a ``_memo_scope(p)``, whose chunks share one memo,
-held in a context variable; calls for another potential go past it.
+Each split-count group of a chunk is one ``_eval_chunk`` call, with no
+cache: a point that a call requests twice is propagated twice.
 """
 
 from __future__ import annotations
@@ -449,102 +444,33 @@ def _eval_chunk(lam, runs, psis, dets):
         f.result()
 
 
-def _distinct(lam: np.ndarray):
-    """Where lam's bit-distinct values first occur, in lam's order, and the map back.
-
-    Values are compared by bit pattern, so ``+0.0`` and ``-0.0`` parts stay
-    apart.
-    """
-    real, imag = lam.view(np.int64).reshape(-1, 2).T
-    order = np.lexsort((imag, real))
-    real, imag = real[order], imag[order]
-    new = np.concatenate([[True], (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])])
-    lead = order[new]  # the sort is stable: each value's first occurrence
-    first = np.sort(lead)
-    back = np.empty(len(lam), dtype=np.intp)
-    back[order] = np.searchsorted(first, lead)[np.cumsum(new) - 1]
-    return first, back
-
-
-_MIX = np.int64(-0x61C8864680B583EB)  # odd hash multiplier: 2**64 over the golden ratio
-
-
-class _Memo:
-    """psi and det of the points of one potential evaluated in one chunk, or in one scope.
-
-    The values sit in contiguous arrays whose capacity doubles.  An int64
-    index holds (hash, real bits, imaginary bits, row) for each row in use,
-    sorted by the hash when next looked up.  A hit must match all 16 bytes,
-    so a hash collision costs an evaluation, never a wrong row.
-    """
-
-    def __init__(self, p: Potential):
-        self.p = p
-        self.index = np.empty((0, 4), dtype=np.int64)
-        self.psi = np.empty((0, 3, 3), dtype=np.complex128)
-        self.det = np.empty(0, dtype=np.complex128)
-
-    def fill(self, lam: np.ndarray, psis, dets):
-        """psi and det of every lam into psis and dets, evaluating only the misses."""
-        first, back = _distinct(lam)
-        bits = lam[first].view(np.int64).reshape(-1, 2)
-        key = np.column_stack([bits[:, 0] ^ bits[:, 1] * _MIX, bits])
-        at = np.full(len(first), -1, dtype=np.int64)
-        if len(self.index):
-            # new entries go in unsorted; the stable sort merges them in
-            index = self.index = self.index[np.argsort(self.index[:, 0], kind="stable")]
-            pos = np.minimum(np.searchsorted(index[:, 0], key[:, 0]), len(index) - 1)
-            hit = np.all(index[pos, :3] == key, axis=1)
-            at[hit] = index[pos[hit], 3]
-        miss = np.flatnonzero(at < 0)
-        if len(miss):
-            lo, hi = len(self.index), len(self.index) + len(miss)
-            if hi > len(self.det):
-                cap = max(hi, 2 * len(self.det))
-                self.psi, self.det = np.resize(self.psi, (cap, 3, 3)), np.resize(self.det, cap)
-            runs = _runs_of(self.p)
-            im = np.abs(lam[first[miss]].imag)
-            # misses with equal split counts share an _eval_chunk call, unsplit ones in
-            # lam's order; the counts grow with |Im lam|, so their sum tells them apart
-            reps = np.ceil(np.multiply.outer(im, -runs[2].imag) / _IM_WIDTH_CAP)
-            splits = np.maximum(1.0, reps).sum(axis=1)
-            order = np.argsort(splits, kind="stable")
-            miss, im, splits = miss[order], im[order], splits[order]
-            start = 0
-            while start < len(miss):
-                end = int(np.searchsorted(splits, splits[start], side="right"))
-                runs_g = _split_runs(*runs, float(im[start:end].max()))
-                rows = slice(lo + start, lo + end)
-                _eval_chunk(lam[first[miss[start:end]]], runs_g, self.psi[rows], self.det[rows])
-                start = end
-            at[miss] = np.arange(lo, hi)
-            self.index = np.concatenate([self.index, np.column_stack([key[miss], at[miss]])])
-        np.take(self.psi, at[back], axis=0, out=psis)
-        np.take(self.det, at[back], out=dets)
-
-
-_MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar("memo", default=None)
-
-
-@contextlib.contextmanager
-def _memo_scope(p: Potential):
-    """Evaluate each lam of ``p`` at most once in the block."""
-    token = _MEMO.set(_Memo(p))
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
 def _raw_grid(p: Potential, lam: np.ndarray):
-    """psi, trace, det for a 1-D array of spectral parameters."""
-    chunk = max(1, _CHUNK_TARGET // len(_runs_of(p)[1]))
+    """psi, trace, det for a 1-D array of spectral parameters.
+
+    The points of a chunk with equal split counts share one ``_eval_chunk``
+    call on ``_split_runs`` of their largest |Im lam|, in lam's order; the
+    counts grow with |Im lam|, so their sum tells the groups apart.
+    """
+    runs = _runs_of(p)
+    chunk = max(1, _CHUNK_TARGET // len(runs[1]))
     psis = np.empty((len(lam), 3, 3), dtype=np.complex128)
     dets = np.empty(len(lam), dtype=np.complex128)
-    memo = _MEMO.get()
     for lo in range(0, len(lam), chunk):
-        sl = slice(lo, lo + chunk)
-        (memo if memo is not None and memo.p is p else _Memo(p)).fill(lam[sl], psis[sl], dets[sl])
+        part = lam[lo : lo + chunk]
+        reps = np.ceil(np.multiply.outer(np.abs(part.imag), -runs[2].imag) / _IM_WIDTH_CAP)
+        splits = np.maximum(1.0, reps).sum(axis=1)
+        order = np.argsort(splits, kind="stable")
+        part, splits = part[order], splits[order]
+        psi = np.empty((len(part), 3, 3), dtype=np.complex128)
+        det = np.empty(len(part), dtype=np.complex128)
+        start = 0
+        while start < len(part):
+            end = int(np.searchsorted(splits, splits[start], side="right"))
+            rows = slice(start, end)
+            im_max = float(np.abs(part[rows].imag).max())
+            _eval_chunk(part[rows], _split_runs(*runs, im_max), psi[rows], det[rows])
+            start = end
+        psis[lo + order], dets[lo + order] = psi, det
     traces = psis[:, 0, 0] + psis[:, 1, 1] + psis[:, 2, 2]
     return psis, traces, dets
 

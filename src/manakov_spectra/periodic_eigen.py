@@ -24,10 +24,10 @@ through one driver, ``_windings``: a contour is a sampler and a schedule of
 sample counts, and each round evaluates all pending contours in one
 ``d_pm_grid`` call.
 
-Each group of at most ``_SCOPE_DISKS`` disks of a parity runs inside one
-engine memo scope (``monodromy._memo_scope``): contours that share points,
-sample escalations and repeated Newton points read the bits the engine
-computed for them before, and memory stays bounded however wide the window.
+All the disks of a parity go through one ``_disk_roots`` call, whose
+batches span the window; ``MAX_WINDOW_DISKS`` bounds the window's width and
+so a batch's size.  The engine keeps no cache: a point that two contours
+share is propagated for each, with the same bits.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     RootResidualError,
     UndersampledContourError,
 )
-from .monodromy import _memo_scope, monodromy_grid
+from .monodromy import monodromy_grid
 from .potential import Potential, fourier_hat
 
 __all__ = [
@@ -70,8 +70,7 @@ _RADIUS_NUDGES = (1.0, 1.05, 0.95, 1.10, 0.90)
 _DISK_SCHEDULE = tuple(64 << k for k in range(8))
 # samples of the circles that certify a moment root
 _ROOT_SCHEDULE = (16, 64, 256)
-# disks of one parity that share an engine memo scope
-_SCOPE_DISKS = 8
+MAX_WINDOW_DISKS = 1024  # a window's largest number of disks, checked before it is built
 # exponent of the deviation sums in the asymptotic check
 SUMMABILITY_EXPONENT = 1.5
 
@@ -630,32 +629,32 @@ def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTab
 
     Disks whose zero count is not 3 are reported in ``failures`` and still
     searched; per-root failures never abort the window.  Each parity's disks
-    go in groups of ``_SCOPE_DISKS``, each group in its own memo scope, so
-    failures and notes come group by group.
+    go through one ``_disk_roots`` call, so failures and notes come parity
+    by parity.  A window of more than ``MAX_WINDOW_DISKS`` disks raises
+    ``ConfigError``.
     """
     if n_max < n_min:
         raise ConfigError(f"empty index window [{n_min}, {n_max}]")
+    if n_max - n_min + 1 > MAX_WINDOW_DISKS:
+        raise ConfigError(f"index window [{n_min}, {n_max}] exceeds {MAX_WINDOW_DISKS} disks")
     failures: list[str] = []
     notes: list[str] = []
     entries: list[EigenEntry] = []
     for parity in (+1, -1):
         pname = "periodic" if parity > 0 else "antiperiodic"
         ns = [n for n in range(n_min, n_max + 1) if (n % 2 == 0) == (parity > 0)]
-        for lo in range(0, len(ns), _SCOPE_DISKS):
-            group = ns[lo : lo + _SCOPE_DISKS]
-            with _memo_scope(p):
-                per_disk = _disk_roots(p, group, parity, failures, notes)
-            for n in group:
-                got = per_disk.get(n, [])
-                got.sort(key=lambda zr: (zr[0].real, zr[0].imag))
-                if len(got) != 3:
-                    failures.append(f"disk n={n}: located {len(got)} of 3 roots")
-                for j, (z, res) in enumerate(got, start=1):
-                    if res > RESIDUAL_TOL * np.exp(abs(z.imag)):
-                        failures.append(
-                            f"root n={n} j={j}: residual {res:.3e} above tolerance"
-                        )
-                    entries.append(EigenEntry(n, j, z, pname, res))
+        per_disk = _disk_roots(p, ns, parity, failures, notes)
+        for n in ns:
+            got = per_disk.get(n, [])
+            got.sort(key=lambda zr: (zr[0].real, zr[0].imag))
+            if len(got) != 3:
+                failures.append(f"disk n={n}: located {len(got)} of 3 roots")
+            for j, (z, res) in enumerate(got, start=1):
+                if res > RESIDUAL_TOL * np.exp(abs(z.imag)):
+                    failures.append(
+                        f"root n={n} j={j}: residual {res:.3e} above tolerance"
+                    )
+                entries.append(EigenEntry(n, j, z, pname, res))
     entries.sort(key=lambda e: (e.n, e.j))
     return EigenvalueTable(entries, (n_min, n_max), failures, notes)
 

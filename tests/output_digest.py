@@ -14,8 +14,9 @@ After each workload, one ``engine`` line gives the number of
 ``trace``, ``trace_conj`` and ``det``, in call order, and the number of rows
 ``monodromy._eval_chunk`` evaluated.  Outputs are rounded and reduced, so
 they can hide a changed bit of the propagator; this line does not.  The
-calls count the points callers request, the rows the points the engine
-propagated after its memo served the repeats.
+rows are the points the engine propagated: the points callers request, plus
+the conjugate of each with ``|Im lam| > 6``, which ``monodromy_grid``
+propagates again for its ``trace_conj``.
 
 To check that a change leaves every output byte and every engine bit alone,
 run the script at both commits and compare::

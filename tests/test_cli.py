@@ -261,6 +261,12 @@ def test_reversed_eigen_window_exit_two(capsys):
     assert "configuration error: empty index window" in err
 
 
+def test_eigen_window_over_1024_disks_exits_two(capsys):
+    rc, out, err = run_main(["eigen", "--potential", CONST, "--window", "0", "1024"], capsys)
+    assert rc == 2
+    assert out == "" and err.startswith("configuration error: index window"), err
+
+
 def test_csv_rejects_non_finite_cells():
     assert _csv_text([["lam", "q"], ["0.5", "1.25"]]) == "lam,q\n0.5,1.25\n"
     for bad in ("nan", "inf", "-inf"):

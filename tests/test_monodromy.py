@@ -7,8 +7,6 @@ oracle, the series expansion, the conjugate-parameter route).
 """
 
 import collections
-import contextlib
-import gc
 import itertools
 import operator
 import os
@@ -17,7 +15,6 @@ import subprocess
 import sys
 import threading
 import time
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -356,9 +353,9 @@ def test_blocks_and_workers_leave_bits_alone(monkeypatch, name):
             assert np.array_equal(pooled[key], whole[key]), key
 
 
-def test_repeated_points_are_evaluated_once(monkeypatch):
-    # the engine evaluates each bit-distinct point of a chunk once and hands
-    # every repeat the same rows that its distinct points get as a chunk
+def test_each_repeat_gets_the_rows_of_its_point():
+    # every repeat of a point, zero-sign twins apart, gets the rows that the
+    # batch of distinct points gives it
     p, lam = _bit_batches()["repeats"]
     keys = _bit_keys(lam)
     first = {}
@@ -367,20 +364,7 @@ def test_repeated_points_are_evaluated_once(monkeypatch):
     distinct = lam[list(first.values())]
     row = {key: j for j, key in enumerate(first)}
     back = [row[key] for key in keys]
-    steps = monodromy._steps_spectral
-    seen = []
-
-    def recording(lam_rows, *args):
-        seen.extend(_bit_keys(lam_rows))
-        return steps(lam_rows, *args)
-
-    monkeypatch.setattr(monodromy, "_steps_spectral", recording)
     got = monodromy_grid(p, lam)
-    big = np.abs(lam.imag) > monodromy._ADJ_IM_LIMIT
-    propagated = set(_bit_keys(np.concatenate([lam, np.conj(lam[big])])))
-    assert len(seen) == len(set(seen)) == len(propagated)
-    assert set(seen) == propagated
-    assert set(_bit_keys(TWINS)) <= set(seen)
     want = monodromy_grid(p, distinct)
     for key in GRID_KEYS:
         assert _same_bits(got[key], want[key][back]), key
@@ -388,7 +372,7 @@ def test_repeated_points_are_evaluated_once(monkeypatch):
 
 # one run of width 1: any point with |Im lam| > _IM_WIDTH_CAP splits it
 ONE_RUN = Potential.from_constant((0.7, 0.2j), resolution=64)
-MEMO_REAL = np.array([0.5, 2.5, 4.0, *TWINS, 0.5, 4.0])
+REAL_REPEATS = np.array([0.5, 2.5, 4.0, *TWINS, 0.5, 4.0])
 
 
 def _mixed_batches():
@@ -401,15 +385,15 @@ def _mixed_batches():
     unsplit = rng.uniform(-9, 9, 6) + 1j * rng.uniform(-1.1, 1.1, 6)
     split = rng.uniform(-9, 9, 16) + 1j * rng.uniform(-30, 30, 16)
     return {
-        "one-run": (ONE_RUN, np.concatenate([MEMO_REAL, one_run, one_run[:2], MEMO_REAL[:2]])),
+        "one-run": (ONE_RUN, np.concatenate([REAL_REPEATS, one_run, one_run[:2], REAL_REPEATS[:2]])),
         "unequal-widths": (
             UNEQUAL_STEP,
-            np.concatenate([MEMO_REAL, unsplit, split, split[:3], unsplit[:2], MEMO_REAL[:3]]),
+            np.concatenate([REAL_REPEATS, unsplit, split, split[:3], unsplit[:2], REAL_REPEATS[:3]]),
         ),
     }
 
 
-def _memo_evaluations(monkeypatch):
+def _evaluations(monkeypatch):
     """Patch _eval_chunk to record the bits of each lam it evaluates."""
     evaluated = []
     eval_chunk = monodromy._eval_chunk
@@ -425,9 +409,9 @@ def _memo_evaluations(monkeypatch):
 @pytest.mark.parametrize("name", sorted(_mixed_batches()))
 def test_point_bits_depend_on_lam_alone(monkeypatch, name):
     # every point of a batch that mixes real, unsplit and split points gets
-    # the bits it gets alone, in either order, inside a scope and outside;
-    # inside, each lam is evaluated once, and another potential's call is
-    # never served from the scope's memo
+    # the bits it gets alone, in either order; each call propagates each
+    # requested point, and the conjugate of each far one, exactly once, and
+    # another potential's call gets its own bits
     p, lam = _mixed_batches()[name]
     runs = monodromy._runs_of(p)
     parts = [len(monodromy._split_runs(*runs, abs(x.imag))[1]) for x in lam]
@@ -438,55 +422,16 @@ def test_point_bits_depend_on_lam_alone(monkeypatch, name):
     other = Potential.from_constant((0.3, 0.0), resolution=64)
     want_other = monodromy_grid(other, lam)
     big = np.abs(lam.imag) > monodromy._ADJ_IM_LIMIT
-    propagated = set(_bit_keys(np.concatenate([lam, np.conj(lam[big])])))
-    evaluated = _memo_evaluations(monkeypatch)
+    assert big.any() and len(set(_bit_keys(lam))) < len(lam)
+    propagated = collections.Counter(_bit_keys(np.concatenate([lam, np.conj(lam[big])])))
+    evaluated = _evaluations(monkeypatch)
     for back in (slice(None), slice(None, None, -1)):
-        for scoped in (False, True):
+        for q, want_q in ((p, want), (other, want_other)):
             evaluated.clear()
-            with monodromy._memo_scope(p) if scoped else contextlib.nullcontext():
-                for _ in range(2):
-                    got = monodromy_grid(p, lam[back])
-                    for key in GRID_KEYS:
-                        assert _same_bits(got[key], want[key][back]), (scoped, key)
-                if scoped:
-                    assert len(evaluated) == len(set(evaluated)) == len(propagated)
-                got = monodromy_grid(other, lam[back])
-                for key in GRID_KEYS:
-                    assert _same_bits(got[key], want_other[key][back]), (scoped, key)
-            assert len(evaluated) == (2 if scoped else 3) * len(propagated)
-
-
-def test_memo_hash_collision_is_a_miss(monkeypatch):
-    # with a zero multiplier the index hash is the real part's bits alone, so
-    # the points on one vertical line collide; each still gets its own bits
-    lam = np.array([1.0 + 0.5j, 1.0 - 0.5j, 1.0 + 0.25j, 2.0 + 0.5j, 1.0 + 0.5j])
-    want = monodromy_grid(ONE_RUN, lam)
-    monkeypatch.setattr(monodromy, "_MIX", np.int64(0))
-    with monodromy._memo_scope(ONE_RUN):
-        for batch, back in ((lam, slice(None)), (lam[::-1], slice(None, None, -1))) * 2:
-            got = monodromy_grid(ONE_RUN, batch)
+            got = monodromy_grid(q, lam[back])
             for key in GRID_KEYS:
-                assert _same_bits(got[key], want[key][back]), key
-
-
-def test_memo_lives_only_inside_its_scope(monkeypatch):
-    # the memo is freed when its scope exits, also when the block raises and
-    # when the pool's workers ran in copies of the scope's context
-    lam = np.linspace(-3.0, 3.0, 64) + 0.25j
-    for raises in (False, True):
-        with contextlib.ExitStack() as stack:
-            if raises:
-                stack.enter_context(pytest.raises(ZeroDivisionError))
-            stack.enter_context(monodromy._memo_scope(ONE_RUN))
-            memo = weakref.ref(monodromy._MEMO.get())
-            pooled = _grid_with(monkeypatch, ONE_RUN, lam, 8, 2)
-            assert len(memo().index) == len(lam)
-            if raises:
-                1 / 0
-        gc.collect()
-        assert monodromy._MEMO.get() is None
-        assert memo() is None
-    assert _same_bits(pooled["trace"], monodromy_grid(ONE_RUN, lam)["trace"])
+                assert _same_bits(got[key], want_q[key][back]), key
+            assert collections.Counter(evaluated) == propagated
 
 
 @pytest.mark.parametrize("name", sorted(_bit_batches()))

@@ -6,12 +6,11 @@ refinement accuracy, and the first-order deviation trend can all be checked
 against paper-and-pencil values.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
 from manakov_spectra import (
+    ConfigError,
     EigenvalueTable,
     asymptotic_residuals,
     count_in_disk,
@@ -188,16 +187,11 @@ def _subdivided_tops(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name", ["fourier", "const"])
-def test_window_evaluates_each_point_once(name, monkeypatch):
-    # within one window, the engine evaluates each lam once, the multiplicity
-    # contour runs only while a leaf still has two or more roots to place,
-    # and the table is the one the engine gives without its memo; every
-    # disk takes the subdivision path
+def test_multiplicity_contour_runs_while_roots_are_left(name, monkeypatch):
+    # the multiplicity contour runs only while a leaf still has two or more
+    # roots to place; every disk takes the subdivision path
     monkeypatch.setattr(periodic_eigen, "_moment_roots", _reject_all)
     p = load_potential(INPUTS[name])
-    with monkeypatch.context() as m:
-        m.setattr(periodic_eigen, "_memo_scope", contextlib.nullcontext)
-        unscoped = _table_bits(eigenvalues_in_window(p, 1, 2))
     leaves, contours = [], []
     polish = periodic_eigen._polish_leaves
     multiplicity = periodic_eigen._multiplicity_by_contour
@@ -210,14 +204,38 @@ def test_window_evaluates_each_point_once(name, monkeypatch):
         contours.append(args)
         return multiplicity(*args)
 
-    evaluated = _evaluated_rows(monkeypatch)
     monkeypatch.setattr(periodic_eigen, "_polish_leaves", polishing)
     monkeypatch.setattr(periodic_eigen, "_multiplicity_by_contour", counting)
-    assert _table_bits(eigenvalues_in_window(p, 1, 2)) == unscoped
-    assert evaluated and len(evaluated) == len(set(evaluated))
+    assert eigenvalues_in_window(p, 1, 2).failures == []
     # a leaf of count w places a root per contour, the last one without
     assert any(c.wind == 1 for c in leaves)
     assert len(contours) <= sum(c.wind - 1 for c in leaves)
+
+
+def test_window_of_many_disks_per_parity(pot_const, monkeypatch):
+    # nine disks a parity in one batch, all through the subdivision
+    # fallback, give the bits of the two smaller windows
+    with monkeypatch.context() as m:
+        tops = _subdivided_tops(m)
+        whole = _table_bits(eigenvalues_in_window(pot_const, 1, 18))
+    assert sorted(c.n for c in tops) == list(range(1, 19))
+    low = _table_bits(eigenvalues_in_window(pot_const, 1, 9))
+    high = _table_bits(eigenvalues_in_window(pot_const, 10, 18))
+    assert whole[0] == low[0] + high[0]
+    assert whole[1:] == low[1:] == high[1:] == ([], [])
+
+
+def test_window_width_is_bounded(pot_const, monkeypatch):
+    # checked before the window is built
+    def unreachable(*args):
+        raise AssertionError("_disk_roots reached")
+
+    monkeypatch.setattr(periodic_eigen, "_disk_roots", unreachable)
+    with pytest.raises(ConfigError, match="exceeds 1024 disks"):
+        eigenvalues_in_window(pot_const, 0, periodic_eigen.MAX_WINDOW_DISKS)
+    monkeypatch.setattr(periodic_eigen, "_disk_roots", lambda *args: {})
+    tab = eigenvalues_in_window(pot_const, 0, periodic_eigen.MAX_WINDOW_DISKS - 1)
+    assert tab.entries == [] and len(tab.failures) == periodic_eigen.MAX_WINDOW_DISKS
 
 
 def test_unsplit_cell_reports_missing_roots(monkeypatch):
@@ -232,20 +250,6 @@ def test_unsplit_cell_reports_missing_roots(monkeypatch):
     assert tab.failures == ["disk n=3: located 2 of 3 roots"]
     zs = [e.z for e in tab.entries]
     assert len(zs) == 8 and len(set(zs)) == 8
-
-
-def test_moment_path_evaluates_each_point_once(monkeypatch):
-    # the moment path shares the memo too: each lam once, and the table the
-    # engine gives without its memo
-    p = load_potential(INPUTS["fourier"])
-    with monkeypatch.context() as m:
-        m.setattr(periodic_eigen, "_memo_scope", contextlib.nullcontext)
-        unscoped = _table_bits(eigenvalues_in_window(p, 1, 2))
-    tops = _subdivided_tops(monkeypatch)
-    evaluated = _evaluated_rows(monkeypatch)
-    assert _table_bits(eigenvalues_in_window(p, 1, 2)) == unscoped
-    assert evaluated and len(evaluated) == len(set(evaluated))
-    assert tops == []
 
 
 def test_moment_starts_of_a_synthetic_function():
@@ -270,10 +274,11 @@ def test_taylor_root_of_a_synthetic_function():
     assert abs(periodic_eigen._taylor_root(f, center, radius) - zeros[0]) <= 1e-13
 
 
-@pytest.mark.parametrize("name", ["const", "step"])
+@pytest.mark.parametrize("name", ["const", "fourier", "step"])
 def test_only_uncertified_disks_are_subdivided(name, monkeypatch):
     # the constant's double roots fail certification and go through the
-    # enclosing squares; the step input's simple roots keep their moment roots
+    # enclosing squares; the simple roots of the other inputs keep their
+    # moment roots
     tops = _subdivided_tops(monkeypatch)
     tab = eigenvalues_in_window(load_potential(INPUTS[name]), 1, 2)
     assert tab.failures == [] and len(tab.entries) == 6
