@@ -35,13 +35,16 @@ A point's bits depend on lam alone: its runs are cut into equal parts of
 (``_split_runs``), and ``_triple_dd`` sums its series to the length that its
 own largest series criterion needs (``_chunk_terms``).  A call is cut into
 *chunks* of about ``_CHUNK_TARGET`` (lam, run) pairs.  The points of a chunk
-with the same split counts are evaluated together, in *row blocks* of about
-``_BLOCK_PAIRS`` pairs that keep the step arrays in cache: inline below
-``_POOL_MIN_BLOCKS`` blocks, else on a thread pool, created on first use in
-each process, with one worker per usable core and at most
-``_CHUNK_TARGET // _BLOCK_PAIRS`` workers.  Bits never depend on the batch,
-the block or the worker count, but may differ between machines: numpy and
-BLAS pick their kernels by CPU.
+with the same split counts are evaluated together: inline when they make at
+most ``_BLOCK_PAIRS`` pairs, else in equal *row blocks* of at most
+``_BLOCK_PAIRS`` pairs, which keep the step arrays in cache, and at least two
+per worker, on a thread pool.  The pool is created on first use in each
+process, with one worker per usable core and at most
+``_CHUNK_TARGET // _BLOCK_PAIRS`` workers.  On two cores, a call of 54 points
+at 512 runs took 35 ms inline in two blocks, 36 ms on the pool in two and
+27 ms in four (medians of 60 alternating repeats).  Bits never depend on the
+batch, the block or the worker count, but may differ between machines: numpy
+and BLAS pick their kernels by CPU.
 
 Each split-count group of a chunk is one ``_eval_chunk`` call, with no
 cache: a point that a call requests twice is propagated twice.
@@ -75,10 +78,6 @@ _ADJ_IM_LIMIT = 6.0
 
 _CHUNK_TARGET = 1 << 18  # lam-chunk size is chosen so lam*steps ~ this many matrices
 _BLOCK_PAIRS = 1 << 14  # (lam, run) pairs per row block: a chunk's arrays fit in cache
-# Fewer blocks than this run inline: on two cores a pool gained nothing below
-# four blocks, and a process that has once started a thread ran the engine a
-# few percent slower from then on.
-_POOL_MIN_BLOCKS = 4
 
 
 # ----------------------------------------------------------------------------
@@ -172,12 +171,25 @@ def _chunk_terms(lam: np.ndarray, avsq: np.ndarray, widths: np.ndarray):
     """
     lam2 = lam[:, None]
     r2 = avsq[:, 0] + avsq[:, 1]
-    om = np.sqrt(lam2 * lam2 - r2 + 0j)
-    # node spread of _triple_dd around the node mean m = mu1 / 3, mu1 = -lam
+    # in place, with the ufuncs and operand orders of ``sqrt(lam^2 - r2 + 0j)``
+    om = np.subtract(lam2 * lam2, r2)
+    np.add(om, 0j, out=om)
+    np.sqrt(om, out=om)
+    # node spread of _triple_dd around the node mean m = mu1 / 3, mu1 = -lam:
+    # max(|mu1 - m|, |om - m|, |-om - m|), a row half at a time to halve the
+    # (L, R) temporaries, which set the peak memory of a large call
     mu1 = -lam2
     m = mu1 * _THIRD
-    spread = np.maximum(np.abs(mu1 - m), np.maximum(np.abs(om - m), np.abs(-om - m)))
-    crit = widths * spread  # |t| = |-i w| = w exactly
+    crit = np.empty(om.shape)
+    for rows in (slice(0, len(lam) // 2), slice(len(lam) // 2, None)):
+        node = np.subtract(om[rows], m[rows])
+        np.abs(node, out=crit[rows])
+        np.negative(om[rows], out=node)
+        np.subtract(node, m[rows], out=node)
+        np.maximum(crit[rows], np.abs(node), out=crit[rows])
+        del node
+    np.maximum(np.abs(mu1 - m), crit, out=crit)
+    crit *= widths  # |t| = |-i w| = w exactly; a real product commutes
     ser = crit <= 1.0
     nterms = _series_terms(np.max(crit, axis=1, initial=0.0, where=ser))
     return om, ser, nterms
@@ -406,14 +418,16 @@ def _pool():
 def _eval_chunk(lam, runs, psis, dets):
     """Fill psis (L, 3, 3) and dets (L,) for one chunk, block by block.
 
-    With ``_POOL_MIN_BLOCKS`` blocks or more, the blocks run on the pool,
-    each in a copy of the caller's context (so ``np.errstate`` applies in the
-    workers as it does inline), and every block finishes before the first
-    error, in block order, is raised.  The workers take turns at the tree
-    product: its 3x3 ``matmul`` calls BLAS once per matrix, and concurrent
-    calls contend inside OpenBLAS (two threads ran a stack of 3x3 products at
-    half the speed of one), while one worker's product overlaps the others'
-    step kernels.
+    A chunk of more than ``_BLOCK_PAIRS`` (lam, run) pairs is cut into
+    ``max(ceil(pairs / _BLOCK_PAIRS), 2 * _workers())`` row blocks of equal
+    size, give or take a row, that run on the pool, each in a copy of the
+    caller's context (so ``np.errstate`` applies in the workers as it does
+    inline); every block finishes before the first error, in block order, is
+    raised.  The workers take turns at the tree product: its 3x3 ``matmul``
+    calls BLAS once per matrix, and concurrent calls contend inside OpenBLAS
+    (two threads ran a stack of 3x3 products at half the speed of one), while
+    one worker's product overlaps the others' step kernels; two blocks or
+    more a worker keep that overlap in a chunk of only a few blocks' worth.
     """
     vals, widths, tw, inv = runs
     avsq = np.abs(vals) ** 2
@@ -427,9 +441,13 @@ def _eval_chunk(lam, runs, psis, dets):
             psis[sl] = _tree_product(e)
         dets[sl] = np.prod(sd, axis=1)
 
-    rows = max(1, _BLOCK_PAIRS // len(widths))
-    blocks = [slice(b, b + rows) for b in range(0, len(lam), rows)]
-    pool = _pool() if len(blocks) >= _POOL_MIN_BLOCKS else None
+    pairs = len(lam) * len(widths)
+    count = 1
+    if pairs > _BLOCK_PAIRS:
+        count = min(len(lam), max(-(-pairs // _BLOCK_PAIRS), 2 * _workers()))
+    cuts = [len(lam) * k // count for k in range(count + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    pool = _pool() if count > 1 else None
     if pool is None:
         for sl in blocks:
             block(sl)

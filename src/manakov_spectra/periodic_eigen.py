@@ -20,14 +20,16 @@ their enclosing squares and polished from the leaf cells.
 
 Every zero count -- disks, certification circles, enclosing squares,
 subdivision cells and the multiplicity circles of polished clusters -- goes
-through one driver, ``_windings``: a contour is a sampler and a schedule of
-sample counts, and each round evaluates all pending contours in one
-``d_pm_grid`` call.
+through one driver, ``_windings``: a contour is a sampler, a schedule of
+sample counts and a sign, and each round evaluates all pending contours in
+one ``d_pm_grid`` call.
 
-All the disks of a parity go through one ``_disk_roots`` call, whose
-batches span the window; ``MAX_WINDOW_DISKS`` bounds the window's width and
-so a batch's size.  The engine keeps no cache: a point that two contours
-share is propagated for each, with the same bits.
+All the disks of the window, of both parities, go through one
+``_disk_roots`` call.  Each contour and Newton start takes its sign from its
+disk's index n, +1 for even n and -1 for odd n, so each round of the
+locator is one engine call for the whole window; ``MAX_WINDOW_DISKS``
+bounds the window's width and so a call's size.  The engine keeps no cache:
+a point that two contours share is propagated for each, with the same bits.
 """
 
 from __future__ import annotations
@@ -75,15 +77,13 @@ MAX_WINDOW_DISKS = 1024  # a window's largest number of disks, checked before it
 SUMMABILITY_EXPONENT = 1.5
 
 
-def d_pm_from_traces(t, s, lam, sign: int) -> np.ndarray:
-    """Characteristic function D(sign, lam) from the trace pair at *lam*."""
+def d_pm_from_traces(t, s, lam, sign) -> np.ndarray:
+    """Characteristic function D(sign, lam) from the trace pair at *lam*; one sign per point."""
     e = np.exp(1j * lam)
-    if sign > 0:
-        return (t - 1.0) - e * (s - 1.0)
-    return (t + 1.0) + e * (s + 1.0)
+    return np.where(np.asarray(sign) > 0, (t - 1.0) - e * (s - 1.0), (t + 1.0) + e * (s + 1.0))
 
 
-def d_pm_grid(p: Potential, lam, sign: int) -> np.ndarray:
+def d_pm_grid(p: Potential, lam, sign) -> np.ndarray:
     """Characteristic function D(sign, lam) on an array of parameters."""
     g = monodromy_grid(p, lam)
     return d_pm_from_traces(g["trace"], g["trace_conj"], g["lam"], sign)
@@ -105,31 +105,35 @@ def _envelope(lam: np.ndarray) -> np.ndarray:
     return np.exp(np.abs(im)) + np.exp(2.0 * np.clip(-im, 0.0, None))
 
 
+def _sign(n):
+    """The sign of D whose zeros lie in the disks around pi n: +1 for even n, -1 for odd."""
+    return 1 - 2 * (np.asarray(n) % 2)
+
+
 def _circle(center: complex, r: float):
     """Sampler of the circle ``|lam - center| = r``: n points, counterclockwise."""
     return lambda n: center + r * np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _windings(
-    p: Potential, contours: list, parity: int, samples: list | None = None
-) -> list[int | None]:
-    """Zero count of D(parity) inside each contour, or None.
+def _windings(p: Potential, contours: list, samples: list | None = None) -> list[int | None]:
+    """Zero count of D(sign) inside each contour, or None.
 
-    A contour is ``(points, schedule)``: ``points(k)`` samples it in
-    traversal order at each entry ``k`` of ``schedule`` in turn.  Each round
-    evaluates every pending contour in one ``d_pm_grid`` call.  An
-    undersampled contour moves on to the next entry of its schedule; one
-    that runs through a zero, or is still undersampled at its last entry,
-    gets None.  Samples are divided by the growth envelope first, which
-    changes no phase.  With *samples*, a list as long as *contours*, each
-    counted contour's values of D go into its entry.
+    A contour is ``(points, schedule, sign)``: ``points(k)`` samples it in
+    traversal order at each entry ``k`` of ``schedule`` in turn, and D takes
+    its *sign*.  Each round evaluates every pending contour in one
+    ``d_pm_grid`` call.  An undersampled contour moves on to the next entry
+    of its schedule; one that runs through a zero, or is still undersampled
+    at its last entry, gets None.  Samples are divided by the growth
+    envelope first, which changes no phase.  With *samples*, a list as long
+    as *contours*, each counted contour's values of D go into its entry.
     """
     out: list[int | None] = [None] * len(contours)
     todo = list(range(len(contours)))
     rnd = 0
     while todo:
         pts = [contours[i][0](contours[i][1][rnd]) for i in todo]
-        vals = d_pm_grid(p, np.concatenate(pts), parity)
+        signs = np.repeat([contours[i][2] for i in todo], [q.size for q in pts])
+        vals = d_pm_grid(p, np.concatenate(pts), signs)
         again: list[int] = []
         pos = 0
         for i, q in zip(todo, pts):
@@ -150,27 +154,30 @@ def _windings(
 
 
 def count_in_disk(
-    p: Potential, center: float, radius: float, parity: int, samples: list | None = None
-) -> int:
-    """Number of zeros of D(parity) inside |lam - center| < radius.
+    p: Potential, centers, radius: float, signs, samples: list | None = None
+) -> list[int | None]:
+    """Number of zeros of D(sign) inside |lam - center| < radius, per center and sign.
 
-    The circle starts with 64 samples, doubling up to 8192 while the phase
+    Each circle starts with 64 samples, doubling up to 8192 while the phase
     is undersampled.  When that fails, the radius is nudged by +-5% then
-    +-10%.  With *samples*, the circle that gave the count is appended to it
-    as ``(r, values)``: D at ``_circle(center, r)(len(values))``.
+    +-10%, one ``_windings`` call per nudge for all the circles left; a disk
+    that no nudge counts gets None.  With *samples*, a list as long as
+    *centers*, the circle that gave each count goes into its entry as
+    ``(r, values)``: D at ``_circle(center, r)(len(values))``.
     """
+    out: list[int | None] = [None] * len(centers)
+    todo = list(range(len(centers)))
     for factor in _RADIUS_NUDGES:
         r = radius * factor
-        vals: list = [None]
-        (w,) = _windings(p, [(_circle(center, r), _DISK_SCHEDULE)], parity, vals)
-        if w is not None:
-            if samples is not None:
-                samples.append((r, vals[0]))
-            return w
-    raise ContourThroughZeroError(
-        f"contour-through-zero persists near center={center:.6g} radius={radius:.3g} "
-        f"after radius nudges"
-    )
+        vals: list = [None] * len(todo)
+        circles = [(_circle(centers[i], r), _DISK_SCHEDULE, signs[i]) for i in todo]
+        winds = _windings(p, circles, vals)
+        for i, w, v in zip(todo, winds, vals):
+            out[i] = w
+            if w is not None and samples is not None:
+                samples[i] = (r, v)
+        todo = [i for i, w in zip(todo, winds) if w is None]
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -200,7 +207,7 @@ def _square(c: _Cell):
     """The cell's boundary as a contour for ``_windings``.
 
     Each edge takes 16, 64, then 256 samples; 8, 32, then 128 once the cell
-    is at most 0.25 wide.
+    is at most 0.25 wide.  D takes the sign of the cell's disk.
     """
 
     def points(k: int) -> np.ndarray:
@@ -211,7 +218,7 @@ def _square(c: _Cell):
         left = c.x0 + 1j * (c.y0 + c.wy * (1.0 - t))
         return np.concatenate([bottom, right, top, left])
 
-    return points, (16, 64, 256) if c.size > 0.25 else (8, 32, 128)
+    return points, (16, 64, 256) if c.size > 0.25 else (8, 32, 128), _sign(c.n)
 
 
 def _children(c: _Cell, r: float) -> list[_Cell]:
@@ -234,7 +241,7 @@ def _shrunk(c: _Cell) -> _Cell:
     )
 
 
-def _zoom_rounds(p: Potential, cells: list[_Cell], parity: int) -> list[_Cell]:
+def _zoom_rounds(p: Potential, cells: list[_Cell]) -> list[_Cell]:
     """Shrink each cell about its center while its full count stays inside.
 
     Clusters usually sit near the cell center, so this skips most
@@ -251,7 +258,7 @@ def _zoom_rounds(p: Potential, cells: list[_Cell], parity: int) -> list[_Cell]:
         if not idx:
             return cells
         cands = [_shrunk(cells[i]) for i in idx]
-        winds = _windings(p, [_square(c) for c in cands], parity)
+        winds = _windings(p, [_square(c) for c in cands])
         changed = False
         for i, cand, w in zip(idx, cands, winds):
             if w is not None and w == cells[i].wind:
@@ -264,14 +271,12 @@ def _zoom_rounds(p: Potential, cells: list[_Cell], parity: int) -> list[_Cell]:
             return cells
 
 
-def _subdivide(
-    p: Potential, roots_cells: list[_Cell], parity: int, notes: list[str]
-) -> list[_Cell]:
-    """Refine nonzero-winding cells until every leaf is below CELL_TARGET."""
+def _subdivide(p: Potential, roots_cells: list[_Cell], notes: list) -> list[_Cell]:
+    """Refine nonzero-winding cells until every leaf is below CELL_TARGET; notes are (n, text)."""
     leaves: list[_Cell] = []
     active = [c for c in roots_cells if c.wind > 0]
     while active:
-        active = _zoom_rounds(p, active, parity)
+        active = _zoom_rounds(p, active)
         pending = []
         for c in active:
             (leaves if c.size <= CELL_TARGET else pending).append(c)
@@ -283,7 +288,7 @@ def _subdivide(
                 break
             kids = [_children(c, ratio) for c in pending]
             flat = [k for group in kids for k in group]
-            winds = _windings(p, [_square(c) for c in flat], parity)
+            winds = _windings(p, [_square(c) for c in flat])
             retry: list[_Cell] = []
             for idx, parent in enumerate(pending):
                 w4 = winds[4 * idx : 4 * idx + 4]
@@ -297,10 +302,8 @@ def _subdivide(
             pending = retry
         for parent in pending:
             # no split ratio produced clean child contours; polish from here
-            notes.append(
-                f"cell near {parent.center:.6g} (count {parent.wind}) could not be "
-                f"split cleanly; polishing from the unrefined cell"
-            )
+            notes.append((parent.n, f"cell near {parent.center:.6g} (count {parent.wind}) could "
+                                    f"not be split cleanly; polishing from the unrefined cell"))
             leaves.append(parent)
         active = []
         for c in settled:
@@ -313,8 +316,8 @@ def _subdivide(
 # ----------------------------------------------------------------------------
 
 
-def _newton_batch(p: Potential, z0: np.ndarray, parity: int):
-    """Vectorized Newton with central-difference derivative.
+def _newton_batch(p: Potential, z0: np.ndarray, signs: np.ndarray):
+    """Vectorized Newton with central-difference derivative, on D(signs[i]) from z0[i].
 
     Returns (z, ok, strict): ``strict`` marks step-converged iterates
     (|dz| <= NEWTON_TOL).  Tightly clustered roots make the step criterion
@@ -333,7 +336,7 @@ def _newton_batch(p: Potential, z0: np.ndarray, parity: int):
         if idx.size == 0:
             break
         za = z[idx]
-        vals = d_pm_grid(p, np.concatenate([za, za + h, za - h]), parity)
+        vals = d_pm_grid(p, np.concatenate([za, za + h, za - h]), np.tile(signs[idx], 3))
         f, fp, fm = vals[: idx.size], vals[idx.size : 2 * idx.size], vals[2 * idx.size :]
         better = np.abs(f) < fbest[idx]
         fbest[idx[better]] = np.abs(f)[better]
@@ -355,11 +358,11 @@ def _newton_batch(p: Potential, z0: np.ndarray, parity: int):
     return z, ok, strict
 
 
-def _muller(p: Potential, z0: complex, parity: int) -> tuple[complex, bool, bool]:
+def _muller(p: Potential, z0: complex, sign: int) -> tuple[complex, bool, bool]:
     """Scalar Muller iteration, used when Newton stalls; same acceptance rule."""
     h = 1e-4
     xs = [z0 - h, z0, z0 + h]
-    fs = [d_pm(p, x, parity) for x in xs]
+    fs = [d_pm(p, x, sign) for x in xs]
     best = min(zip((abs(f) for f in fs), range(3)))
     fbest, zbest = best[0], xs[best[1]]
     for _ in range(NEWTON_MAXIT):
@@ -377,7 +380,7 @@ def _muller(p: Potential, z0: complex, parity: int) -> tuple[complex, bool, bool
             break
         step = -2.0 * f2 / den
         xn = x2 + step
-        fn = d_pm(p, xn, parity)
+        fn = d_pm(p, xn, sign)
         if abs(fn) < fbest:
             fbest, zbest = abs(fn), xn
         xs = [x1, x2, xn]
@@ -403,14 +406,14 @@ def _cluster(points: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
 
 
 def _multiplicity_by_contour(
-    p: Potential, center: complex, spread: float, parity: int
+    p: Potential, center: complex, spread: float, sign: int
 ) -> int | None:
-    contour = (_circle(center, max(3e-7, 5.0 * spread)), (64,))
-    return _windings(p, [contour], parity)[0]
+    contour = (_circle(center, max(3e-7, 5.0 * spread)), (64,), sign)
+    return _windings(p, [contour])[0]
 
 
 def _polish_leaves(
-    p: Potential, leaves: list[_Cell], parity: int, failures: list[str]
+    p: Potential, leaves: list[_Cell], failures: list
 ) -> dict[int, list[tuple[complex, float]]]:
     """Newton/Muller polishing of every leaf; returns roots per disk index.
 
@@ -418,6 +421,7 @@ def _polish_leaves(
     max(4, 2w) points on a ring around it.  The clusters of its converged
     iterates take the counts of their contours, up to w in all; roots that
     no cluster accounts for stay missing, so the caller reports the disk.
+    A leaf with no converged iterate gets a failure ``(n, text)``.
     """
     starts: list[complex] = []
     ends: list[int] = []  # leaf i owns starts[ends[i - 1] : ends[i]]
@@ -428,9 +432,10 @@ def _polish_leaves(
             ring = c.center + (c.size / 3.0) * np.exp(2j * np.pi * np.arange(k) / k)
             starts.extend(complex(z) for z in ring)
         ends.append(len(starts))
-    zs, ok, strict = _newton_batch(p, np.array(starts, dtype=np.complex128), parity)
+    signs = np.repeat(_sign([c.n for c in leaves]), np.diff([0, *ends]))
+    zs, ok, strict = _newton_batch(p, np.array(starts, dtype=np.complex128), signs)
     for i in np.flatnonzero(~ok):
-        zs[i], ok[i], strict[i] = _muller(p, starts[i], parity)
+        zs[i], ok[i], strict[i] = _muller(p, starts[i], signs[i])
 
     out: dict[int, list[tuple[complex, float]]] = {}
     for c, lo, hi in zip(leaves, [0, *ends], ends):
@@ -438,7 +443,7 @@ def _polish_leaves(
         # keep iterates that stayed near the leaf (wild escapes belong elsewhere)
         keep = ok[lo:hi] & (np.abs(z - c.center) <= 4.0 * max(c.size, 1e-3))
         if not keep.any():
-            failures.append(f"no converged root for cell near {c.center:.6g}")
+            failures.append((c.n, f"no converged root for cell near {c.center:.6g}"))
             continue
         # noise-stalled accepts are only located to their walk radius
         groups = _cluster(z[keep], tol=1e-8 if strict[lo:hi][keep].all() else 1e-5)
@@ -451,7 +456,7 @@ def _polish_leaves(
             zc = complex(np.mean(g))
             spread = float(np.max(np.abs(g - zc))) if g.size > 1 else 0.0
             # with one root left, any count is clamped to 1
-            m = _multiplicity_by_contour(p, zc, spread, parity) if left > 1 else 1
+            m = _multiplicity_by_contour(p, zc, spread, _sign(c.n)) if left > 1 else 1
             if m is None or m < 1:
                 m = 1
             m = min(m, left)
@@ -459,7 +464,7 @@ def _polish_leaves(
             left -= m
         rl = out.setdefault(c.n, [])
         for zc, m in found:
-            res = abs(d_pm(p, zc, parity))
+            res = abs(d_pm(p, zc, _sign(c.n)))
             rl.extend([(zc, res)] * m)
     return out
 
@@ -492,7 +497,7 @@ def _moment_starts(samples: list[np.ndarray], centers, radii):
 
 
 def _moment_roots(
-    p: Potential, circles: dict[int, tuple[float, np.ndarray]], parity: int
+    p: Potential, circles: dict[int, tuple[float, np.ndarray]]
 ) -> dict[int, list[tuple[complex, float]]]:
     """Certified roots with their residuals, per disk, from the disks' count circles.
 
@@ -515,7 +520,8 @@ def _moment_roots(
     except RootResidualError:
         return {}
     idx = np.flatnonzero(np.rint(s0.real) == 3)
-    z, ok, _ = _newton_batch(p, starts[idx].ravel(), parity)
+    signs = np.repeat(_sign(ns)[idx], 3).reshape(-1, 3)
+    z, ok, _ = _newton_batch(p, starts[idx].ravel(), signs.ravel())
     z, ok = z.reshape(-1, 3), ok.reshape(-1, 3)
     inside = np.abs(z - centers[idx, None]) < radii[idx, None]
     gaps = np.abs(z[:, :, None] - z[:, None, :]) + np.diag([np.inf] * 3)
@@ -523,13 +529,14 @@ def _moment_roots(
     keep = np.flatnonzero((ok & inside & (half > 0)).all(axis=1))
     around = list(zip(z[keep].flat, half[keep].flat))
     vals: list = [None] * len(around)
-    winds = _windings(p, [(_circle(c, r), _ROOT_SCHEDULE) for c, r in around], parity, vals)
+    contours = [(_circle(c, r), _ROOT_SCHEDULE, sg) for (c, r), sg in zip(around, signs[keep].flat)]
+    winds = _windings(p, contours, vals)
     cert = np.flatnonzero(np.reshape([w == 1 for w in winds], (-1, 3)).all(axis=1))
     if not len(cert):
         return {}
     roots = np.array([[_taylor_root(vals[j], *around[j]) for j in range(3 * i, 3 * i + 3)]
                       for i in cert])
-    res = np.abs(d_pm_grid(p, roots.ravel(), parity)).reshape(-1, 3)
+    res = np.abs(d_pm_grid(p, roots.ravel(), signs[keep[cert]].ravel())).reshape(-1, 3)
     return {
         ns[idx[keep[i]]]: [(complex(zk), float(rk)) for zk, rk in zip(zs, r)]
         for i, zs, r in zip(cert, roots, res)
@@ -583,80 +590,75 @@ class EigenvalueTable:
 
 
 def _disk_roots(
-    p: Potential, ns: list[int], parity: int, failures: list[str], notes: list[str]
+    p: Potential, ns: list[int], failures: list, notes: list
 ) -> dict[int, list[tuple[complex, float]]]:
     """Locate the roots of the disks |lam - pi n| <= 1/2 for n in *ns*.
 
     Disks of count 3 take the certified roots of their count circles'
     moments; every other disk is subdivided from its enclosing square and
-    polished.
+    polished.  Failures and notes are appended as ``(n, text)``.
     """
-    counted: list[tuple[int, str | None]] = []
-    circles: dict[int, tuple[float, np.ndarray]] = {}
-    for n in ns:
-        samples: list = []
-        try:
-            counted.append((count_in_disk(p, np.pi * n, 0.5, parity, samples), None))
-        except ContourThroughZeroError as exc:
-            counted.append((-1, f"disk n={n}: {exc}"))
-        if counted[-1][0] == 3:
-            circles[n] = samples[0]
-    out = _moment_roots(p, circles, parity)
-    rest = [(n, c) for n, c in zip(ns, counted) if n not in out]
+    samples: list = [None] * len(ns)
+    counts = count_in_disk(p, [np.pi * n for n in ns], 0.5, _sign(ns), samples)
+    out = _moment_roots(p, {n: c for n, w, c in zip(ns, counts, samples) if w == 3})
+    rest = [(n, w) for n, w in zip(ns, counts) if n not in out]
     # the enclosing squares of all the other disks share one batch
     squares = [_Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0) for n, _ in rest]
-    winds = _windings(p, [_square(c) for c in squares], parity)
+    winds = _windings(p, [_square(c) for c in squares])
     tops: list[_Cell] = []
-    for (n, (cnt, error)), cell, w in zip(rest, squares, winds):
-        if error is not None:
-            failures.append(error)
+    for (n, cnt), cell, w in zip(rest, squares, winds):
+        if cnt is None:
+            failures.append((n, f"disk n={n}: contour-through-zero persists near "
+                                f"center={np.pi * n:.6g} radius=0.5 after radius nudges"))
         if w is None:
-            failures.append(f"disk n={n}: enclosing square contour through zero")
+            failures.append((n, f"disk n={n}: enclosing square contour through zero"))
             continue
-        if cnt >= 0 and w != cnt:
-            failures.append(f"disk n={n}: square count {w} differs from disk count {cnt}")
-        if cnt >= 0 and cnt != 3:
-            failures.append(f"disk n={n}: expected 3 zeros in disk, counted {cnt}")
+        if cnt is not None and w != cnt:
+            failures.append((n, f"disk n={n}: square count {w} differs from disk count {cnt}"))
+        if cnt is not None and cnt != 3:
+            failures.append((n, f"disk n={n}: expected 3 zeros in disk, counted {cnt}"))
         cell.wind = w
         tops.append(cell)
-    leaves = _subdivide(p, tops, parity, notes)
-    out.update(_polish_leaves(p, leaves, parity, failures))
+    leaves = _subdivide(p, tops, notes)
+    out.update(_polish_leaves(p, leaves, failures))
     return out
+
+
+def _by_parity(messages: list) -> list[str]:
+    """The texts of ``(n, text)`` messages: even n first, each parity in its own order."""
+    return [text for _, text in sorted(messages, key=lambda m: m[0] % 2)]
 
 
 def eigenvalues_in_window(p: Potential, n_min: int, n_max: int) -> EigenvalueTable:
     """Locate all three eigenvalues in every disk |lam - pi n| <= 1/2.
 
     Disks whose zero count is not 3 are reported in ``failures`` and still
-    searched; per-root failures never abort the window.  Each parity's disks
-    go through one ``_disk_roots`` call, so failures and notes come parity
-    by parity.  A window of more than ``MAX_WINDOW_DISKS`` disks raises
-    ``ConfigError``.
+    searched; per-root failures never abort the window.  The disks of both
+    parities go through one ``_disk_roots`` call; failures and notes still
+    come parity by parity, periodic first.  A window of more than
+    ``MAX_WINDOW_DISKS`` disks raises ``ConfigError``.
     """
     if n_max < n_min:
         raise ConfigError(f"empty index window [{n_min}, {n_max}]")
     if n_max - n_min + 1 > MAX_WINDOW_DISKS:
         raise ConfigError(f"index window [{n_min}, {n_max}] exceeds {MAX_WINDOW_DISKS} disks")
-    failures: list[str] = []
-    notes: list[str] = []
+    failures: list = []
+    notes: list = []
     entries: list[EigenEntry] = []
-    for parity in (+1, -1):
-        pname = "periodic" if parity > 0 else "antiperiodic"
-        ns = [n for n in range(n_min, n_max + 1) if (n % 2 == 0) == (parity > 0)]
-        per_disk = _disk_roots(p, ns, parity, failures, notes)
-        for n in ns:
-            got = per_disk.get(n, [])
-            got.sort(key=lambda zr: (zr[0].real, zr[0].imag))
-            if len(got) != 3:
-                failures.append(f"disk n={n}: located {len(got)} of 3 roots")
-            for j, (z, res) in enumerate(got, start=1):
-                if res > RESIDUAL_TOL * np.exp(abs(z.imag)):
-                    failures.append(
-                        f"root n={n} j={j}: residual {res:.3e} above tolerance"
-                    )
-                entries.append(EigenEntry(n, j, z, pname, res))
+    ns = list(range(n_min, n_max + 1))
+    per_disk = _disk_roots(p, ns, failures, notes)
+    for n in ns:
+        pname = "periodic" if n % 2 == 0 else "antiperiodic"
+        got = per_disk.get(n, [])
+        got.sort(key=lambda zr: (zr[0].real, zr[0].imag))
+        if len(got) != 3:
+            failures.append((n, f"disk n={n}: located {len(got)} of 3 roots"))
+        for j, (z, res) in enumerate(got, start=1):
+            if res > RESIDUAL_TOL * np.exp(abs(z.imag)):
+                failures.append((n, f"root n={n} j={j}: residual {res:.3e} above tolerance"))
+            entries.append(EigenEntry(n, j, z, pname, res))
     entries.sort(key=lambda e: (e.n, e.j))
-    return EigenvalueTable(entries, (n_min, n_max), failures, notes)
+    return EigenvalueTable(entries, (n_min, n_max), _by_parity(failures), _by_parity(notes))
 
 
 # ----------------------------------------------------------------------------

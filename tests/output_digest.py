@@ -9,14 +9,18 @@ warnings are recorded as ``category: message`` rather than through the
 default formatter, whose text carries the file path and line number of the
 warning site.
 
-After each workload, one ``engine`` line gives the number of
-``monodromy_grid`` calls, one SHA-256 over the bytes of every call's
-``trace``, ``trace_conj`` and ``det``, in call order, and the number of rows
-``monodromy._eval_chunk`` evaluated.  Outputs are rounded and reduced, so
-they can hide a changed bit of the propagator; this line does not.  The
-rows are the points the engine propagated: the points callers request, plus
-the conjugate of each with ``|Im lam| > 6``, which ``monodromy_grid``
-propagates again for its ``trace_conj``.
+After each workload, one ``engine`` line gives two SHA-256 digests of the
+``monodromy_grid`` results, the number of calls and the number of rows
+``monodromy._eval_chunk`` evaluated.  ``sha256=`` hashes the bytes of every
+call's ``trace``, ``trace_conj`` and ``det``, in call order, so it changes
+when the same points are grouped into other calls.  ``rows_sha256=`` does
+not: it hashes one record per requested point, the bytes of its ``lam``,
+``trace``, ``trace_conj`` and ``det``, with the records sorted by those
+bytes.  Outputs are rounded and reduced, so they can hide a changed bit of
+the propagator; these digests do not.  The rows are the points the engine
+propagated: the points callers request, plus the conjugate of each with
+``|Im lam| > 6``, which ``monodromy_grid`` propagates again for its
+``trace_conj``.
 
 To check that a change leaves every output byte and every engine bit alone,
 run the script at both commits and compare::
@@ -71,13 +75,16 @@ def _engine_digest():
     modules = _engine_users()
     propagate = monodromy.monodromy_grid
     eval_chunk = monodromy._eval_chunk
-    state = {"hash": hashlib.sha256(), "calls": 0, "rows": 0}
+    state = {"hash": hashlib.sha256(), "records": [], "calls": 0, "rows": 0}
 
     def recording(p, lam, **kwargs):
         g = propagate(p, lam, **kwargs)
         state["calls"] += 1
         for key in ("trace", "trace_conj", "det"):
             state["hash"].update(np.ascontiguousarray(g[key]).tobytes())
+        fields = [g[key] for key in ("lam", "trace", "trace_conj", "det")]
+        records = np.stack(fields, axis=1).astype(np.complex128).view(f"V{16 * len(fields)}")
+        state["records"].extend(records.ravel().tolist())
         return g
 
     def evaluating(lam, *args):
@@ -121,8 +128,13 @@ def main() -> int:
                         line = _digest([*argv, "--format", fmt], out)
                         print(f"{name} {i:02d} {inv['command']} {fmt} {line}", flush=True)
             digest = engine["hash"].hexdigest()
+            rows_digest = hashlib.sha256(b"".join(sorted(engine["records"]))).hexdigest()
             calls, rows = engine["calls"], engine["rows"]
-            print(f"{name} engine sha256={digest} calls={calls} rows={rows}", flush=True)
+            print(
+                f"{name} engine sha256={digest} rows_sha256={rows_digest} "
+                f"calls={calls} rows={rows}",
+                flush=True,
+            )
     return 0
 
 

@@ -297,10 +297,9 @@ def test_bit_batches_exercise_what_they_name():
     _, ser, _ = monodromy._chunk_terms(lam, np.abs(vals) ** 2, widths)
     assert ser.any() and not ser.all()
     # points with the same split runs are evaluated together: one such group
-    # must have enough row blocks to go to the pool
+    # must have more than _BLOCK_PAIRS pairs to go to the pool
     groups = collections.Counter(len(monodromy._split_runs(*runs, abs(x.imag))[1]) for x in lam)
-    blocks = [-(-n // (monodromy._BLOCK_PAIRS // r)) for r, n in groups.items() if r > len(runs[1])]
-    assert max(blocks) >= monodromy._POOL_MIN_BLOCKS
+    assert max(r * n for r, n in groups.items() if r > len(runs[1])) > monodromy._BLOCK_PAIRS
     p, lam = batches["repeats"]
     keys = _bit_keys(lam)
     assert len(set(keys)) < len(keys)
@@ -592,9 +591,34 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
 
 
+def test_pooled_call_is_cut_into_equal_blocks(monkeypatch):
+    # 54 points at 512 runs, the size of an eigen-locator Newton round, make
+    # under two blocks' worth of pairs: two equal blocks a worker, on the
+    # pool once there are two workers or more
+    steps = monodromy._steps_spectral
+    rows, threads = [], set()
+
+    def recording(lam_rows, *args):
+        rows.append(len(lam_rows))
+        threads.add(threading.current_thread().name)
+        return steps(lam_rows, *args)
+
+    monkeypatch.setattr(monodromy, "_steps_spectral", recording)
+    lam = np.linspace(-3.0, 3.0, 54)
+    assert len(monodromy._runs_of(M512)[1]) == 512
+    for workers in (1, 2, 3):
+        rows.clear()
+        threads.clear()
+        _grid_with(monkeypatch, M512, lam, monodromy._BLOCK_PAIRS, workers)
+        assert len(rows) == 2 * workers and sum(rows) == len(lam)
+        assert max(rows) - min(rows) <= 1
+        assert any(t.startswith("monodromy") for t in threads) == (workers > 1)
+
+
 def test_import_starts_no_thread():
     # import time is part of every CLI call: the pool, and concurrent.futures
-    # with it, only come in with the first chunk of _POOL_MIN_BLOCKS blocks
+    # with it, only come in with the first chunk of more than _BLOCK_PAIRS
+    # pairs; 256 points at 64 runs make exactly _BLOCK_PAIRS
     script = (
         "import sys, threading\n"
         "import numpy as np\n"
@@ -606,7 +630,8 @@ def test_import_starts_no_thread():
         "p = manakov_spectra.Potential.from_fourier({1: (0.25, 0.1)}, 64)\n"
         "manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, 100))\n"
         "check()\n"
-        "manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, 768))\n"
+        "assert len(manakov_spectra.monodromy._runs_of(p)[1]) == 64\n"
+        "manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, 256))\n"
         "check()\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

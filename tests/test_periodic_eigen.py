@@ -6,6 +6,8 @@ refinement accuracy, and the first-order deviation trend can all be checked
 against paper-and-pencil values.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,10 +70,12 @@ def test_negative_window_mirror(pot_const):
 
 
 def test_count_in_disk_parity(pot_zero):
-    assert count_in_disk(pot_zero, np.pi, 0.5, -1) == 3
-    assert count_in_disk(pot_zero, 2 * np.pi, 0.5, +1) == 3
+    # three disks, each with its own sign, in one count
+    counts = count_in_disk(pot_zero, [np.pi, 2 * np.pi, np.pi], 0.5, [-1, +1, +1])
+    assert counts[0] == 3
+    assert counts[1] == 3
     # wrong parity sees no roots there
-    assert count_in_disk(pot_zero, np.pi, 0.5, +1) == 0
+    assert counts[2] == 0
 
 
 def test_free_counting_function_closed_forms(pot_zero):
@@ -155,7 +159,7 @@ def _table_bits(tab):
     return entries, tab.failures, tab.notes
 
 
-def _reject_all(p, circles, parity):
+def _reject_all(p, circles):
     """A ``_moment_roots`` that certifies no disk: every disk is subdivided."""
     return {}
 
@@ -213,8 +217,8 @@ def test_multiplicity_contour_runs_while_roots_are_left(name, monkeypatch):
 
 
 def test_window_of_many_disks_per_parity(pot_const, monkeypatch):
-    # nine disks a parity in one batch, all through the subdivision
-    # fallback, give the bits of the two smaller windows
+    # nine disks a parity, both parities in one batch, all through the
+    # subdivision fallback, give the bits of the two smaller windows
     with monkeypatch.context() as m:
         tops = _subdivided_tops(m)
         whole = _table_bits(eigenvalues_in_window(pot_const, 1, 18))
@@ -223,6 +227,49 @@ def test_window_of_many_disks_per_parity(pot_const, monkeypatch):
     high = _table_bits(eigenvalues_in_window(pot_const, 10, 18))
     assert whole[0] == low[0] + high[0]
     assert whole[1:] == low[1:] == high[1:] == ([], [])
+
+
+@pytest.mark.parametrize("name", ["const", "fourier"])
+def test_window_is_the_union_of_its_disks(name):
+    # the constant's disks go through the subdivision fallback, the Fourier
+    # input's through the moment path; both parities share every engine call
+    # of the window, and each disk keeps the bits it has on its own
+    p = load_potential(INPUTS[name])
+    alone = [_table_bits(eigenvalues_in_window(p, n, n)) for n in range(1, 5)]
+    whole = _table_bits(eigenvalues_in_window(p, 1, 4))
+    assert whole[0] == [e for entries, _, _ in alone for e in entries]
+    assert all(bits[1:] == ([], []) for bits in [whole, *alone])
+
+
+# The messages of the forced failures below, in the order of the locator that
+# ran each parity on its own; the residuals (masked) may differ by machine.
+_PARITY_ORDER_FAILURES = [
+    "disk n=2: contour-through-zero persists near center=6.28319 radius=0.5 after radius nudges",
+    "disk n=4: contour-through-zero persists near center=12.5664 radius=0.5 after radius nudges",
+    *(f"root n={n} j={j}: residual * above tolerance" for n in (2, 4) for j in (1, 2, 3)),
+    "disk n=1: contour-through-zero persists near center=3.14159 radius=0.5 after radius nudges",
+    "disk n=3: contour-through-zero persists near center=9.42478 radius=0.5 after radius nudges",
+    *(f"root n=1 j={j}: residual * above tolerance" for j in (1, 2, 3)),
+    "disk n=3: located 2 of 3 roots",
+    *(f"root n=3 j={j}: residual * above tolerance" for j in (1, 2)),
+]
+_PARITY_ORDER_NOTES = [
+    f"cell near {c}+0j (count 3) could not be split cleanly; polishing from the unrefined cell"
+    for c in ("6.28319", "12.5664", "3.14159", "9.42478")
+]
+
+
+def test_messages_come_parity_by_parity(monkeypatch):
+    # every disk count is undersampled, no cell splits and every residual is
+    # above tolerance: each parity has failures from the disks, from the
+    # located roots and notes from the cells, and they keep their order
+    monkeypatch.setattr(periodic_eigen, "_DISK_SCHEDULE", (8,))
+    monkeypatch.setattr(periodic_eigen, "_SPLIT_RATIOS", ())
+    monkeypatch.setattr(periodic_eigen, "RESIDUAL_TOL", 0.0)
+    tab = eigenvalues_in_window(load_potential(INPUTS["fourier"]), 1, 4)
+    masked = [re.sub(r"residual \S+", "residual *", f) for f in tab.failures]
+    assert masked == _PARITY_ORDER_FAILURES
+    assert tab.notes == _PARITY_ORDER_NOTES
 
 
 def test_window_width_is_bounded(pot_const, monkeypatch):
@@ -316,7 +363,7 @@ def test_muller_rescues_stalled_newton(name, monkeypatch):
     p = load_potential(INPUTS[name])
     newton = eigenvalues_in_window(p, 1, 3)
 
-    def stalled(p, z0, parity):
+    def stalled(p, z0, signs):
         z = np.array(z0, dtype=np.complex128)
         return z, np.zeros(z.size, bool), np.zeros(z.size, bool)
 
