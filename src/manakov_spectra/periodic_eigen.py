@@ -421,7 +421,8 @@ def _polish_leaves(
     max(4, 2w) points on a ring around it.  The clusters of its converged
     iterates take the counts of their contours, up to w in all; roots that
     no cluster accounts for stay missing, so the caller reports the disk.
-    A leaf with no converged iterate gets a failure ``(n, text)``.
+    A leaf with no converged iterate gets a failure ``(n, text)``.  The
+    residuals of every leaf's roots take one engine call.
     """
     starts: list[complex] = []
     ends: list[int] = []  # leaf i owns starts[ends[i - 1] : ends[i]]
@@ -438,6 +439,7 @@ def _polish_leaves(
         zs[i], ok[i], strict[i] = _muller(p, starts[i], signs[i])
 
     out: dict[int, list[tuple[complex, float]]] = {}
+    found: list[tuple[int, complex, int]] = []  # (disk index, root, multiplicity)
     for c, lo, hi in zip(leaves, [0, *ends], ends):
         z = zs[lo:hi]
         # keep iterates that stayed near the leaf (wild escapes belong elsewhere)
@@ -448,7 +450,7 @@ def _polish_leaves(
         # noise-stalled accepts are only located to their walk radius
         groups = _cluster(z[keep], tol=1e-8 if strict[lo:hi][keep].all() else 1e-5)
         groups.sort(key=lambda g: abs(np.mean(g) - c.center))
-        found: list[tuple[complex, int]] = []
+        out.setdefault(c.n, [])
         left = c.wind
         for g in groups:
             if left <= 0:
@@ -460,12 +462,13 @@ def _polish_leaves(
             if m is None or m < 1:
                 m = 1
             m = min(m, left)
-            found.append((zc, m))
+            found.append((c.n, zc, m))
             left -= m
-        rl = out.setdefault(c.n, [])
-        for zc, m in found:
-            res = abs(d_pm(p, zc, _sign(c.n)))
-            rl.extend([(zc, res)] * m)
+    if found:
+        ns, zcs, ms = zip(*found)
+        ds = d_pm_grid(p, np.array(zcs), _sign(np.array(ns)))
+        for n, zc, m, d in zip(ns, zcs, ms, ds):
+            out[n].extend([(zc, abs(complex(d)))] * m)
     return out
 
 
