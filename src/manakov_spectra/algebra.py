@@ -6,7 +6,7 @@ grid sweeps over many spectral parameters amortize numpy dispatch overhead.
 
 Contents:
 
-* ``det3`` / ``adj3`` -- determinant and adjugate of (..., 3, 3) stacks.
+* ``adj3`` -- adjugate of (..., 3, 3) stacks.
 * ``cubic_roots_stack`` -- closed-form monic-cubic solver with one mandatory Newton
   polish per root and a deflation fallback for badly scaled root sets.
 * ``winding_count`` -- discrete argument-principle winding number with
@@ -29,7 +29,6 @@ from .errors import (
 __all__ = [
     "adj3",
     "cubic_roots_stack",
-    "det3",
     "winding_count",
 ]
 
@@ -48,21 +47,6 @@ def ensure_finite(arr, label: str):
 # ----------------------------------------------------------------------------
 # batched 3x3 primitives
 # ----------------------------------------------------------------------------
-
-
-def det3(m: np.ndarray) -> np.ndarray:
-    """Determinant of a (..., 3, 3) stack via cofactor expansion.
-
-    The minors are named so that numpy's temporary elision cannot turn
-    ``a * minor`` into ``minor * a`` on large stacks: the complex multiply
-    rounds the two orders differently, and a stack's bits would then depend
-    on its length.
-    """
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    m0, m1, m2 = e * i - f * h, d * i - f * g, d * h - e * g
-    return a * m0 - b * m1 + c * m2
 
 
 def adj3(m: np.ndarray) -> np.ndarray:

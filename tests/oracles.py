@@ -3,6 +3,8 @@
 None of this runs in the package.  Each oracle computes what a production
 routine computes by an independent method:
 
+* ``det3`` / ``solve3`` -- determinant and linear solve of (..., 3, 3)
+  stacks by cofactors, for the Pade denominators;
 * ``expm_stack3`` / ``expm_dense`` -- matrix exponentials by Pade-13 scaling
   and squaring (never eigendecomposition; the generators are non-normal for
   complex spectral parameters), stacked 3x3 and dense n x n;
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from manakov_spectra.algebra import adj3, det3
+from manakov_spectra.algebra import adj3
 from manakov_spectra.monodromy import _check_range, _runs_of, _split_runs, _tree_product
 from manakov_spectra.potential import Potential, _e1, moments
 from manakov_spectra.spectrum import (
@@ -69,6 +71,14 @@ _PADE13_B = (
     1.0,
 )
 _PADE13_THETA = 5.371920351148152
+
+
+def det3(m: np.ndarray) -> np.ndarray:
+    """Determinant of a (..., 3, 3) stack via cofactor expansion."""
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def solve3(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -157,7 +167,7 @@ def expm_dense(a: np.ndarray) -> np.ndarray:
 
 
 def _steps_pade(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
-    """Step matrices and dets like ``monodromy._steps_spectral``'s, by Pade-13."""
+    """Step matrices like ``monodromy._steps_spectral``'s, by Pade-13."""
     length, runs = len(lam), len(widths)
     a = np.zeros((length, runs, 3, 3), dtype=np.complex128)
     lam2 = lam[:, None]
@@ -172,8 +182,7 @@ def _steps_pade(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
     a[..., 1, 1] = -iw * lam2
     a[..., 2, 0] = iw * v2
     a[..., 2, 2] = -iw * lam2
-    e = expm_stack3(a)
-    return e, det3(e)
+    return expm_stack3(a)
 
 
 def pade_psi(p: Potential, lam: complex) -> np.ndarray:
@@ -186,8 +195,7 @@ def pade_psi(p: Potential, lam: complex) -> np.ndarray:
     lam_arr = np.array([lam], dtype=np.complex128)
     _check_range(lam_arr)
     vals, widths = _split_runs(*_runs_of(p), abs(lam_arr[0].imag))[:2]
-    e, _ = _steps_pade(lam_arr, vals, widths)
-    return _tree_product(e)[0]
+    return _tree_product(_steps_pade(lam_arr, vals, widths))[0]
 
 
 # ----------------------------------------------------------------------------
@@ -410,11 +418,11 @@ def point_series_lengths(lam, om, widths) -> list:
 
 
 def reference_steps(lam, vals, widths, avsq, om, ser, nterms):
-    """Step matrices and dets like ``monodromy._steps_spectral``'s, bit for bit.
+    """Step matrices like ``monodromy._steps_spectral``'s, bit for bit.
 
     Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), and om,
     ser (L, R) and nterms (L,) from ``monodromy._chunk_terms`` ->
-    E (L, R, 3, 3), det (L, R).
+    E (L, R, 3, 3).
     """
     lam2 = lam[:, None]
     v1 = vals[None, :, 0]
@@ -454,7 +462,7 @@ def reference_steps(lam, vals, widths, avsq, om, ser, nterms):
     e[..., 2, 0] = beta * v2
     e[..., 2, 1] = -gamma * v2 * np.conj(v1)
     e[..., 2, 2] = diag_base + gamma * q2
-    return e, det3(e)
+    return e
 
 
 # ----------------------------------------------------------------------------

@@ -12,12 +12,12 @@ warning site.
 After each workload, one ``engine`` line gives two SHA-256 digests of the
 ``monodromy_grid`` results, the number of calls and the number of rows
 ``monodromy._eval_chunk`` evaluated.  ``sha256=`` hashes the bytes of every
-call's ``trace``, ``trace_conj`` and ``det``, in call order, so it changes
-when the same points are grouped into other calls.  ``rows_sha256=`` does
-not: it hashes one record per requested point, the bytes of its ``lam``,
-``trace``, ``trace_conj`` and ``det``, with the records sorted by those
-bytes.  Outputs are rounded and reduced, so they can hide a changed bit of
-the propagator; these digests do not.  The rows are the points the engine
+call's ``trace`` and ``trace_conj``, in call order, so it changes when the
+same points are grouped into other calls.  ``rows_sha256=`` does not: it
+hashes one record per requested point, the bytes of its ``lam``, ``trace``
+and ``trace_conj``, with the records sorted by those bytes.  Outputs are
+rounded and reduced, so they can hide a changed bit of the propagator;
+these digests do not.  The rows are the points the engine
 propagated: the points callers request, plus the conjugate of each with
 ``|Im lam| > 6``, which ``monodromy_grid`` propagates again for its
 ``trace_conj``.
@@ -80,9 +80,9 @@ def _engine_digest():
     def recording(p, lam, **kwargs):
         g = propagate(p, lam, **kwargs)
         state["calls"] += 1
-        for key in ("trace", "trace_conj", "det"):
+        for key in ("trace", "trace_conj"):
             state["hash"].update(np.ascontiguousarray(g[key]).tobytes())
-        fields = [g[key] for key in ("lam", "trace", "trace_conj", "det")]
+        fields = [g[key] for key in ("lam", "trace", "trace_conj")]
         records = np.stack(fields, axis=1).astype(np.complex128).view(f"V{16 * len(fields)}")
         state["records"].extend(records.ravel().tolist())
         return g

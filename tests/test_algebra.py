@@ -17,10 +17,9 @@ from manakov_spectra.algebra import (
     UndersampledContourError,
     adj3,
     cubic_roots_stack,
-    det3,
     winding_count,
 )
-from oracles import expm_dense, expm_stack3, solve3
+from oracles import det3, expm_dense, expm_stack3, solve3
 
 
 def coeffs_from_roots(r1, r2, r3):

@@ -13,6 +13,7 @@ import pytest
 import manakov_spectra
 from manakov_spectra import NumericalError, cli, monodromy
 from manakov_spectra.cli import _csv_text, _json_text, main
+from test_golden import INPUTS
 
 CONST = '{"kind":"constant","value":[0.9,0.0],"resolution":64}'
 ZERO = '{"kind":"zero","resolution":64}'
@@ -138,6 +139,36 @@ def test_verify_corrupt_fails_named_checks(capsys):
     assert statuses["trace-recovery"] == "FAIL"
     assert statuses["multiplier-symmetric-functions"] == "PASS"
     assert statuses["derived-identities"] == "PASS"
+
+
+# two runs of amplitude 6: a graded propagator, whose determinant by
+# cofactors is off by 2.2e-10, against 1.5e-11 by pivoted LU
+GRADED_STEP = (
+    '{"kind":"piecewise","breakpoints":[0,0.5,1],'
+    '"values":[[[6,0],[0,3]],[[0,3],[6,0]]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "potential", ['{"kind":"constant","value":[5.0,3.0]}', GRADED_STEP], ids=["const-5-3", "graded-step"]
+)
+def test_verify_passes_on_graded_propagators(potential, capsys):
+    # det psi from a pivoted LU of the whole propagator loses no more to the
+    # grading of its entries than the Wronskian check does
+    rc, out, _ = run_main(["verify", "--potential", potential], capsys)
+    assert rc == 0
+    assert all(c["status"] != "FAIL" for c in json.loads(out)["checks"])
+
+
+def test_verify_determinant_sees_a_dropped_step(monkeypatch, capsys):
+    # a propagator that misses its last step still keeps the Wronskian and
+    # every trace identity; only det psi = e^{i lam} tells
+    tree = monodromy._tree_product
+    monkeypatch.setattr(monodromy, "_tree_product", lambda steps: tree(steps[:, :-1]))
+    rc, out, _ = run_main(["verify", "--potential", INPUTS["step"]], capsys)
+    assert rc == 3
+    failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+    assert failed == ["determinant"]
 
 
 def test_sheets_verdicts(capsys):

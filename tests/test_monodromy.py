@@ -72,7 +72,7 @@ def test_determinant_identity_random(rng):
     lam = rng.uniform(-10, 10, size=20) + 1j * rng.uniform(-4, 4, size=20)
     g = monodromy_grid(p, lam)
     bound = 1e-11 * np.exp(np.abs(lam.imag))
-    assert np.all(np.abs(g["det"] - np.exp(1j * lam)) <= bound)
+    assert np.all(np.abs(np.linalg.det(g["psi"]) - np.exp(1j * lam)) <= bound)
 
 
 def test_wronskian_defect_small(rng):
@@ -206,7 +206,7 @@ UNEQUAL_STEP = Potential.from_piecewise(
 
 
 SEED_BITS = 4711
-GRID_KEYS = ("psi", "trace", "trace_conj", "det")
+GRID_KEYS = ("psi", "trace", "trace_conj")
 # a real point and its twin with a negative-zero imaginary part
 TWINS = (2.5 + 0.0j, complex(2.5, -0.0))
 
@@ -397,9 +397,9 @@ def _evaluations(monkeypatch):
     evaluated = []
     eval_chunk = monodromy._eval_chunk
 
-    def recording(lam, runs, psis, dets):
+    def recording(lam, runs, psis):
         evaluated.extend(_bit_keys(lam))
-        return eval_chunk(lam, runs, psis, dets)
+        return eval_chunk(lam, runs, psis)
 
     monkeypatch.setattr(monodromy, "_eval_chunk", recording)
     return evaluated
@@ -436,7 +436,7 @@ def test_point_bits_depend_on_lam_alone(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(_bit_batches()))
 def test_step_kernel_matches_its_bit_oracle(name):
     # the width-only exponentials and the reciprocal factors leave every bit
-    # of every step matrix and det as the plain kernel has them
+    # of every step matrix as the plain kernel has them
     p, lam = _bit_batches()[name]
     lam = lam.astype(np.complex128)
     runs = monodromy._runs_of(p)
@@ -455,8 +455,7 @@ def test_step_kernel_matches_its_bit_oracle(name):
             want = reference_steps(
                 lam_c[sl], vals, widths, avsq, om[sl], ser[sl], nterms[sl]
             )
-            assert _same_bits(got[0], want[0])
-            assert _same_bits(got[1], want[1])
+            assert _same_bits(got, want)
 
 
 def test_series_cutoff_belongs_to_the_point():

@@ -169,9 +169,9 @@ def _evaluated_rows(monkeypatch) -> list:
     evaluated = []
     eval_chunk = monodromy._eval_chunk
 
-    def evaluating(lam, runs, psis, dets):
+    def evaluating(lam, runs, psis):
         evaluated.extend(map(tuple, lam.view(np.int64).reshape(-1, 2).tolist()))
-        return eval_chunk(lam, runs, psis, dets)
+        return eval_chunk(lam, runs, psis)
 
     monkeypatch.setattr(monodromy, "_eval_chunk", evaluating)
     return evaluated
