@@ -309,11 +309,12 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
         t, s = g["trace"], g["trace_conj"]
 
     grow = np.exp(np.abs(lam.imag))
+    ep = np.exp(1j * lam)
     checks = []
 
     # the generator has trace i lam: a pivoted LU of the whole propagator
     # against the closed form
-    resid = np.abs(np.linalg.det(psi) - np.exp(1j * lam)) / grow
+    resid = np.abs(np.linalg.det(psi) - ep) / grow
     checks.append(("determinant", float(resid.max()), 1e-10))
 
     w = np.conj(np.swapaxes(psi_c, -1, -2)) @ J3 @ psi - J3
@@ -321,7 +322,6 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     checks.append(("wronskian", float(wres.max()), 1e-10))
 
     taus = multipliers_from_traces(t, s, lam)
-    ep = np.exp(1j * lam)
     scale = np.maximum(1.0, np.abs(t))
     e_sum = np.abs(taus.sum(axis=-1) - t) / scale
     pairs = (
