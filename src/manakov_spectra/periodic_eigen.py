@@ -9,14 +9,14 @@ table feeds the first-order asymptotic check.
 
 A disk's zeros come first from the circle that counted them: the FFT of its
 samples gives ``D'/D`` there, the trapezoid rule the power sums of the
-zeros, Newton's identities a cubic whose roots start a Newton polish
+zeros, and Newton's identities a cubic whose roots approximate them
 (Delves & Lyness, Math. Comp. 21 (1967); Kravanja & Van Barel, LNM 1727
 (2000)).  A disk keeps these roots only if they certify: the moment count
-is 3, each root converged inside the disk, and a circle around each one
-counts exactly one zero.  The samples of that circle then place its root
-below the noise at which Newton stops.  Only the other disks -- double
-roots, counts other than 3 -- are located by winding-count subdivision of
-their enclosing squares and polished from the leaf cells.
+is 3, the three roots are distinct and inside the count circle, and a
+circle around each one counts exactly one zero.  The samples of that circle
+then place its root, below the noise at which Newton on D stops.  Other
+disks -- double roots, counts other than 3 -- are located by winding-count
+subdivision of their enclosing squares and polished by Newton from the leaves.
 
 Every zero count -- disks, certification circles, enclosing squares,
 subdivision cells and the multiplicity circles of polished clusters -- goes
@@ -505,13 +505,12 @@ def _moment_roots(
     """Certified roots with their residuals, per disk, from the disks' count circles.
 
     *circles* maps a disk index n of count 3 to its count circle
-    ``(r, values)`` around pi n.  The moment starts of all the disks are
-    polished in one ``_newton_batch`` call.  A disk keeps its roots only if
-    round(s_0) is 3, all three converged inside the circle, and a circle of
-    half the nearest neighbour's distance around each root counts exactly
-    one zero; those circles share one ``_windings`` call, and each one's
-    samples then place its root (``_taylor_root``).  Other disks are left
-    out.
+    ``(r, values)`` around pi n.  A disk keeps the three roots of its
+    moment cubic only if round(s_0) is 3, the roots are distinct and inside
+    the circle, and a circle of half the nearest neighbour's distance around
+    each root counts exactly one zero; those circles share one ``_windings``
+    call, and each one's samples then place its root (``_taylor_root``).
+    Other disks are left out.
     """
     ns = list(circles)
     if not ns:
@@ -519,17 +518,14 @@ def _moment_roots(
     centers = np.pi * np.array(ns, dtype=float)
     radii = np.array([circles[n][0] for n in ns])
     try:
-        s0, starts = _moment_starts([circles[n][1] for n in ns], centers, radii)
+        s0, z = _moment_starts([circles[n][1] for n in ns], centers, radii)
     except RootResidualError:
         return {}
-    idx = np.flatnonzero(np.rint(s0.real) == 3)
-    signs = np.repeat(_sign(ns)[idx], 3).reshape(-1, 3)
-    z, ok, _ = _newton_batch(p, starts[idx].ravel(), signs.ravel())
-    z, ok = z.reshape(-1, 3), ok.reshape(-1, 3)
-    inside = np.abs(z - centers[idx, None]) < radii[idx, None]
+    signs = np.repeat(_sign(ns), 3).reshape(-1, 3)
+    inside = np.abs(z - centers[:, None]) < radii[:, None]
     gaps = np.abs(z[:, :, None] - z[:, None, :]) + np.diag([np.inf] * 3)
     half = 0.5 * gaps.min(axis=2)
-    keep = np.flatnonzero((ok & inside & (half > 0)).all(axis=1))
+    keep = np.flatnonzero((np.rint(s0.real) == 3) & (inside & (half > 0)).all(axis=1))
     around = list(zip(z[keep].flat, half[keep].flat))
     vals: list = [None] * len(around)
     contours = [(_circle(c, r), _ROOT_SCHEDULE, sg) for (c, r), sg in zip(around, signs[keep].flat)]
@@ -541,7 +537,7 @@ def _moment_roots(
                       for i in cert])
     res = np.abs(d_pm_grid(p, roots.ravel(), signs[keep[cert]].ravel())).reshape(-1, 3)
     return {
-        ns[idx[keep[i]]]: [(complex(zk), float(rk)) for zk, rk in zip(zs, r)]
+        ns[keep[i]]: [(complex(zk), float(rk)) for zk, rk in zip(zs, r)]
         for i, zs, r in zip(cert, roots, res)
     }
 

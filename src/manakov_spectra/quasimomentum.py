@@ -47,6 +47,10 @@ EDGE_FRACTION = 0.01
 # extra profile samples per gap, graded toward its endpoints
 ENDPOINT_POINTS = 16
 
+# largest nu of the decay fit: the averages' cubic has coefficients up to
+# about e^{3 nu}/8, which overflows a double near nu = 236.5
+MAX_NU = 230.0
+
 
 def eps_map(z):
     """Conformal map ``z + sqrt(z^2 - 1)`` on the branch with modulus >= 1.
@@ -285,8 +289,8 @@ def herglotz_asymptotic(p: Potential, nu_list) -> HerglotzFit:
     nu = np.sort(np.asarray(nu_list, dtype=np.float64))
     if nu.size < 2:
         raise ConfigError("need at least two nu samples for the decay fit")
-    if not (np.isfinite(nu[-1]) and nu[0] >= 10.0):  # NaN sorts last
-        raise ConfigError(f"nu samples must be finite and >= 10; got {nu.tolist()}")
+    if not (nu[0] >= 10.0 and nu[-1] <= MAX_NU):  # NaN sorts last and fails the bound
+        raise ConfigError(f"nu samples must be finite and in [10, {MAX_NU:g}]; got {nu.tolist()}")
     lam = 1j * nu
     g = monodromy_grid(p, lam)
     # the averages' own cubic stays conditioned far up the imaginary axis,

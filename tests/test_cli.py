@@ -283,6 +283,19 @@ def test_non_finite_nu_exits_two(capsys):
     assert out == "" and "nu samples must be finite" in err
 
 
+def test_nu_above_230_exits_two(capsys):
+    # the decay fit's cubic overflows a double near nu = 236.5
+    args = ["qmomentum", "--potential", CONST, "--interval", "-16", "16"]
+    rc, out, err = run_main([*args, "--nu", "240", "250"], capsys)
+    assert rc == 2
+    assert out == "" and "nu samples must be finite and in [10, 230]" in err
+    rc, out, _ = run_main([*args, "--nu", "200", "230"], capsys)
+    assert rc == 0
+    rep = json.loads(out)["report"]
+    assert rep["fit_error"] is None
+    assert abs(rep["herglotz_fit"] - rep["integral"]) <= 0.1 * rep["integral"]
+
+
 def test_reversed_eigen_window_exit_two(capsys):
     rc, out, err = run_main(
         ["eigen", "--potential", CONST, "--window", "10", "5"], capsys

@@ -591,9 +591,9 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
 
 
 def test_pooled_call_is_cut_into_equal_blocks(monkeypatch):
-    # 54 points at 512 runs, the size of an eigen-locator Newton round, make
-    # under two blocks' worth of pairs: two equal blocks a worker, on the
-    # pool once there are two workers or more
+    # 54 points at 512 runs make more than one block's worth of pairs but
+    # under two, so the worker count sets the blocks: two equal blocks a
+    # worker, on the pool once there are two workers or more
     steps = monodromy._steps_spectral
     rows, threads = [], set()
 

@@ -360,15 +360,60 @@ def test_moment_path_evaluates_a_quarter_of_the_rows(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["step", "fourier"])
 def test_muller_rescues_stalled_newton(name, monkeypatch):
+    # every disk goes through the subdivision fallback, where each start
+    # that Newton leaves unconverged is handed to Muller
+    monkeypatch.setattr(periodic_eigen, "_moment_roots", _reject_all)
     p = load_potential(INPUTS[name])
     newton = eigenvalues_in_window(p, 1, 3)
+    starts = []
+    muller = periodic_eigen._muller
 
     def stalled(p, z0, signs):
         z = np.array(z0, dtype=np.complex128)
         return z, np.zeros(z.size, bool), np.zeros(z.size, bool)
 
+    def counting(*args):
+        starts.append(args[1])
+        return muller(*args)
+
     monkeypatch.setattr(periodic_eigen, "_newton_batch", stalled)
-    muller = eigenvalues_in_window(p, 1, 3)
-    assert newton.failures == muller.failures == []
-    assert [(e.n, e.j) for e in muller.entries] == [(e.n, e.j) for e in newton.entries]
-    assert max(abs(a.z - b.z) for a, b in zip(newton.entries, muller.entries)) <= 1e-7
+    monkeypatch.setattr(periodic_eigen, "_muller", counting)
+    rescued = eigenvalues_in_window(p, 1, 3)
+    assert starts
+    assert newton.failures == rescued.failures == []
+    assert [(e.n, e.j) for e in rescued.entries] == [(e.n, e.j) for e in newton.entries]
+    assert max(abs(a.z - b.z) for a, b in zip(newton.entries, rescued.entries)) <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["step", "fourier"])
+def test_certified_roots_need_no_newton(name, monkeypatch):
+    # the moment roots go straight to their certification circles; Newton
+    # serves only the subdivision fallback, which here has no leaf to polish
+    def unreachable(p, z0, signs):
+        if len(z0):
+            raise AssertionError(f"_newton_batch started from {len(z0)} points")
+        return z0, np.zeros(0, bool), np.zeros(0, bool)
+
+    monkeypatch.setattr(periodic_eigen, "_newton_batch", unreachable)
+    tab = eigenvalues_in_window(load_potential(INPUTS[name]), 1, 2)
+    assert tab.failures == [] and len(tab.entries) == 6
+
+
+# Golden step's roots for n = 1 and 2, sorted: mpmath.findroot at 40 digits
+# on det(oracles.mp_psi(lam) + I) for n = 1 and det(mp_psi(lam) - I) for
+# n = 2, started from the located roots.  Each imaginary part came out below
+# 1e-41, and |det| at each root below 1e-42.
+STEP_ROOTS_40 = [
+    3.06894814114249415056946,
+    3.151525404234671409448833,
+    3.231847486925335912311609,
+    6.213148155169698157409653,
+    6.287463859517923328067051,
+    6.365893018020717760757077,
+]
+
+
+def test_step_roots_match_their_40_digit_values():
+    tab = eigenvalues_in_window(load_potential(INPUTS["step"]), 1, 2)
+    assert [(e.n, e.j) for e in tab.entries] == [(n, j) for n in (1, 2) for j in (1, 2, 3)]
+    assert max(abs(e.z - z) for e, z in zip(tab.entries, STEP_ROOTS_40)) <= 1e-12
