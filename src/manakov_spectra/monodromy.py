@@ -44,11 +44,13 @@ most ``_BLOCK_PAIRS`` pairs, else in equal *row blocks* of at most
 ``_BLOCK_PAIRS`` pairs, which keep the step arrays in cache, and at least two
 per worker, on a thread pool.  The pool is created on first use in each
 process, with one worker per usable core and at most
-``_CHUNK_TARGET // _BLOCK_PAIRS`` workers.  On two cores, a call of 54 points
-at 512 runs took 35 ms inline in two blocks, 36 ms on the pool in two and
-27 ms in four (medians of 60 alternating repeats).  Bits never depend on the
-batch, the block or the worker count, but may differ between machines: numpy
-and BLAS pick their kernels by CPU.
+``_CHUNK_TARGET // _BLOCK_PAIRS`` workers, which share no lock.  On two
+cores, a call of 24 points at 512 runs (one and a half blocks' worth) took
+9.8 ms inline in two blocks, 7.3-7.8 ms on the pool in two and 8.5-8.7 ms in
+four (medians of 120 alternating repeats, two runs).  Bits never depend on
+the batch, the block or the worker count, but may differ between machines:
+numpy and BLAS pick their kernels by CPU (``_tree_product`` gives the
+premise that its bits rest on).
 
 Each split-count group of a chunk is one ``_eval_chunk`` call, with no
 cache: a point that a call requests twice is propagated twice.
@@ -56,11 +58,9 @@ cache: a point that a call requests twice is propagated twice.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import os
-import threading
 
 import numpy as np
 
@@ -81,7 +81,7 @@ IM_LIMIT = 700.0
 _ADJ_IM_LIMIT = 6.0
 
 _CHUNK_TARGET = 1 << 18  # lam-chunk size is chosen so lam*steps ~ this many matrices
-_BLOCK_PAIRS = 1 << 14  # (lam, run) pairs per row block: a chunk's arrays fit in cache
+_BLOCK_PAIRS = 1 << 13  # (lam, run) pairs per row block: a chunk's arrays fit in cache
 
 
 # ----------------------------------------------------------------------------
@@ -277,7 +277,8 @@ def _steps_spectral(lam, vals, avsq, tw, inv, om, ser, nterms):
 
     Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), the distinct
     exponents ``tw = -i w`` (U,) and each run's index ``inv`` (R,) into them,
-    and om, ser (L, R) and nterms (L,) from ``_chunk_terms`` -> E (L, R, 3, 3).
+    and om, ser (L, R) and nterms (L,) from ``_chunk_terms`` -> E (L, R, 3, 6),
+    each 3x3 complex step in ``_tree_product``'s (imag, real) layout.
 
     A product ``x * (y - z)`` is written with the difference named.  Once a
     temporary reaches 256 KiB, numpy's temporary elision evaluates it in
@@ -306,35 +307,68 @@ def _steps_spectral(lam, vals, avsq, tw, inv, om, ser, nterms):
     beta = d12 - (mu1 + om) * dd
     gamma = dd
 
-    shape = om.shape + (3, 3)
-    e = np.empty(shape, dtype=np.complex128)
+    e = np.empty(om.shape + (3, 6))
+
+    def put(i, j, x):  # entry (i, j) in the (imag, real) layout
+        e[..., i, 2 * j] = x.imag
+        e[..., i, 2 * j + 1] = x.real
+
     lam_b = np.broadcast_to(lam2, om.shape)
     diag_base = alpha - beta * lam_b
     lamsq = lam_b * lam_b
     q0, q1, q2 = lamsq - r2, lamsq - av1sq, lamsq - av2sq
-    e[..., 0, 0] = alpha + beta * lam_b + gamma * q0
-    e[..., 0, 1] = -beta * np.conj(v1)
-    e[..., 0, 2] = -beta * np.conj(v2)
-    e[..., 1, 0] = beta * v1
-    e[..., 1, 1] = diag_base + gamma * q1
-    e[..., 1, 2] = -gamma * v1 * np.conj(v2)
-    e[..., 2, 0] = beta * v2
-    e[..., 2, 1] = -gamma * v2 * np.conj(v1)
-    e[..., 2, 2] = diag_base + gamma * q2
+    put(0, 0, alpha + beta * lam_b + gamma * q0)
+    put(0, 1, -beta * np.conj(v1))
+    put(0, 2, -beta * np.conj(v2))
+    put(1, 0, beta * v1)
+    put(1, 1, diag_base + gamma * q1)
+    put(1, 2, -gamma * v1 * np.conj(v2))
+    put(2, 0, beta * v2)
+    put(2, 1, -gamma * v2 * np.conj(v1))
+    put(2, 2, diag_base + gamma * q2)
     return e
 
 
+# The real (6, 6) form of a 3x3 complex right factor b in the (imag, real)
+# layout: entry (2k + r, 2j + c) is b's flat (3, 6) entry _TAKE times _SIGN.
+# Row 2k + r meets the imaginary (r = 0) or real (r = 1) part of the left
+# factor's a_ik, and column 2j + c makes the imaginary (c = 0) or real (c = 1)
+# part of the product's entry (i, j).
+_K, _R, _J, _C = np.indices((3, 2, 3, 2)).reshape(4, -1)
+_TAKE = 6 * _K + 2 * _J + 1 - (_R ^ _C)  # br_kj where r == c, else bi_kj
+_SIGN = np.where((_R == 0) & (_C == 1), -1.0, 1.0)
+
+
 def _tree_product(steps: np.ndarray) -> np.ndarray:
-    """Ordered product steps[:, R-1] @ ... @ steps[:, 0] by pairwise reduction."""
+    """Ordered product steps[:, R-1] @ ... @ steps[:, 0] by pairwise reduction.
+
+    ``steps`` (L, R, 3, 6) holds each 3x3 complex step in the (imag, real)
+    layout: row i is ``[ai_i0, ar_i0, ai_i1, ar_i1, ai_i2, ar_i2]``.  Each
+    pair's product is one real (3, 6) by (6, 6) ``matmul``, whose right
+    operand is the earlier step in the real form of ``_TAKE`` and ``_SIGN``
+    (a product with 1 or -1 is exact), and it comes back in the same layout.
+    Returns psi (L, 3, 3) as complex.
+
+    The premise: BLAS ``dgemm`` forms each entry as one fused multiply-add
+    chain in k order, ``im = fma(ar_k, bi_k, fma(ai_k, br_k, im))`` and
+    ``re = fma(ar_k, br_k, fma(-ai_k, bi_k, re))``, and so does the complex
+    ``zgemm`` that a 3x3 complex ``matmul`` calls.  The two products are then
+    equal as floats; only the sign of an exact zero may differ.  A test holds
+    the BLAS kernels to it, on the machine that runs the tests.
+    """
     cur = steps
     while cur.shape[1] > 1:
         n = cur.shape[1]
         even = n - (n % 2)
-        paired = np.matmul(cur[:, 1:even:2], cur[:, 0:even:2])
+        right = cur[:, 0:even:2].reshape(len(cur), n // 2, 18)[..., _TAKE]
+        right *= _SIGN
+        paired = np.matmul(cur[:, 1:even:2], right.reshape(len(cur), n // 2, 6, 6))
         if n % 2:
             paired = np.concatenate([paired, cur[:, -1:]], axis=1)
         cur = paired
-    return cur[:, 0]
+    psi = np.empty((len(cur), 3, 3), dtype=np.complex128)
+    psi.imag, psi.real = cur[:, 0, :, 0::2], cur[:, 0, :, 1::2]
+    return psi
 
 
 # ----------------------------------------------------------------------------
@@ -400,14 +434,13 @@ def _workers() -> int:
     return min(cpus, _CHUNK_TARGET // _BLOCK_PAIRS)
 
 
-# pid -> (thread pool, BLAS lock), or None where one worker is all there is.
-# Keyed by pid: a forked child inherits the parent's pool object but none of
-# its threads, and possibly a lock that a parent worker held at the fork.
+# pid -> thread pool, or None where one worker is all there is.  Keyed by
+# pid: a forked child inherits the parent's pool object but none of its threads.
 _POOLS: dict = {}
 
 
 def _pool():
-    """This process's (thread pool, BLAS lock), or None for one worker."""
+    """This process's thread pool, or None for one worker."""
     pid = os.getpid()
     if pid not in _POOLS:
         pool = None
@@ -415,8 +448,7 @@ def _pool():
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            executor = ThreadPoolExecutor(workers, thread_name_prefix="monodromy")
-            pool = (executor, threading.Lock())
+            pool = ThreadPoolExecutor(workers, thread_name_prefix="monodromy")
         _POOLS.setdefault(pid, pool)
     return _POOLS[pid]
 
@@ -429,20 +461,20 @@ def _eval_chunk(lam, runs, psis):
     size, give or take a row, that run on the pool, each in a copy of the
     caller's context (so ``np.errstate`` applies in the workers as it does
     inline); every block finishes before the first error, in block order, is
-    raised.  The workers take turns at the tree product: its 3x3 ``matmul``
-    calls BLAS once per matrix, and concurrent calls contend inside OpenBLAS
-    (two threads ran a stack of 3x3 products at half the speed of one), while
-    one worker's product overlaps the others' step kernels; two blocks or
-    more a worker keep that overlap in a chunk of only a few blocks' worth.
+    raised.  The blocks share no lock.  The tree product's real ``matmul``
+    calls ``dgemm`` once per matrix, and two threads run those calls side by
+    side: two 16-point products at 512 runs took 3.8 ms on two threads and
+    5.7 ms on one, where the complex ``zgemm`` that it replaces contends
+    inside OpenBLAS and gained nothing from the second thread (medians of 40
+    repeats on two cores).
     """
     vals, widths, tw, inv = runs
     avsq = np.abs(vals) ** 2
     om, ser, nterms = _chunk_terms(lam, avsq, widths)
 
-    def block(sl, blas=contextlib.nullcontext()):
+    def block(sl):
         e = _steps_spectral(lam[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms[sl])
-        with blas:
-            psis[sl] = _tree_product(e)
+        psis[sl] = _tree_product(e)
 
     pairs = len(lam) * len(widths)
     count = 1
@@ -455,10 +487,7 @@ def _eval_chunk(lam, runs, psis):
         for sl in blocks:
             block(sl)
         return
-    executor, blas = pool
-    futures = [
-        executor.submit(contextvars.copy_context().run, block, sl, blas) for sl in blocks
-    ]
+    futures = [pool.submit(contextvars.copy_context().run, block, sl) for sl in blocks]
     for f in futures:
         f.exception()
     for f in futures:

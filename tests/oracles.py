@@ -8,6 +8,9 @@ routine computes by an independent method:
 * ``expm_stack3`` / ``expm_dense`` -- matrix exponentials by Pade-13 scaling
   and squaring (never eigendecomposition; the generators are non-normal for
   complex spectral parameters), stacked 3x3 and dense n x n;
+* ``tree_product`` -- the ordered pairwise product of complex 3x3 steps by
+  complex ``matmul``: the bit oracle for the engine's real-layout product,
+  and the product that ``pade_psi`` uses;
 * ``pade_psi`` -- the period propagator with every step exponential taken by
   Pade instead of the production spectral kernel;
 * ``mp_psi`` / ``mp_herglotz_fit`` -- the period propagator, and the decay
@@ -38,7 +41,7 @@ import mpmath
 import numpy as np
 
 from manakov_spectra.algebra import adj3
-from manakov_spectra.monodromy import _check_range, _runs_of, _split_runs, _tree_product
+from manakov_spectra.monodromy import _check_range, _runs_of, _split_runs
 from manakov_spectra.potential import Potential, _e1, moments
 from manakov_spectra.spectrum import (
     DISC_REL_TOL,
@@ -162,8 +165,25 @@ def expm_dense(a: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Pade step kernel
+# ordered tree product and Pade step kernel
 # ----------------------------------------------------------------------------
+
+
+def tree_product(steps: np.ndarray) -> np.ndarray:
+    """Ordered product steps[:, R-1] @ ... @ steps[:, 0] of complex (L, R, 3, 3) steps.
+
+    The pairing of ``monodromy._tree_product``: adjacent pairs, level by
+    level, with an odd last step carried up unchanged.
+    """
+    cur = steps
+    while cur.shape[1] > 1:
+        n = cur.shape[1]
+        even = n - (n % 2)
+        paired = np.matmul(cur[:, 1:even:2], cur[:, 0:even:2])
+        if n % 2:
+            paired = np.concatenate([paired, cur[:, -1:]], axis=1)
+        cur = paired
+    return cur[:, 0]
 
 
 def _steps_pade(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
@@ -188,14 +208,14 @@ def _steps_pade(lam: np.ndarray, vals: np.ndarray, widths: np.ndarray):
 def pade_psi(p: Potential, lam: complex) -> np.ndarray:
     """Period propagator at one parameter, every step exponential by Pade.
 
-    Runs, step splitting and the ordered tree product are the production
-    engine's, so only the step kernel differs from
+    Runs, step splitting and the pairing of the ordered tree product are the
+    production engine's, so only the step kernel differs from
     ``monodromy_grid(p, [lam])["psi"][0]``.
     """
     lam_arr = np.array([lam], dtype=np.complex128)
     _check_range(lam_arr)
     vals, widths = _split_runs(*_runs_of(p), abs(lam_arr[0].imag))[:2]
-    return _tree_product(_steps_pade(lam_arr, vals, widths))[0]
+    return tree_product(_steps_pade(lam_arr, vals, widths))[0]
 
 
 # ----------------------------------------------------------------------------
@@ -418,11 +438,11 @@ def point_series_lengths(lam, om, widths) -> list:
 
 
 def reference_steps(lam, vals, widths, avsq, om, ser, nterms):
-    """Step matrices like ``monodromy._steps_spectral``'s, bit for bit.
+    """Step matrices like ``monodromy._steps_spectral``'s, bit for bit, as complex.
 
     Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), and om,
     ser (L, R) and nterms (L,) from ``monodromy._chunk_terms`` ->
-    E (L, R, 3, 3).
+    E (L, R, 3, 3), where ``_steps_spectral`` gives the (imag, real) layout.
     """
     lam2 = lam[:, None]
     v1 = vals[None, :, 0]

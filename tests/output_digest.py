@@ -9,15 +9,16 @@ warnings are recorded as ``category: message`` rather than through the
 default formatter, whose text carries the file path and line number of the
 warning site.
 
-After each workload, one ``engine`` line gives two SHA-256 digests of the
+After each workload, one ``engine`` line gives three SHA-256 digests of the
 ``monodromy_grid`` results, the number of calls and the number of rows
 ``monodromy._eval_chunk`` evaluated.  ``sha256=`` hashes the bytes of every
 call's ``trace`` and ``trace_conj``, in call order, so it changes when the
 same points are grouped into other calls.  ``rows_sha256=`` does not: it
 hashes one record per requested point, the bytes of its ``lam``, ``trace``
-and ``trace_conj``, with the records sorted by those bytes.  Outputs are
-rounded and reduced, so they can hide a changed bit of the propagator;
-these digests do not.  The rows are the points the engine
+and ``trace_conj``, with the records sorted by those bytes.
+``psi_sha256=`` hashes such records of ``lam`` and the nine entries of
+``psi``.  Outputs are rounded and reduced, so they can hide a changed bit of
+the propagator; these digests do not.  The rows are the points the engine
 propagated: the points callers request, plus the conjugate of each with
 ``|Im lam| > 6``, which ``monodromy_grid`` propagates again for its
 ``trace_conj``.
@@ -28,10 +29,10 @@ run the script at both commits and compare::
     PYTHONPATH=src python tests/output_digest.py > after.txt
     diff before.txt after.txt
 
-Compare digests taken on one machine only.  numpy's ``matmul`` calls a BLAS
-``zgemm`` kernel that is chosen by CPU at run time, and numpy's own SIMD
-loops are too, so the same commit may print different bits on another
-machine.
+Compare digests taken on one machine only.  The engine's tree product calls
+BLAS ``dgemm`` through numpy's ``matmul``, and the kernel is chosen by CPU
+at run time, as numpy's own SIMD loops are, so the same commit may print
+different bits on another machine.
 
 pytest does not collect this file (its name does not start with ``test_``).
 """
@@ -69,13 +70,19 @@ def _engine_users() -> list:
     return [module for module in modules if hasattr(module, "monodromy_grid")]
 
 
+def _records(rows) -> list:
+    """The bytes of each row of a complex 2-D array, one bytes-like record a row."""
+    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    return rows.view(f"V{16 * rows.shape[1]}").ravel().tolist()
+
+
 @contextlib.contextmanager
 def _engine_digest():
     """Hash every ``monodromy_grid`` result and count evaluated rows while the block runs."""
     modules = _engine_users()
     propagate = monodromy.monodromy_grid
     eval_chunk = monodromy._eval_chunk
-    state = {"hash": hashlib.sha256(), "records": [], "calls": 0, "rows": 0}
+    state = {"hash": hashlib.sha256(), "records": [], "psi": [], "calls": 0, "rows": 0}
 
     def recording(p, lam, **kwargs):
         g = propagate(p, lam, **kwargs)
@@ -83,8 +90,9 @@ def _engine_digest():
         for key in ("trace", "trace_conj"):
             state["hash"].update(np.ascontiguousarray(g[key]).tobytes())
         fields = [g[key] for key in ("lam", "trace", "trace_conj")]
-        records = np.stack(fields, axis=1).astype(np.complex128).view(f"V{16 * len(fields)}")
-        state["records"].extend(records.ravel().tolist())
+        state["records"].extend(_records(np.stack(fields, axis=1)))
+        psi = np.reshape(g["psi"], (-1, 9))
+        state["psi"].extend(_records(np.concatenate([g["lam"][:, None], psi], axis=1)))
         return g
 
     def evaluating(lam, *args):
@@ -129,10 +137,11 @@ def main() -> int:
                         print(f"{name} {i:02d} {inv['command']} {fmt} {line}", flush=True)
             digest = engine["hash"].hexdigest()
             rows_digest = hashlib.sha256(b"".join(sorted(engine["records"]))).hexdigest()
+            psi_digest = hashlib.sha256(b"".join(sorted(engine["psi"]))).hexdigest()
             calls, rows = engine["calls"], engine["rows"]
             print(
                 f"{name} engine sha256={digest} rows_sha256={rows_digest} "
-                f"calls={calls} rows={rows}",
+                f"psi_sha256={psi_digest} calls={calls} rows={rows}",
                 flush=True,
             )
     return 0

@@ -35,6 +35,7 @@ from oracles import (
     reference_steps,
     series_length,
     trace_t2,
+    tree_product,
 )
 
 
@@ -269,6 +270,18 @@ def _same_bits(a, b) -> bool:
     return np.shape(a) == np.shape(b) and np.array_equal(_bits(a), _bits(b))
 
 
+def _layout(c) -> np.ndarray:
+    """Complex (..., 3, 3) matrices in the engine's (imag, real) layout (..., 3, 6)."""
+    return np.stack([c.imag, c.real], axis=-1).reshape(c.shape[:-1] + (6,))
+
+
+def _complex(f) -> np.ndarray:
+    """The complex (..., 3, 3) matrices of the (imag, real) layout (..., 3, 6)."""
+    c = np.empty(f.shape[:-1] + (3,), dtype=np.complex128)
+    c.imag, c.real = f[..., 0::2], f[..., 1::2]
+    return c
+
+
 def _grid_with(monkeypatch, p, lam, block_pairs, workers):
     with monkeypatch.context() as m:
         m.setattr(monodromy, "_BLOCK_PAIRS", block_pairs)
@@ -433,10 +446,8 @@ def test_point_bits_depend_on_lam_alone(monkeypatch, name):
             assert collections.Counter(evaluated) == propagated
 
 
-@pytest.mark.parametrize("name", sorted(_bit_batches()))
-def test_step_kernel_matches_its_bit_oracle(name):
-    # the width-only exponentials and the reciprocal factors leave every bit
-    # of every step matrix as the plain kernel has them
+def _kernel_blocks(name):
+    """Per row block of a bit batch, as the engine cuts it: its run widths and kernel arguments."""
     p, lam = _bit_batches()[name]
     lam = lam.astype(np.complex128)
     runs = monodromy._runs_of(p)
@@ -449,13 +460,56 @@ def test_step_kernel_matches_its_bit_oracle(name):
         rows = max(1, monodromy._BLOCK_PAIRS // len(widths))
         for b in range(0, len(lam_c), rows):
             sl = slice(b, b + rows)
-            got = monodromy._steps_spectral(
-                lam_c[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms[sl]
-            )
-            want = reference_steps(
-                lam_c[sl], vals, widths, avsq, om[sl], ser[sl], nterms[sl]
-            )
-            assert _same_bits(got, want)
+            yield widths, (lam_c[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms[sl])
+
+
+@pytest.mark.parametrize("name", sorted(_bit_batches()))
+def test_step_kernel_matches_its_bit_oracle(name):
+    # the width-only exponentials and the reciprocal factors leave every bit
+    # of every step matrix as the plain kernel has them, in the (imag, real)
+    # layout
+    for widths, args in _kernel_blocks(name):
+        lam_rows, vals, avsq, _, _, om, ser, nterms = args
+        got = monodromy._steps_spectral(*args)
+        want = _layout(reference_steps(lam_rows, vals, widths, avsq, om, ser, nterms))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _random_stack(runs: int) -> np.ndarray:
+    """40 rows of random complex 3x3 steps ``D Q D^-1``, with Q unitary.
+
+    Each row has its own diagonal D, with entries from 1e-2 to 1e2, so the
+    step entries are graded by up to 1e4 either way, while every product
+    stays a similarity of a unitary one and never overflows.
+    """
+    rng = np.random.default_rng(SEED_BITS + runs)
+    shape = (40, runs, 3, 3)
+    q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    d = 10.0 ** rng.uniform(-2.0, 2.0, (40, 1, 3))
+    return d[..., :, None] * q / d[..., None, :]
+
+
+@pytest.mark.parametrize(
+    "name", [f"random-{r}" for r in (1, 2, 3, 7, 512)] + sorted(_bit_batches())
+)
+def test_tree_product_matches_its_bit_oracle(name):
+    """The real-layout tree product equals the complex ``matmul`` one as floats.
+
+    This holds the BLAS kernels to a per-machine premise, as the reciprocal
+    factor's test holds numpy: ``dgemm`` and ``zgemm`` form each entry of a
+    product by the same fused multiply-adds in the same order (see
+    ``monodromy._tree_product``).  Should a BLAS build order them otherwise,
+    this fails before any output moves.  ``np.array_equal`` treats -0 and +0
+    alike: multiplying by -1 in the real form may flip the sign of an exact
+    zero.
+    """
+    if name.startswith("random-"):
+        stacks = [_random_stack(int(name.split("-")[1]))]
+    else:
+        stacks = (_complex(monodromy._steps_spectral(*args)) for _, args in _kernel_blocks(name))
+    for steps in stacks:
+        assert np.array_equal(monodromy._tree_product(_layout(steps)), tree_product(steps))
 
 
 def test_series_cutoff_belongs_to_the_point():
@@ -591,9 +645,10 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
 
 
 def test_pooled_call_is_cut_into_equal_blocks(monkeypatch):
-    # 54 points at 512 runs make more than one block's worth of pairs but
-    # under two, so the worker count sets the blocks: two equal blocks a
-    # worker, on the pool once there are two workers or more
+    # one and a half blocks' worth of points at 512 runs make more than one
+    # block's worth of pairs but under two, so the worker count sets the
+    # blocks: two equal blocks a worker, on the pool once there are two
+    # workers or more
     steps = monodromy._steps_spectral
     rows, threads = [], set()
 
@@ -603,7 +658,7 @@ def test_pooled_call_is_cut_into_equal_blocks(monkeypatch):
         return steps(lam_rows, *args)
 
     monkeypatch.setattr(monodromy, "_steps_spectral", recording)
-    lam = np.linspace(-3.0, 3.0, 54)
+    lam = np.linspace(-3.0, 3.0, 3 * monodromy._BLOCK_PAIRS // (2 * 512))
     assert len(monodromy._runs_of(M512)[1]) == 512
     for workers in (1, 2, 3):
         rows.clear()
@@ -617,7 +672,8 @@ def test_pooled_call_is_cut_into_equal_blocks(monkeypatch):
 def test_import_starts_no_thread():
     # import time is part of every CLI call: the pool, and concurrent.futures
     # with it, only come in with the first chunk of more than _BLOCK_PAIRS
-    # pairs; 256 points at 64 runs make exactly _BLOCK_PAIRS
+    # pairs; _BLOCK_PAIRS // 64 points at 64 runs make exactly _BLOCK_PAIRS
+    points = monodromy._BLOCK_PAIRS // 64
     script = (
         "import sys, threading\n"
         "import numpy as np\n"
@@ -627,10 +683,10 @@ def test_import_starts_no_thread():
         "    assert threading.active_count() == 1, threading.enumerate()\n"
         "check()\n"
         "p = manakov_spectra.Potential.from_fourier({1: (0.25, 0.1)}, 64)\n"
-        "manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, 100))\n"
+        f"manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, {points // 2}))\n"
         "check()\n"
         "assert len(manakov_spectra.monodromy._runs_of(p)[1]) == 64\n"
-        "manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, 256))\n"
+        f"manakov_spectra.monodromy_grid(p, np.linspace(-3.0, 3.0, {points}))\n"
         "check()\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
