@@ -293,11 +293,12 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     lam_re = np.linspace(-12.0, 12.0, 241)
     lam_cx = np.array([1.3 + 0.8j, -2.2 + 1.7j, 0.4 - 1.1j, 3.7 + 2.5j])
     lam = np.concatenate([lam_re.astype(np.complex128), lam_cx])
-    g = monodromy_grid(p, lam)
-    # a real point is its own conjugate: only the non-real ones propagate again
-    gc = monodromy_grid(p, np.conj(lam_cx))
+    # a real point is its own conjugate: only the non-real ones propagate
+    # again, in the same call (a conjugate pair shares its split counts)
+    both = monodromy_grid(p, np.concatenate([lam, np.conj(lam_cx)]))
+    g = {key: value[: len(lam)] for key, value in both.items()}
     psi = g["psi"]
-    psi_c = np.concatenate([psi[: len(lam_re)], gc["psi"]])
+    psi_c = np.concatenate([psi[: len(lam_re)], both["psi"][len(lam) :]])
     if corrupt:
         psi = psi.copy()
         psi[..., 0, 0] *= 1.0 + 2e-6
@@ -442,7 +443,7 @@ def cmd_sheets(p: Potential, args):
     sc = scan(p, lo, hi, step=args.step)
     verdict = sheet_count(p, sc)
     m = moments(p)
-    phi_sup = float(np.max(np.abs(sc.phi)))
+    phi_sup = verdict.evidence["sup_phi"]
     body = {
         "interval": [lo, hi],
         "sheets": verdict.sheets,

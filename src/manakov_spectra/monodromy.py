@@ -40,17 +40,17 @@ A point's bits depend on lam alone: its runs are cut into equal parts of
 own largest series criterion needs (``_chunk_terms``).  A call is cut into
 *chunks* of about ``_CHUNK_TARGET`` (lam, run) pairs.  The points of a chunk
 with the same split counts are evaluated together: inline when they make at
-most ``_BLOCK_PAIRS`` pairs, else in equal *row blocks* of at most
-``_BLOCK_PAIRS`` pairs, which keep the step arrays in cache, and at least two
-per worker, on a thread pool.  The pool is created on first use in each
-process, with one worker per usable core and at most
-``_CHUNK_TARGET // _BLOCK_PAIRS`` workers, which share no lock.  On two
+most ``_BLOCK_PAIRS`` pairs, else on a thread pool in equal *row blocks* of at
+most ``_BLOCK_PAIRS`` pairs, which keep the step arrays in cache, as few as
+can be while every worker gets as many blocks as the others.  The pool is
+created on first use in each process, with one worker per usable core and at
+most ``_CHUNK_TARGET // _BLOCK_PAIRS`` workers, which share no lock.  On two
 cores, a call of 24 points at 512 runs (one and a half blocks' worth) took
 9.8 ms inline in two blocks, 7.3-7.8 ms on the pool in two and 8.5-8.7 ms in
-four (medians of 120 alternating repeats, two runs).  Bits never depend on
-the batch, the block or the worker count, but may differ between machines:
-numpy and BLAS pick their kernels by CPU (``_tree_product`` gives the
-premise that its bits rest on).
+four (medians of 120 alternating repeats, two runs): one block a worker beats
+two.  Bits never depend on the batch, the block or the worker count, but may
+differ between machines: numpy and BLAS pick their kernels by CPU
+(``_tree_product`` gives the premise that its bits rest on).
 
 Each split-count group of a chunk is one ``_eval_chunk`` call, with no
 cache: a point that a call requests twice is propagated twice.
@@ -457,16 +457,19 @@ def _eval_chunk(lam, runs, psis):
     """Fill psis (L, 3, 3) for one chunk, block by block.
 
     A chunk of more than ``_BLOCK_PAIRS`` (lam, run) pairs is cut into
-    ``max(ceil(pairs / _BLOCK_PAIRS), 2 * _workers())`` row blocks of equal
-    size, give or take a row, that run on the pool, each in a copy of the
-    caller's context (so ``np.errstate`` applies in the workers as it does
-    inline); every block finishes before the first error, in block order, is
-    raised.  The blocks share no lock.  The tree product's real ``matmul``
-    calls ``dgemm`` once per matrix, and two threads run those calls side by
-    side: two 16-point products at 512 runs took 3.8 ms on two threads and
-    5.7 ms on one, where the complex ``zgemm`` that it replaces contends
-    inside OpenBLAS and gained nothing from the second thread (medians of 40
-    repeats on two cores).
+    ``workers * ceil(pairs / (workers * _BLOCK_PAIRS))`` row blocks, capped
+    at its rows, of equal size, give or take a row: the fewest blocks of at
+    most ``_BLOCK_PAIRS`` pairs that the workers share evenly, since one
+    block a worker beat two on the 24-point call timed in the module notes.
+    They run on the pool, each in a copy of the caller's context (so
+    ``np.errstate`` applies in the workers as it does inline); every block
+    finishes before the first error, in block order, is raised.  The blocks
+    share no lock.  The tree product's real ``matmul`` calls ``dgemm`` once
+    per matrix, and two threads run those calls side by side: two 16-point
+    products at 512 runs took 3.8 ms on two threads and 5.7 ms on one, where
+    the complex ``zgemm`` that it replaces contends inside OpenBLAS and
+    gained nothing from the second thread (medians of 40 repeats on two
+    cores).
     """
     vals, widths, tw, inv = runs
     avsq = np.abs(vals) ** 2
@@ -479,7 +482,8 @@ def _eval_chunk(lam, runs, psis):
     pairs = len(lam) * len(widths)
     count = 1
     if pairs > _BLOCK_PAIRS:
-        count = min(len(lam), max(-(-pairs // _BLOCK_PAIRS), 2 * _workers()))
+        workers = _workers()
+        count = min(len(lam), workers * -(-pairs // (workers * _BLOCK_PAIRS)))
     cuts = [len(lam) * k // count for k in range(count + 1)]
     blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     pool = _pool() if count > 1 else None

@@ -70,8 +70,6 @@ class StepGrid:
         single exponential), a large saving for genuinely piecewise inputs.
         """
         v = self.values
-        if len(v) == 1:
-            return v.copy(), np.array([1.0])
         change = np.any(v[1:] != v[:-1], axis=1)
         starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
         ends = np.concatenate((starts[1:], [len(v)]))

@@ -188,34 +188,24 @@ def q0_integral(profile: QProfile) -> GapMassResult:
         return GapMassResult(value=0.0, tail_estimate=0.0)
 
     contrib = [0.0] * len(gaps)
-    active = {k: QUAD_START_NODES for k in range(len(gaps))}
-    previous = {k: None for k in range(len(gaps))}
+    # each unsettled gap's node count, in gap order
+    active = dict.fromkeys(range(len(gaps)), QUAD_START_NODES)
     while active:
-        nodes = []
-        weights = []
-        spans = []
-        order = sorted(active)
-        for k in order:
-            a, b = gaps[k]
-            lam_k, w_k = _quad_nodes(a, b, active[k])
-            nodes.append(lam_k)
-            weights.append(w_k)
-            spans.append(len(lam_k))
-        _, q_avg = branch_magnitudes(p, np.concatenate(nodes))
+        quad = {k: _quad_nodes(*gaps[k], m) for k, m in active.items()}
+        _, q_avg = branch_magnitudes(p, np.concatenate([lam_k for lam_k, _ in quad.values()]))
         offset = 0
         scale = max(1.0, sum(contrib))
-        for k, w_k, m in zip(order, weights, spans):
+        for k, (lam_k, w_k) in quad.items():
+            m = len(lam_k)
             val = float(np.dot(q_avg[offset : offset + m], w_k))
             offset += m
-            prev = previous[k]
+            # contrib[k] holds the previous round's value after the first round
+            settled = m > QUAD_START_NODES and abs(val - contrib[k]) <= QUAD_REL_TOL * scale
             contrib[k] = val
-            previous[k] = val
-            if prev is not None and abs(val - prev) <= QUAD_REL_TOL * scale:
-                del active[k]
-            elif active[k] >= QUAD_MAX_NODES:
+            if settled or m >= QUAD_MAX_NODES:
                 del active[k]
             else:
-                active[k] = active[k] * 2
+                active[k] = 2 * m
 
     total = sum(contrib)
     lo, hi = profile.grid[0], profile.grid[-1]

@@ -229,7 +229,10 @@ def _tree_depth(brackets: int, runs: int, width: float) -> int:
 def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
     """Classify [a, b], refine gap endpoints, and collect diagnostics.
 
-    Endpoints of every gap are bisected to within ``ENDPOINT_ACCURACY``.
+    The strict classes are 1 (gap) and 3 (band), so the sign changes between
+    consecutive strict points alternate, band -> gap then gap -> band; their
+    ends, bisected to within ``ENDPOINT_ACCURACY``, pair off in order into
+    gaps, with ``a`` or ``b`` for a gap that reaches past an end of [a, b].
     Boundary-band points are merged into the neighboring classes; a touching
     zero of the discriminant flanked by bands on both sides is reported as a
     kissing point rather than a gap.
@@ -289,50 +292,30 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
 
     # --- bracketed sign changes between consecutive strict points -----------
     snz = np.flatnonzero(strict)
-    open_br: list[tuple[float, float, float]] = []  # band -> gap
-    close_br: list[tuple[float, float, float]] = []  # gap -> band
-    order: list[tuple[int, int]] = []  # (kind, index into its list), kind 0=open
-    for k in range(snz.size - 1):
-        i, j = int(snz[k]), int(snz[k + 1])
-        if cls[i] == cls[j]:
-            continue
-        if cls[i] == 3:
-            order.append((0, len(open_br)))
-            open_br.append((lam[i], lam[j], disc[i]))
-        else:
-            order.append((1, len(close_br)))
-            close_br.append((lam[i], lam[j], disc[i]))
-
-    refined_open, refined_close = _refine_sign_changes(p, [open_br, close_br])
-
-    gaps: list[tuple[float, float]] = []
-    pending_left: float | None = None
+    i, j = snz[:-1], snz[1:]
+    change = cls[i] != cls[j]
+    i, j = i[change], j[change]
+    opens = cls[i] == 3  # band -> gap; the others are gap -> band
+    refined = _refine_sign_changes(
+        p, [list(zip(lam[i[m]], lam[j[m]], disc[i[m]])) for m in (opens, ~opens)]
+    )
+    ends = np.empty(i.size)
+    ends[opens], ends[~opens] = refined
+    ends = ends.tolist()
     if snz.size and cls[snz[0]] == 1:
-        pending_left = a
+        ends.insert(0, a)
         notes.append("gap continues past the left end of the scan interval")
-    for kind, idx in order:
-        if kind == 0:
-            pending_left = float(refined_open[idx])
-        else:
-            left = pending_left if pending_left is not None else a
-            gaps.append((left, float(refined_close[idx])))
-            pending_left = None
-    if pending_left is not None:
-        gaps.append((pending_left, b))
+    if len(ends) % 2:
+        ends.append(b)
         notes.append("gap continues past the right end of the scan interval")
+    gaps = list(zip(ends[0::2], ends[1::2]))
 
     # --- kissing points: boundary runs flanked by bands on both sides -------
     kissing: list[float] = []
-    run_start = None
-    for i in range(n):
-        if cls[i] == 0:
-            if run_start is None:
-                run_start = i
-            continue
-        if run_start is not None:
-            _maybe_kiss(lam, disc, cls, run_start, i - 1, kissing)
-            run_start = None
-    # a trailing boundary run has no right flank and cannot qualify
+    edges = np.flatnonzero(np.diff(cls == 0, prepend=False, append=False)).tolist()
+    for start, stop in zip(edges[0::2], edges[1::2]):
+        if stop < n:  # a trailing boundary run has no right flank and cannot qualify
+            _maybe_kiss(lam, disc, cls, start, stop - 1, kissing)
 
     widths = [hi - lo for lo, hi in gaps]
     if widths and min(widths) < 4.0 * eff_step:
@@ -417,10 +400,9 @@ def sheet_count(p: Potential, sc: SpectralScan) -> SheetVerdict:
         mids = np.array([0.5 * (lo + hi) for lo, hi in sc.gaps])
         g = monodromy_grid(p, mids + 1e-6j)
         taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
-        for row in taus:
-            mags = np.sort(np.abs(row))
-            # middle branch unimodular <=> its Lyapunov average stays real on the gap
-            gap_mid_real.append(bool(abs(mags[1] - 1.0) <= 10.0 * UNIMODULAR_TOL))
+        mags = np.sort(np.abs(taus), axis=1)
+        # middle branch unimodular <=> its Lyapunov average stays real on the gap
+        gap_mid_real = (np.abs(mags[:, 1] - 1.0) <= 10.0 * UNIMODULAR_TOL).tolist()
 
     sheets = 2 if (phi_flat and rank_one) else 3
     return SheetVerdict(

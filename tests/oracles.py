@@ -27,6 +27,8 @@ routine computes by an independent method:
   cutoff by its scalar loop, point by point;
 * ``refine_sign_changes`` -- the plain bisection of a list of brackets, one
   engine call per halving: the bit oracle for the scan's speculative one;
+* ``scan_bookkeeping`` -- a scan's gaps, edge notes and kissing points by
+  per-point loops and a pairing state machine, against the scan's masks;
 * ``classify`` -- the multiplicity of one real spectral parameter on its
   own, against the multiplicities of a whole ``scan``;
 * ``hadamard_eval`` -- the characteristic function restored as a product
@@ -49,6 +51,8 @@ from manakov_spectra.spectrum import (
     ZERO_POTENTIAL_TOL,
     _disc_only,
     _line_data,
+    _local_tol,
+    _maybe_kiss,
 )
 
 # ----------------------------------------------------------------------------
@@ -553,6 +557,43 @@ def refine_sign_changes(p: Potential, brackets: list[tuple[float, float, float]]
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def scan_bookkeeping(sc, refined: list[np.ndarray]) -> tuple[list, list, list]:
+    """``(gaps, notes, kissing)`` of a scan from its grid, walked point by point.
+
+    ``refined`` holds the scan's refined band -> gap and gap -> band sign
+    changes, in that order.  Each sign change between consecutive strict
+    points takes the next refined end of its group; an opening end waits
+    for the next closing one, and a gap that reaches past an end of the
+    interval takes that end.  ``notes`` holds the edge notes only.
+    """
+    (a, b), lam, disc = sc.interval, sc.lam, sc.disc
+    tol = _local_tol(disc)
+    cls = np.where(disc > tol, 3, np.where(disc < -tol, 1, 0))
+    strict = [int(k) for k in np.flatnonzero(cls)]
+    opening, closing = iter(refined[0].tolist()), iter(refined[1].tolist())
+    gaps, notes, pending = [], [], None
+    if strict and cls[strict[0]] == 1:
+        pending = a
+        notes.append("gap continues past the left end of the scan interval")
+    for i, j in zip(strict, strict[1:]):
+        if cls[i] == 3 and cls[j] == 1:
+            pending = next(opening)
+        elif cls[i] == 1 and cls[j] == 3:
+            gaps.append((pending, next(closing)))
+            pending = None
+    if pending is not None:
+        gaps.append((pending, b))
+        notes.append("gap continues past the right end of the scan interval")
+    kissing, start = [], None
+    for i in range(len(cls)):
+        if cls[i] == 0:
+            start = i if start is None else start
+        elif start is not None:
+            _maybe_kiss(lam, disc, cls, start, i - 1, kissing)
+            start = None
+    return gaps, notes, kissing
 
 
 # ----------------------------------------------------------------------------

@@ -10,8 +10,9 @@ default formatter, whose text carries the file path and line number of the
 warning site.
 
 After each workload, one ``engine`` line gives three SHA-256 digests of the
-``monodromy_grid`` results, the number of calls and the number of rows
-``monodromy._eval_chunk`` evaluated.  ``sha256=`` hashes the bytes of every
+``monodromy_grid`` results, the number of calls, the number of
+``monodromy._eval_chunk`` calls (``chunks=``) and the number of rows they
+evaluated.  ``sha256=`` hashes the bytes of every
 call's ``trace`` and ``trace_conj``, in call order, so it changes when the
 same points are grouped into other calls.  ``rows_sha256=`` does not: it
 hashes one record per requested point, the bytes of its ``lam``, ``trace``
@@ -78,11 +79,11 @@ def _records(rows) -> list:
 
 @contextlib.contextmanager
 def _engine_digest():
-    """Hash every ``monodromy_grid`` result and count evaluated rows while the block runs."""
+    """Hash every ``monodromy_grid`` result and count chunks and rows while the block runs."""
     modules = _engine_users()
     propagate = monodromy.monodromy_grid
     eval_chunk = monodromy._eval_chunk
-    state = {"hash": hashlib.sha256(), "records": [], "psi": [], "calls": 0, "rows": 0}
+    state = {"hash": hashlib.sha256(), "records": [], "psi": [], "calls": 0, "chunks": 0, "rows": 0}
 
     def recording(p, lam, **kwargs):
         g = propagate(p, lam, **kwargs)
@@ -96,6 +97,7 @@ def _engine_digest():
         return g
 
     def evaluating(lam, *args):
+        state["chunks"] += 1
         state["rows"] += len(lam)
         return eval_chunk(lam, *args)
 
@@ -138,10 +140,10 @@ def main() -> int:
             digest = engine["hash"].hexdigest()
             rows_digest = hashlib.sha256(b"".join(sorted(engine["records"]))).hexdigest()
             psi_digest = hashlib.sha256(b"".join(sorted(engine["psi"]))).hexdigest()
-            calls, rows = engine["calls"], engine["rows"]
+            calls, chunks, rows = engine["calls"], engine["chunks"], engine["rows"]
             print(
                 f"{name} engine sha256={digest} rows_sha256={rows_digest} "
-                f"psi_sha256={psi_digest} calls={calls} rows={rows}",
+                f"psi_sha256={psi_digest} calls={calls} chunks={chunks} rows={rows}",
                 flush=True,
             )
     return 0

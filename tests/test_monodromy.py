@@ -592,8 +592,9 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     with pytest.raises(ArithmeticError) as info:
         _grid_with(monkeypatch, p, lam, 1 << 12, 2)
     assert info.value is boom
-    # every block ran before the error reached the caller
-    assert len(calls) == len(range(0, len(lam), (1 << 12) // 512))
+    # every block ran before the error reached the caller: 25 blocks' worth
+    # of pairs, cut into a multiple of the two workers
+    assert len(calls) == 26
     monkeypatch.setattr(monodromy, "_steps_spectral", steps)
     again = _grid_with(monkeypatch, p, lam, 1 << 12, 2)
     for key in GRID_KEYS:
@@ -646,9 +647,8 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
 
 def test_pooled_call_is_cut_into_equal_blocks(monkeypatch):
     # one and a half blocks' worth of points at 512 runs make more than one
-    # block's worth of pairs but under two, so the worker count sets the
-    # blocks: two equal blocks a worker, on the pool once there are two
-    # workers or more
+    # block's worth of pairs but under two: two blocks at one worker, and one
+    # block a worker from two workers up, on the pool
     steps = monodromy._steps_spectral
     rows, threads = [], set()
 
@@ -664,7 +664,7 @@ def test_pooled_call_is_cut_into_equal_blocks(monkeypatch):
         rows.clear()
         threads.clear()
         _grid_with(monkeypatch, M512, lam, monodromy._BLOCK_PAIRS, workers)
-        assert len(rows) == 2 * workers and sum(rows) == len(lam)
+        assert len(rows) == {1: 2, 2: 2, 3: 3}[workers] and sum(rows) == len(lam)
         assert max(rows) - min(rows) <= 1
         assert any(t.startswith("monodromy") for t in threads) == (workers > 1)
 

@@ -43,6 +43,47 @@ def test_constant_gap_endpoints(pot_const):
     assert np.all(sc.multiplicity[outside] == 3)
 
 
+def test_gaps_reaching_past_the_interval_ends(pot_const):
+    # the gap (-0.9, 0.9) cut by the scan interval ends at the interval's own ends
+    left = "gap continues past the left end of the scan interval"
+    right = "gap continues past the right end of the scan interval"
+    sc = scan(pot_const, -0.5, 2.0, step=0.01)
+    assert len(sc.gaps) == 1 and sc.gaps[0][0] == -0.5
+    assert abs(sc.gaps[0][1] - 0.9) <= 1e-8
+    assert sc.notes == [left]
+    sc = scan(pot_const, -2.0, 0.5, step=0.01)
+    assert len(sc.gaps) == 1 and sc.gaps[-1][1] == 0.5
+    assert abs(sc.gaps[-1][0] + 0.9) <= 1e-8
+    assert sc.notes == [right]
+    sc = scan(pot_const, -0.5, 0.5, step=0.01)
+    assert sc.gaps == [(-0.5, 0.5)]
+    assert sc.notes == [left, right]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_scan_bookkeeping_matches_the_point_loops(monkeypatch, pot_const, pot_two_mode, rng):
+    # the scan's masks give the gaps, edge notes and kissing points of the
+    # per-point loops, bit for bit
+    seen = []
+    refine = spectrum._refine_sign_changes
+
+    def recording(p, groups):
+        seen.append(refine(p, groups))
+        return seen[-1]
+
+    monkeypatch.setattr(spectrum, "_refine_sign_changes", recording)
+    cases = [(pot_const, -0.5, 2.0), (pot_const, -2.0, 0.5), (pot_const, -0.5, 0.5)]
+    # three gaps and a kissing point, then two gaps cut by both ends
+    cases += [(pot_two_mode, -7.5, 7.5), (pot_two_mode, -3.1, 3.0)]
+    cases += [(random_potential(rng), -6.0, 6.0) for _ in range(3)]
+    for p, a, b in cases:
+        sc = scan(p, a, b, step=0.01)
+        gaps, notes, kissing = oracles.scan_bookkeeping(sc, seen[-1])
+        assert sc.gaps == gaps
+        assert [n for n in sc.notes if "continues past" in n] == notes
+        assert sc.kissing_points == kissing
+
+
 def test_classify_points(pot_const):
     mid = oracles.classify(pot_const, 0.0)
     assert mid.multiplicity == 1
