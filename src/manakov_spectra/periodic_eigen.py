@@ -126,19 +126,34 @@ def _windings(p: Potential, contours: list, samples: list | None = None) -> list
     at its last entry, gets None.  Samples are divided by the growth
     envelope first, which changes no phase.  With *samples*, a list as long
     as *contours*, each counted contour's values of D go into its entry.
+
+    Each schedule entry is a power-of-two multiple of the one before, and
+    ``_circle`` and ``_square`` build their points from ``k / n`` fractions,
+    so an escalated contour's points at ``[::ratio]`` are the last entry's,
+    bit for bit.  Their values of D are kept (a point's bits depend on lam
+    alone), and only the new points are propagated.
     """
     out: list[int | None] = [None] * len(contours)
+    kept: dict[int, np.ndarray] = {}  # undersampled contour -> its values of D
     todo = list(range(len(contours)))
     rnd = 0
     while todo:
         pts = [contours[i][0](contours[i][1][rnd]) for i in todo]
-        signs = np.repeat([contours[i][2] for i in todo], [q.size for q in pts])
-        vals = d_pm_grid(p, np.concatenate(pts), signs)
+        fresh = [np.ones(q.size, dtype=bool) for q in pts]
+        for i, q, f in zip(todo, pts, fresh):
+            if i in kept:
+                f[:: q.size // kept[i].size] = False
+        asked = [q[f] for q, f in zip(pts, fresh)]
+        sizes = [a.size for a in asked]
+        signs = np.repeat([contours[i][2] for i in todo], sizes)
+        vals = d_pm_grid(p, np.concatenate(asked), signs)
         again: list[int] = []
-        pos = 0
-        for i, q in zip(todo, pts):
-            v = vals[pos : pos + q.size]
-            pos += q.size
+        for i, q, f, new in zip(todo, pts, fresh, np.split(vals, np.cumsum(sizes)[:-1])):
+            v = new
+            if i in kept:
+                v = np.empty(q.size, dtype=np.complex128)
+                v[f] = new
+                v[~f] = kept.pop(i)
             try:
                 out[i] = winding_count(v / _envelope(q))
                 if samples is not None:
@@ -146,6 +161,7 @@ def _windings(p: Potential, contours: list, samples: list | None = None) -> list
             except UndersampledContourError:
                 if rnd + 1 < len(contours[i][1]):
                     again.append(i)
+                    kept[i] = v
             except ContourThroughZeroError:
                 pass
         todo = again

@@ -1,5 +1,7 @@
 """Shared fixtures: a seeded generator and the standard potential zoo.
 
+The derandomised hypothesis profile ``tier1`` is loaded for every test run.
+
 Resolutions are kept small (64/128) except where tail decay actually matters
 (the high-mode cosine used by the localization tests, which needs 256 cells
 so the staircase harmonics do not pollute the far disks).
@@ -10,9 +12,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from manakov_spectra import Potential
 from manakov_spectra.cli import main
+
+# every property test draws the same examples on every run, from its own
+# name, and reads or saves no example database; each keeps its own budget
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 SEED = 20260825
 

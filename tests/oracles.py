@@ -444,9 +444,10 @@ def point_series_lengths(lam, om, widths) -> list:
 def reference_steps(lam, vals, widths, avsq, om, ser, nterms):
     """Step matrices like ``monodromy._steps_spectral``'s, bit for bit, as complex.
 
-    Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), and om,
-    ser (L, R) and nterms (L,) from ``monodromy._chunk_terms`` ->
-    E (L, R, 3, 3), where ``_steps_spectral`` gives the (imag, real) layout.
+    Shapes: lam (L,), vals and avsq = |vals|^2 (R, 2), widths (R,), om
+    (L, R) as ``monodromy._chunk_terms`` writes it, and the ser (L, R) and
+    nterms (L,) that it returns -> E (L, R, 3, 3), where ``_steps_spectral``
+    gives the (imag, real) layout.
     """
     lam2 = lam[:, None]
     v1 = vals[None, :, 0]

@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,6 +283,12 @@ def _complex(f) -> np.ndarray:
     return c
 
 
+def _chunk_terms(lam, avsq, widths):
+    """``monodromy._chunk_terms`` on all of ``lam`` at once: om, ser and nterms."""
+    om = np.empty((len(lam), len(widths)), dtype=np.complex128)
+    return (om, *monodromy._chunk_terms(lam, avsq, widths, om))
+
+
 def _grid_with(monkeypatch, p, lam, block_pairs, workers):
     with monkeypatch.context() as m:
         m.setattr(monodromy, "_BLOCK_PAIRS", block_pairs)
@@ -298,7 +305,7 @@ def test_bit_batches_exercise_what_they_name():
     assert len(split[1]) > len(runs[1])
     p, lam = batches["dyadic-step"]
     vals, widths = monodromy._runs_of(p)[:2]
-    _, ser, _ = monodromy._chunk_terms(lam.astype(complex), np.abs(vals) ** 2, widths)
+    _, ser, _ = _chunk_terms(lam.astype(complex), np.abs(vals) ** 2, widths)
     assert ser.any() and not ser.all()
     for name in ("real-grid-M512", "longer-than-a-chunk"):
         p, lam = batches[name]
@@ -307,7 +314,7 @@ def test_bit_batches_exercise_what_they_name():
     runs = monodromy._runs_of(p)
     vals, widths, tw, _ = monodromy._split_runs(*runs, np.abs(lam.imag).max())
     assert len(runs[2]) == 3 and len(tw) == 3 and len(widths) > 3
-    _, ser, _ = monodromy._chunk_terms(lam, np.abs(vals) ** 2, widths)
+    _, ser, _ = _chunk_terms(lam, np.abs(vals) ** 2, widths)
     assert ser.any() and not ser.all()
     # points with the same split runs are evaluated together: one such group
     # must have more than _BLOCK_PAIRS pairs to go to the pool
@@ -363,6 +370,86 @@ def test_blocks_and_workers_leave_bits_alone(monkeypatch, name):
         assert sorted(cutoffs) == whole_cutoffs
         for key in GRID_KEYS:
             assert np.array_equal(pooled[key], whole[key]), key
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Thread pools of 2 and 3 workers, shared by a property's examples."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    made = {w: ThreadPoolExecutor(w, thread_name_prefix="monodromy") for w in (2, 3)}
+    yield {1: None, **made}
+    for pool in made.values():
+        pool.shutdown()
+
+
+PART_AMPLITUDE = st.floats(-1.5, 1.5)
+COMPONENT = st.builds(complex, PART_AMPLITUDE, PART_AMPLITUDE)
+VALUE = st.tuples(COMPONENT, COMPONENT)
+
+
+@st.composite
+def _drawn_potentials(draw):
+    """A dyadic or non-dyadic step, a few Fourier modes, or a near-rank-one constant."""
+    kind = draw(st.sampled_from(["dyadic", "non-dyadic", "fourier", "near-rank-one"]))
+    if kind == "fourier":
+        modes = draw(st.dictionaries(st.integers(-3, 3), VALUE, min_size=1, max_size=3))
+        return Potential.from_fourier(modes, resolution=64)
+    if kind == "near-rank-one":
+        # a constant, moved off its direction on half the period by 1e-14 to 1e-3
+        (a, b), eps = draw(VALUE), draw(st.floats(1e-14, 1e-3))
+        return Potential.from_piecewise([0.0, 0.5, 1.0], [(a, b), (a, b + eps)], resolution=64)
+    if kind == "dyadic":
+        cuts = draw(st.lists(st.integers(1, 15), min_size=1, max_size=3, unique=True))
+        inner = [c / 16 for c in sorted(cuts)]
+    else:
+        inner = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique=True)))
+    values = draw(st.lists(VALUE, min_size=len(inner) + 1, max_size=len(inner) + 1))
+    return Potential.from_piecewise([0.0, *inner, 1.0], values, resolution=64)
+
+
+def _off_axis(lo, hi):
+    """lam with a real part in [-30, 30] and lo < |Im lam| <= hi."""
+    return st.builds(
+        lambda x, y, s: complex(x, s * y),
+        st.floats(-30.0, 30.0),
+        st.floats(lo, hi, exclude_min=True),
+        st.sampled_from([-1.0, 1.0]),
+    )
+
+
+# real points, the adjugate's 0 < |Im lam| <= 6, the conjugate propagation's
+# |Im lam| > 6, and |Im lam| > 32, which splits even the runs of width 1/64
+DRAWN_LAM = st.lists(
+    st.one_of(
+        st.floats(-30.0, 30.0).map(complex),
+        _off_axis(0.0, 6.0),
+        _off_axis(6.0, 32.0),
+        _off_axis(32.0, 90.0),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_drawn_potentials(), DRAWN_LAM, st.integers(1, 1024))
+def test_grid_bits_do_not_depend_on_blocks_or_workers(pools, p, lam, block_pairs):
+    # one inline block per chunk against row blocks of at most block_pairs
+    # pairs, inline or on a pool of 2 or 3 workers: psi, trace and trace_conj
+    # keep every bit
+    def grid(block_pairs, workers):
+        pool = {os.getpid(): pools[workers]}
+        with mock.patch.multiple(
+            monodromy, _BLOCK_PAIRS=block_pairs, _workers=lambda: workers, _POOLS=pool
+        ):
+            return monodromy_grid(p, lam)
+
+    whole = grid(monodromy._CHUNK_TARGET << 10, 1)
+    for workers in (1, 2, 3):
+        got = grid(block_pairs, workers)
+        for key in GRID_KEYS:
+            assert _same_bits(got[key], whole[key]), (key, workers)
 
 
 def test_each_repeat_gets_the_rows_of_its_point():
@@ -456,11 +543,11 @@ def _kernel_blocks(name):
         lam_c = lam[lo : lo + chunk]
         vals, widths, tw, inv = monodromy._split_runs(*runs, np.abs(lam_c.imag).max())
         avsq = np.abs(vals) ** 2
-        om, ser, nterms = monodromy._chunk_terms(lam_c, avsq, widths)
         rows = max(1, monodromy._BLOCK_PAIRS // len(widths))
         for b in range(0, len(lam_c), rows):
-            sl = slice(b, b + rows)
-            yield widths, (lam_c[sl], vals, avsq, tw, inv, om[sl], ser[sl], nterms[sl])
+            lam_b = lam_c[b : b + rows]
+            om, ser, nterms = _chunk_terms(lam_b, avsq, widths)
+            yield widths, (lam_b, vals, avsq, tw, inv, om, ser, nterms)
 
 
 @pytest.mark.parametrize("name", sorted(_bit_batches()))
@@ -523,17 +610,50 @@ def test_series_cutoff_belongs_to_the_point():
 
     def dd(lam):
         lam = np.asarray(lam, dtype=np.complex128)
-        om, ser, nterms = monodromy._chunk_terms(lam, avsq, widths)
+        om, ser, nterms = _chunk_terms(lam, avsq, widths)
         t = np.full(om.shape, -1j * w)
         mu1 = np.broadcast_to(-lam[:, None], om.shape)
         etm = np.exp(t * (mu1 * monodromy._THIRD))
+        d12 = monodromy._pair_dd(t, mu1, om)
         assert ser.all()
-        return monodromy._triple_dd(t, mu1, om, ser, nterms, etm)[0], nterms
+        return monodromy._triple_dd(t, mu1, om, ser, nterms, etm, d12)[0], nterms
 
     alone, n_alone = dd([lam0])
     batched, n_batched = dd([lam0, 0.9 / (w * 4.0 / 3.0)])
     assert _same_bits(alone, batched)
     assert n_alone.tolist() == [6] and n_batched.tolist() == [6, 20]
+
+
+def test_block_terms_are_the_chunks_rows():
+    # each row block computes its own generator roots, series mask and series
+    # lengths into its rows of the chunk's om: for any cut of a chunk into
+    # blocks, they are the rows that the whole chunk gives, bit for bit, on
+    # real and complex points, split runs, and rows of series pairs, of
+    # direct pairs and of both
+    rng = np.random.default_rng(SEED_BITS)
+    lam = np.concatenate(
+        [
+            np.linspace(-80.0, 80.0, 801),
+            rng.uniform(-80, 80, 60) + 1j * rng.uniform(-6, 6, 60),
+            rng.uniform(-80, 80, 40) + 1j * rng.choice([-1.0, 1.0], 40) * rng.uniform(6, 24, 40),
+        ]
+    )
+    rng.shuffle(lam)
+    runs = monodromy._runs_of(UNEQUAL_STEP)
+    vals, widths = monodromy._split_runs(*runs, np.abs(lam.imag).max())[:2]
+    assert len(widths) > len(runs[1])
+    avsq = np.abs(vals) ** 2
+    om, ser, nterms = _chunk_terms(lam, avsq, widths)
+    mixed = ser.any(axis=1) & ~ser.all(axis=1)
+    assert mixed.any() and ser.all(axis=1).any() and (~ser).all(axis=1).any()
+    for count in (1, 2, 3, 7, len(lam)):
+        got = np.empty_like(om)
+        cuts = [len(lam) * k // count for k in range(count + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            ser_b, nterms_b = monodromy._chunk_terms(lam[lo:hi], avsq, widths, got[lo:hi])
+            assert np.array_equal(ser_b, ser[lo:hi])
+            assert np.array_equal(nterms_b, nterms[lo:hi])
+        assert _same_bits(got, om)
 
 
 def _threshold_edges():

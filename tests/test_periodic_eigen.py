@@ -78,6 +78,41 @@ def test_count_in_disk_parity(pot_zero):
     assert counts[2] == 0
 
 
+def test_escalated_contour_propagates_only_its_new_points(pot_const, monkeypatch):
+    # 4 samples of a circle around three zeros are undersampled, so the
+    # circle escalates to 16 and counts there: its 4 values are kept, the
+    # engine is asked for the 12 new points only, and the samples are those
+    # of a fresh evaluation, bit for bit.  A circle that counts at once
+    # shares the first round.
+    around = periodic_eigen._circle(2.0 * np.pi, 0.5)
+    at_once = periodic_eigen._circle(3.0 * np.pi, 0.5)
+    asked = []
+    grid = periodic_eigen.monodromy_grid
+
+    def recording(p, lam):
+        asked.append(np.array(lam))
+        return grid(p, lam)
+
+    monkeypatch.setattr(periodic_eigen, "monodromy_grid", recording)
+    samples = [None, None]
+    contours = [(around, (4, 16, 64), 1), (at_once, (64,), -1)]
+    assert periodic_eigen._windings(pot_const, contours, samples) == [3, 3]
+    monkeypatch.undo()
+
+    def bits(z):
+        return np.ascontiguousarray(z, dtype=np.complex128).view(np.int64).tolist()
+
+    new = np.ones(16, dtype=bool)
+    new[::4] = False
+    assert [bits(a) for a in asked] == [
+        bits(np.concatenate([around(4), at_once(64)])),
+        bits(around(16)[new]),
+    ]
+    assert bits(around(16)[::4]) == bits(around(4))
+    assert bits(samples[0]) == bits(d_pm_grid(pot_const, around(16), 1))
+    assert bits(samples[1]) == bits(d_pm_grid(pot_const, at_once(64), -1))
+
+
 def test_free_counting_function_closed_forms(pot_zero):
     lam = np.array([0.3 + 0.2j, 2.0, -1.3 + 1.0j])
     em, ep = np.exp(-1j * lam), np.exp(1j * lam)
