@@ -10,7 +10,6 @@ two components are proportional.
 
 from .errors import (
     BranchTrackingError,
-    ClassificationConflictWarning,
     ConfigError,
     ContourThroughZeroError,
     NonFiniteError,
@@ -34,7 +33,6 @@ from .periodic_eigen import (
     EigenvalueTable,
     asymptotic_residuals,
     count_in_disk,
-    d_pm,
     d_pm_from_traces,
     d_pm_grid,
     eigenvalues_in_window,

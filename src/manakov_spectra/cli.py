@@ -2,15 +2,15 @@
 
 Output is deterministic for a fixed configuration: grids are fixed by the
 flags, every pipeline is seedless, and JSON field order is fixed by
-construction.  Each ``cmd_*`` returns its JSON body, CSV rows, CSV-mode
-stderr lines and exit code; only ``main`` loads the potential, reads
-``--format`` and writes.  CSV carries exactly the documented columns (see
-``docs/output-schema.md``; ``verify`` writes a text report instead).  JSON
-adds the command name and a metadata block (library version, potential kind,
-declared resolution, potential hash).  ``scan``, ``eigen`` and ``qmomentum``
-also carry a ``diagnostics`` array, printed on stderr as ``diagnostic:``
-lines in CSV mode, where ``qmomentum`` adds ``report:`` lines; ``sheets``
-reports none of its scan's warnings and notes.  Exit codes: 0 success, 2
+construction.  Each ``cmd_*`` returns its JSON body, CSV rows and exit
+code; only ``main`` loads the potential, reads ``--format`` and writes.  CSV
+carries exactly the documented columns (see ``docs/output-schema.md``;
+``verify`` writes a text report instead).  JSON adds the command name and a
+metadata block (library version, potential kind, declared resolution,
+potential hash).  Every command but ``verify`` carries a ``diagnostics``
+array in its body, the one way its warnings and notes leave the program; in
+CSV mode ``main`` prints them on stderr as ``diagnostic:`` lines, followed by
+``report:`` lines for ``qmomentum``'s report.  Exit codes: 0 success, 2
 configuration problem, 3 numerical failure or a failed ``verify`` check.
 """
 
@@ -214,9 +214,6 @@ def _write(text: str, out: str | None) -> None:
 def cmd_scan(p: Potential, args):
     lo, hi = args.interval
     sc = scan(p, lo, hi, step=args.step)
-    diagnostics = list(sc.warnings) + list(sc.notes)
-    if sc.conflicts:
-        diagnostics.append(f"{sc.conflicts} classification conflict(s)")
     body = {
         "interval": [sc.interval[0], sc.interval[1]],
         "grid_step": sc.grid_step,
@@ -231,7 +228,7 @@ def cmd_scan(p: Potential, args):
             "phi": [float(x) for x in sc.phi],
             "multiplicity": [int(x) for x in sc.multiplicity],
         },
-        "diagnostics": diagnostics,
+        "diagnostics": sc.warnings + sc.notes,
     }
     rows = chain(
         [["lam", "disc", "phi", "multiplicity"]],
@@ -240,7 +237,7 @@ def cmd_scan(p: Potential, args):
             for x, d, f, m in zip(sc.lam, sc.disc, sc.phi, sc.multiplicity)
         ),
     )
-    return body, rows, [f"diagnostic: {d}" for d in diagnostics], 0
+    return body, rows, 0
 
 
 def cmd_eigen(p: Potential, args):
@@ -249,7 +246,6 @@ def cmd_eigen(p: Potential, args):
     res = asymptotic_residuals(table, p)
     devs = res["deviations"]
     dev = [float(devs[e.n][e.j - 1]) if e.n in devs else None for e in table.entries]
-    diagnostics = list(table.failures) + list(table.notes)
     body = {
         "window": [n_min, n_max],
         "entries": [
@@ -269,7 +265,7 @@ def cmd_eigen(p: Potential, args):
             "summability_exponent": res["delta"],
             "decay_exponent": res["decay_exponent"],
         },
-        "diagnostics": diagnostics,
+        "diagnostics": table.failures + table.notes,
     }
     rows = chain(
         [["n", "j", "re_z", "im_z", "parity", "residual", "dev_first_order"]],
@@ -286,10 +282,10 @@ def cmd_eigen(p: Potential, args):
             for e, d in zip(table.entries, dev)
         ),
     )
-    return body, rows, [f"diagnostic: {d}" for d in diagnostics], 0
+    return body, rows, 0
 
 
-def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
+def _verify_checks(p: Potential) -> list[dict]:
     lam_re = np.linspace(-12.0, 12.0, 241)
     lam_cx = np.array([1.3 + 0.8j, -2.2 + 1.7j, 0.4 - 1.1j, 3.7 + 2.5j])
     lam = np.concatenate([lam_re.astype(np.complex128), lam_cx])
@@ -299,15 +295,7 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
     g = {key: value[: len(lam)] for key, value in both.items()}
     psi = g["psi"]
     psi_c = np.concatenate([psi[: len(lam_re)], both["psi"][len(lam) :]])
-    if corrupt:
-        psi = psi.copy()
-        psi[..., 0, 0] *= 1.0 + 2e-6
-        from .algebra import adj3
-
-        t = np.trace(psi, axis1=-2, axis2=-1)
-        s = np.trace(adj3(psi), axis1=-2, axis2=-1) * np.exp(-1j * lam)
-    else:
-        t, s = g["trace"], g["trace_conj"]
+    t, s = g["trace"], g["trace_conj"]
 
     grow = np.exp(np.abs(lam.imag))
     ep = np.exp(1j * lam)
@@ -339,16 +327,12 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
         ("derived-identities", float(max(np.max(ids["dd1"]), np.max(ids["dd2"]))), 1e-8)
     )
 
-    # D(+-1) from the unperturbed traces, so --corrupt shows in the recovery
-    dp = d_pm_from_traces(g["trace"], g["trace_conj"], lam, +1)
-    dm = d_pm_from_traces(g["trace"], g["trace_conj"], lam, -1)
+    dp = d_pm_from_traces(t, s, lam, +1)
+    dm = d_pm_from_traces(t, s, lam, -1)
     t_r, s_r = recover_traces(dp, dm, lam)
     e_rec = np.maximum(np.abs(t_r - t), np.abs(s_r - s)) / grow
     checks.append(("trace-recovery", float(e_rec.max()), 1e-10))
 
-    if corrupt:
-        # the pattern reads the multipliers of the unperturbed traces
-        taus = multipliers_from_traces(g["trace"], g["trace_conj"], lam)
     counts = unimodular_count(taus[: len(lam_re)])
     ok_counts = np.all((counts == 1) | (counts == 3))
     checks.append(("unimodular-pattern", 0.0 if ok_counts else 1.0, 0.5))
@@ -369,7 +353,7 @@ def _verify_checks(p: Potential, corrupt: bool) -> list[dict]:
 
 
 def cmd_verify(p: Potential, args):
-    checks = _verify_checks(p, corrupt=args.corrupt)
+    checks = _verify_checks(p)
     ok = all(c["status"] != "FAIL" for c in checks)
     lines = [
         f"SKIP {c['name']}"
@@ -378,7 +362,7 @@ def cmd_verify(p: Potential, args):
         for c in checks
     ]
     lines.append("all checks passed" if ok else "FAILURES present")
-    return {"checks": checks, "ok": ok}, lines, [], 0 if ok else 3
+    return {"checks": checks, "ok": ok}, lines, 0 if ok else 3
 
 
 def cmd_qmomentum(p: Potential, args):
@@ -411,7 +395,6 @@ def cmd_qmomentum(p: Potential, args):
             "two_thirds_2x2": 2.0 * qzs / 3.0,
             "ratio": (mass.value / (2.0 * qzs / 3.0)) if qzs > 0 else None,
         }
-    diagnostics = list(sc.warnings) + list(sc.notes) + list(mass.notes)
     body = {
         "interval": [lo, hi],
         "grid_step": args.step,
@@ -424,7 +407,7 @@ def cmd_qmomentum(p: Potential, args):
             "gap_attribution": [int(x) for x in prof.gap_attribution],
         },
         "report": report,
-        "diagnostics": diagnostics,
+        "diagnostics": sc.warnings + sc.notes + mass.notes,
     }
     rows = chain(
         [["lam", "q1", "q2", "q3", "q_avg"]],
@@ -433,9 +416,7 @@ def cmd_qmomentum(p: Potential, args):
             for x, (q1, q2, q3), a in zip(prof.grid, prof.q_branches, prof.q_avg)
         ),
     )
-    stderr = [f"diagnostic: {d}" for d in diagnostics]
-    stderr += [f"report: {k} = {v}" for k, v in report.items()]
-    return body, rows, stderr, 0
+    return body, rows, 0
 
 
 def cmd_sheets(p: Potential, args):
@@ -451,6 +432,7 @@ def cmd_sheets(p: Potential, args):
         "moments": {"b1": m.b1, "b2": m.b2, "b3": m.b3},
         "phi_sup": phi_sup,
         "gaps": [[a, b] for a, b in sc.gaps],
+        "diagnostics": sc.warnings + sc.notes,
     }
     rows = [
         ["key", "value"],
@@ -460,7 +442,7 @@ def cmd_sheets(p: Potential, args):
         ["phi_sup", f"{phi_sup:.12g}"],
         ["n_gaps", str(len(sc.gaps))],
     ]
-    return body, rows, [], 0
+    return body, rows, 0
 
 
 # ----------------------------------------------------------------------------
@@ -515,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="identity suite with a pass/fail matrix")
     common(sp)
-    sp.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("qmomentum", help="gap magnitude profile and its integral")
@@ -537,7 +518,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         p = load_potential(args.potential, args.resolution)
-        body, rows, stderr, code = args.func(p, args)
+        body, rows, code = args.func(p, args)
         if args.format == "json":
             doc = {"command": args.command, "metadata": _metadata(p), **body}
             _write(_json_text(doc), args.out)
@@ -547,8 +528,10 @@ def main(argv=None) -> int:
             _write("".join(f"{line}\n" for line in rows), args.out)
         else:
             _write(_csv_text(rows), args.out)
-        for line in stderr:
-            print(line, file=sys.stderr)
+        for d in body.get("diagnostics", []):
+            print(f"diagnostic: {d}", file=sys.stderr)
+        for k, v in body.get("report", {}).items():
+            print(f"report: {k} = {v}", file=sys.stderr)
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -41,14 +41,6 @@ class BranchTrackingError(NumericalError):
     """Branch continuity lost while following a quantity along a path (branch-tracking)."""
 
 
-class ClassificationConflictWarning(UserWarning):
-    """Discriminant sign and unimodular-multiplier count disagree (classification-conflict).
-
-    A diagnostic, never an error: a disagreement near a band edge is recorded
-    but must not abort a whole scan.
-    """
-
-
 class SheetConflictError(NumericalError):
     """Sheet-count evidence is contradictory (e.g. flat trace difference but full-rank moments)."""
 

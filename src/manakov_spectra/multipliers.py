@@ -31,7 +31,6 @@ import numpy as np
 from .algebra import cubic_roots_stack
 
 __all__ = [
-    "char_poly",
     "derived_grid",
     "identity_suite",
     "lyapunov_triple",
@@ -43,23 +42,16 @@ __all__ = [
 UNIMODULAR_TOL = 1e-6
 
 
-def char_poly(t, s, lam):
-    """Monic cubic coefficients ``(c2, c1, c0)`` for the multiplier equation."""
-    t = np.asarray(t, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    phase = np.exp(1j * lam)
-    return -t, phase * s, -phase
-
-
 def multipliers_from_traces(t, s, lam) -> np.ndarray:
     """Unordered multiplier triples for broadcastable trace arrays.
 
     Returns an array with trailing axis 3.  Residual guarantees come from the
     underlying cubic solver.
     """
-    c2, c1, c0 = char_poly(t, s, lam)
-    return cubic_roots_stack(c2, c1, c0)
+    t = np.asarray(t, dtype=np.complex128)
+    s = np.asarray(s, dtype=np.complex128)
+    phase = np.exp(1j * np.asarray(lam, dtype=np.complex128))
+    return cubic_roots_stack(-t, phase * s, -phase)
 
 
 def unimodular_count(taus: np.ndarray) -> np.ndarray:
@@ -82,15 +74,10 @@ def _phi(t, s, lam):
     return (t - s) / 2j - np.sin(lam)
 
 
-def derived_grid(t, s, lam) -> dict:
-    """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
-    t = np.asarray(t, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
+def _lyapunov_symmetric(t, s, lam):
+    """``(tcal, t1, det_lambda)`` from complex arrays of traces and ``lam``."""
     ep = np.exp(1j * lam)
     em = np.exp(-1j * lam)
-    disc = _disc(t, s, em, ep)
-    phi = _phi(t, s, lam)
     tcal = (t + s) / 2.0
     # Pairwise products of the tau-pairs come out as e^{i lam}*s and e^{-i lam}*t,
     # so the compact factorization pairs e^{-i lam} with t and e^{+i lam} with s.
@@ -98,6 +85,15 @@ def derived_grid(t, s, lam) -> dict:
     det_lambda = (
         2.0 * np.cos(lam) + ep * (s * s - 2.0 * em * t) + em * (t * t - 2.0 * ep * s)
     ) / 8.0
+    return tcal, t1, det_lambda
+
+
+def derived_grid(t, s, lam) -> dict:
+    """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
+    t = np.asarray(t, dtype=np.complex128)
+    s = np.asarray(s, dtype=np.complex128)
+    lam = np.asarray(lam, dtype=np.complex128)
+    tcal, t1, det_lambda = _lyapunov_symmetric(t, s, lam)
     rho = (
         tcal**2 * t1**2
         - 4.0 * det_lambda * tcal**3
@@ -106,8 +102,8 @@ def derived_grid(t, s, lam) -> dict:
         - 27.0 * det_lambda**2
     )
     return {
-        "disc": disc,
-        "phi": phi,
+        "disc": _disc(t, s, np.exp(-1j * lam), np.exp(1j * lam)),
+        "phi": _phi(t, s, lam),
         "tcal": tcal,
         "t1": t1,
         "det_lambda": det_lambda,
@@ -129,12 +125,12 @@ def lyapunov_triple(t, s, lam) -> np.ndarray:
     t = np.asarray(t, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
     lam = np.asarray(lam, dtype=np.complex128)
-    d = derived_grid(t, s, lam)
+    tcal, t1, det_lambda = _lyapunov_symmetric(t, s, lam)
     cosl = np.cos(lam)
     unit = np.where(np.abs(cosl) > 1.0, cosl, 1.0)
-    c2 = -d["tcal"] / unit
-    c1 = d["t1"] / unit**2
-    c0 = -d["det_lambda"] / unit**3
+    c2 = -tcal / unit
+    c1 = t1 / unit**2
+    c0 = -det_lambda / unit**3
     roots = cubic_roots_stack(c2, c1, c0)
     return roots * unit[..., None]
 

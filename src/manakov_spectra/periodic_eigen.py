@@ -51,7 +51,6 @@ from .potential import Potential, fourier_hat
 __all__ = [
     "EigenEntry",
     "EigenvalueTable",
-    "d_pm",
     "d_pm_grid",
     "d_pm_from_traces",
     "count_in_disk",
@@ -87,10 +86,6 @@ def d_pm_grid(p: Potential, lam, sign) -> np.ndarray:
     """Characteristic function D(sign, lam) on an array of parameters."""
     g = monodromy_grid(p, lam)
     return d_pm_from_traces(g["trace"], g["trace_conj"], g["lam"], sign)
-
-
-def d_pm(p: Potential, lam: complex, sign: int) -> complex:
-    return complex(d_pm_grid(p, np.array([lam]), sign)[0])
 
 
 def _envelope(lam: np.ndarray) -> np.ndarray:
@@ -378,7 +373,7 @@ def _muller(p: Potential, z0: complex, sign: int) -> tuple[complex, bool, bool]:
     """Scalar Muller iteration, used when Newton stalls; same acceptance rule."""
     h = 1e-4
     xs = [z0 - h, z0, z0 + h]
-    fs = [d_pm(p, x, sign) for x in xs]
+    fs = [complex(f) for f in d_pm_grid(p, np.array(xs), sign)]
     best = min(zip((abs(f) for f in fs), range(3)))
     fbest, zbest = best[0], xs[best[1]]
     for _ in range(NEWTON_MAXIT):
@@ -396,7 +391,7 @@ def _muller(p: Potential, z0: complex, sign: int) -> tuple[complex, bool, bool]:
             break
         step = -2.0 * f2 / den
         xn = x2 + step
-        fn = d_pm(p, xn, sign)
+        fn = complex(d_pm_grid(p, np.array([xn]), sign)[0])
         if abs(fn) < fbest:
             fbest, zbest = abs(fn), xn
         xs = [x1, x2, xn]

@@ -22,16 +22,11 @@ is set by ``_REFINE_PAIRS``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ClassificationConflictWarning,
-    ConfigError,
-    SheetConflictError,
-)
+from .errors import ConfigError, SheetConflictError
 from .monodromy import _runs_of, monodromy_grid
 from .multipliers import (
     UNIMODULAR_TOL,
@@ -273,7 +268,7 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
     resolved = _resolve_boundary(cls)
 
     notes: list[str] = []
-    warn_list: list[str] = []
+    warnings: list[str] = []
     if not np.any(cls):
         notes.append("discriminant at boundary scale on the whole grid; treated as band")
 
@@ -283,12 +278,10 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
     conflicts = int(np.count_nonzero(conflict_mask))
     if conflicts:
         where = lam[conflict_mask][:5]
-        msg = (
+        warnings.append(
             f"classification-conflict at {conflicts} grid points "
             f"(first few: {np.array2string(where, precision=6)})"
         )
-        warn_list.append(msg)
-        warnings.warn(msg, ClassificationConflictWarning, stacklevel=2)
 
     # --- bracketed sign changes between consecutive strict points -----------
     snz = np.flatnonzero(strict)
@@ -320,12 +313,10 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
     widths = [hi - lo for lo, hi in gaps]
     if widths and min(widths) < 4.0 * eff_step:
         suggested = max(min(widths) / 8.0, ENDPOINT_ACCURACY)
-        msg = (
+        warnings.append(
             f"resolution-warning: narrowest gap ({min(widths):.3e}) is under four "
             f"grid steps; rerun with step <= {suggested:.3e}"
         )
-        warn_list.append(msg)
-        warnings.warn(msg, UserWarning, stacklevel=2)
 
     return SpectralScan(
         interval=(a, b),
@@ -340,7 +331,7 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
         gaps=gaps,
         kissing_points=kissing,
         conflicts=conflicts,
-        warnings=warn_list,
+        warnings=warnings,
         notes=notes,
     )
 

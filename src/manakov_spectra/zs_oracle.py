@@ -137,20 +137,13 @@ def zs_gaps(u: np.ndarray, lo: float, hi: float) -> list[tuple[float, float]]:
         go_left = mid_pos != left_pos
         b = np.where(go_left, mid, b)
         a = np.where(go_left, a, mid)
-    edges = 0.5 * (a + b)
-    out = []
-    open_left = None
+    # the flips alternate, gap -> band after band -> gap, so their ends pair off
+    ends = (0.5 * (a + b)).tolist()
     if sign[0]:
-        open_left = lo
-    for k, x in enumerate(edges):
-        if sign[flips[k]]:
-            out.append((open_left if open_left is not None else lo, float(x)))
-            open_left = None
-        else:
-            open_left = float(x)
-    if open_left is not None:
-        out.append((open_left, hi))
-    return out
+        ends.insert(0, lo)
+    if len(ends) % 2:
+        ends.append(hi)
+    return list(zip(ends[0::2], ends[1::2]))
 
 
 def zs_q0_integral(u: np.ndarray, lo: float, hi: float, nodes: int = 256) -> float:

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -56,8 +55,7 @@ def _run(name: str, cmd: str, out: Path, *extra: str) -> int:
 def _run_csv(name: str, cmd: str, out: Path) -> tuple[int, str]:
     """Exit code and the ``diagnostic:``/``report:`` stderr lines of a CSV run."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stderr(err):
         rc = _run(name, cmd, out, "--format", "csv")
     lines = err.getvalue().splitlines(keepends=True)
     return rc, "".join(line for line in lines if line.startswith(STDERR_PREFIXES))
@@ -83,7 +81,6 @@ def _mismatches(got, want, path="$"):
         yield f"{path}: {got!r} != {want!r}"
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name,cmd", CASES)
 def test_golden_output(name, cmd, tmp_path):
     out = tmp_path / "out.json"

@@ -15,7 +15,6 @@ from manakov_spectra import (
     multipliers_from_traces,
     unimodular_count,
 )
-from manakov_spectra.multipliers import char_poly
 from conftest import multiset_distance, random_potential
 
 
@@ -60,11 +59,12 @@ def test_symmetric_functions_on_propagator_output(rng):
     assert np.all(np.abs(e3 - ep) <= 1e-10 * np.abs(ep))
 
 
-def test_char_poly_roots_solve_it(rng):
+def test_multipliers_solve_the_characteristic_cubic(rng):
     t = rng.normal(size=30) + 1j * rng.normal(size=30)
     s = rng.normal(size=30) + 1j * rng.normal(size=30)
     lam = rng.uniform(-10, 10, size=30)
-    c2, c1, c0 = char_poly(t, s, lam)
+    # tau^3 - T tau^2 + e^{i lam} S tau - e^{i lam}
+    c2, c1, c0 = -t, np.exp(1j * lam) * s, -np.exp(1j * lam)
     taus = multipliers_from_traces(t, s, lam)
     for k in range(30):
         vals = ((taus[k] + c2[k]) * taus[k] + c1[k]) * taus[k] + c0[k]

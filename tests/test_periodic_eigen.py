@@ -16,7 +16,6 @@ from manakov_spectra import (
     EigenvalueTable,
     asymptotic_residuals,
     count_in_disk,
-    d_pm,
     d_pm_grid,
     eigenvalues_in_window,
     monodromy_grid,
@@ -125,11 +124,10 @@ def test_free_counting_function_closed_forms(pot_zero):
 def test_trace_recovery_round_trip(rng, pot_two_mode):
     lam = rng.uniform(-8, 8, size=25) + 1j * rng.uniform(-2, 2, size=25)
     g = monodromy_grid(pot_two_mode, lam)
+    dps, dms = d_pm_grid(pot_two_mode, lam, +1), d_pm_grid(pot_two_mode, lam, -1)
     for k in range(len(lam)):
         lam0 = complex(lam[k])
-        dp = d_pm(pot_two_mode, lam0, +1)
-        dm = d_pm(pot_two_mode, lam0, -1)
-        t, s = recover_traces(dp, dm, lam0)
+        t, s = recover_traces(complex(dps[k]), complex(dms[k]), lam0)
         scale = max(1.0, abs(g["trace"][k]))
         assert abs(t - g["trace"][k]) <= 1e-11 * scale
         assert abs(s - g["trace_conj"][k]) <= 1e-11 * scale
@@ -149,8 +147,7 @@ def test_deviations_decrease_constant(pot_const):
 
 def test_restored_product_converges(pot_const):
     lam0 = 0.6 + 0.3j
-    direct = d_pm(pot_const, lam0, -1)
-    d0 = d_pm(pot_const, 0.0, -1)
+    direct, d0 = (complex(d) for d in d_pm_grid(pot_const, np.array([lam0, 0.0]), -1))
     errs = []
     for n_max in (4, 8):
         pos = eigenvalues_in_window(pot_const, 1, n_max)

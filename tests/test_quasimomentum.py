@@ -47,7 +47,6 @@ def test_free_profile_identically_zero(pot_zero):
     assert np.all(prof.q_branches == 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", ["pot_const", "pot_two_mode"])
 def test_profile_reuses_scan_samples_bit_for_bit(name, request):
     # the grid samples come from the scan, the gap samples from their own
@@ -111,6 +110,16 @@ def test_herglotz_validation(pot_const):
         # the sort puts NaN last, where a check of the smallest sample misses it
         with pytest.raises(ConfigError, match="finite"):
             herglotz_asymptotic(pot_const, (12.0, bad, 16.0))
+
+
+def test_herglotz_fit_does_not_overflow_up_to_max_nu():
+    # the fit reads the averages' symmetric functions only; the discriminant
+    # and the squared-difference product, of order e^{4 nu} and e^{6 nu},
+    # overflow here
+    p = load_potential(INPUTS["const"])
+    with np.errstate(over="raise", invalid="raise"):
+        fit = herglotz_asymptotic(p, (200.0, 230.0))
+    assert np.isfinite(fit.q0)
 
 
 @pytest.mark.parametrize("name", ["const", "step"])

@@ -1,12 +1,12 @@
 """Band/gap scans, pointwise classification, sheet verdicts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from manakov_spectra import (
-    ClassificationConflictWarning,
     ConfigError,
     Potential,
     scan,
@@ -60,7 +60,6 @@ def test_gaps_reaching_past_the_interval_ends(pot_const):
     assert sc.notes == [left, right]
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_scan_bookkeeping_matches_the_point_loops(monkeypatch, pot_const, pot_two_mode, rng):
     # the scan's masks give the gaps, edge notes and kissing points of the
     # per-point loops, bit for bit
@@ -96,7 +95,6 @@ def test_classify_points(pot_const):
     assert edge.boundary
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_scan_classify_agree(pot_two_mode, rng):
     # the scan's multiplicities against the pointwise oracle, on every
     # seventh grid point that the oracle does not call a boundary
@@ -123,12 +121,16 @@ def test_two_mode_gap_structure(pot_two_mode):
 
 def test_kissing_point_and_conflict_reporting(pot_two_mode):
     # the wider window contains a near-degenerate crossing; the scan must
-    # surface it as a kissing point / conflict instead of silently choosing
-    with pytest.warns(ClassificationConflictWarning):
+    # surface it as a kissing point / conflict instead of silently choosing;
+    # the conflict is one of the scan's warnings, never a Python warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sc = scan(pot_two_mode, -7.5, 7.5, step=0.01)
     assert len(sc.kissing_points) >= 1
     assert sc.conflicts >= 1
-    assert any("conflict" in w for w in sc.warnings)
+    conflict = [w for w in sc.warnings if w.startswith("classification-conflict")]
+    assert len(conflict) == 1
+    assert conflict[0].startswith(f"classification-conflict at {sc.conflicts} grid points")
 
 
 def test_sheet_verdicts(pot_const, pot_two_mode, rank_one_family):
