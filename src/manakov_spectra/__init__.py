@@ -18,7 +18,6 @@ from .errors import (
     RootResidualError,
     SheetConflictError,
     UndersampledContourError,
-    WindowTooSmallError,
 )
 from .monodromy import monodromy_grid
 from .multipliers import (

@@ -161,10 +161,9 @@ def _deflate(c2, c1, c0, roots):
     r_big = np.take_along_axis(roots, order[..., 2:3], axis=-1)[..., 0]
     for _ in range(3):
         r_big = _newton_step(c2, c1, c0, r_big)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        prod = -c0 / r_big
-        ssum = (c1 - prod) / r_big
-        t1, t2 = _pair_roots(ssum, prod)
+    prod = -c0 / r_big
+    ssum = (c1 - prod) / r_big
+    t1, t2 = _pair_roots(ssum, prod)
     t1 = _newton_step(c2, c1, c0, t1)
     t2 = _newton_step(c2, c1, c0, t2)
     return np.stack([r_big, t1, t2], axis=-1)
@@ -179,92 +178,94 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
     spread over more than ~6 decades.  Raises ``RootResidualError`` if any
     residual exceeds its bound afterwards, or is NaN.
     """
-    c2, c1, c0 = np.broadcast_arrays(
-        np.asarray(c2, dtype=np.complex128),
-        np.asarray(c1, dtype=np.complex128),
-        np.asarray(c0, dtype=np.complex128),
-    )
-    roots = _cardano(c2, c1, c0)
-    c2e, c1e, c0e = c2[..., None], c1[..., None], c0[..., None]
-    # near-double roots converge only linearly, so a single polish step can
-    # leave most of the closed-form noise in place
-    for _ in range(3):
-        roots = _newton_step(c2e, c1e, c0e, roots)
+    # on extreme coefficients Newton steps and the root spread overflow or
+    # divide by zero; the residual and spread tests reject what they give
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c2, c1, c0 = np.broadcast_arrays(
+            np.asarray(c2, dtype=np.complex128),
+            np.asarray(c1, dtype=np.complex128),
+            np.asarray(c0, dtype=np.complex128),
+        )
+        roots = _cardano(c2, c1, c0)
+        c2e, c1e, c0e = c2[..., None], c1[..., None], c0[..., None]
+        # near-double roots converge only linearly, so a single polish step can
+        # leave most of the closed-form noise in place
+        for _ in range(3):
+            roots = _newton_step(c2e, c1e, c0e, roots)
 
-    scale = np.maximum(1.0, np.maximum(np.abs(c2), np.maximum(np.abs(c1), np.abs(c0))))
-    bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
-    resid = np.abs(_horner(c2e, c1e, c0e, roots))
-
-    mags = np.abs(roots)
-    tiny = np.finfo(float).tiny
-    spread = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), tiny)
-    # written as "not <=" so that a NaN residual counts as bad
-    bad = ~np.all(resid <= bound, axis=-1) | (spread > 1e6)
-    if np.any(bad):
-        alt = _deflate(c2[bad], c1[bad], c0[bad], roots[bad])
-        roots = roots.copy()
-        roots[bad] = alt
+        scale = np.maximum(1.0, np.maximum(np.abs(c2), np.maximum(np.abs(c1), np.abs(c0))))
         bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
         resid = np.abs(_horner(c2e, c1e, c0e, roots))
 
-    # Near-collisions leak first-order root noise into the pairwise symmetric
-    # function.  Rebuilding the close pair from the isolated root via the
-    # exact coefficient relations restores all three symmetric functions to
-    # rounding level (the isolated root is simple, hence fully accurate).
-    # Closeness is judged against the pair's own magnitude: root sets graded
-    # over many decades have an absolutely-tiny small pair that is not a
-    # collision at all, and rebuilding it from the dominant-scale coefficients
-    # would throw away the deflated answer.
-    mags = np.abs(roots)
-    d01 = np.abs(roots[..., 0] - roots[..., 1])
-    d02 = np.abs(roots[..., 0] - roots[..., 2])
-    d12 = np.abs(roots[..., 1] - roots[..., 2])
-    gaps = np.stack([d12, d02, d01], axis=-1)
-    iso_all = np.argmin(gaps, axis=-1)
-    pair_scale = np.where(
-        iso_all == 0,
-        np.maximum(mags[..., 1], mags[..., 2]),
-        np.where(
-            iso_all == 1,
-            np.maximum(mags[..., 0], mags[..., 2]),
-            np.maximum(mags[..., 0], mags[..., 1]),
-        ),
-    )
-    dmin = np.min(gaps, axis=-1)
-    # fire on genuine near-collisions, and also whenever the closest pair
-    # lives several decades below the dominant root: there the closed form
-    # computed it as a difference of dominant-scale quantities, and only the
-    # rebuild recovers it at its own scale
-    pair_floor = np.maximum(np.finfo(float).tiny, pair_scale)
-    close = (dmin <= 1e-3 * pair_floor) | (pair_scale <= 1e-3 * mags.max(axis=-1))
-    if np.any(close):
-        sub = roots[close]
-        iso = iso_all[close]
-        r_iso = np.take_along_axis(sub, iso[..., None], axis=-1)[..., 0]
-        c2s, c1s, c0s = c2[close], c1[close], c0[close]
-        for _ in range(2):
-            r_iso = _newton_step(c2s, c1s, c0s, r_iso)
-        ok_iso = np.abs(r_iso) > tiny
-        prod = np.where(ok_iso, -c0s / np.where(ok_iso, r_iso, 1.0), 0.0)
-        # two algebraically equal routes to the pair sum; their cancellation
-        # noise differs, so take the one with the smaller error estimate
-        sum_a = -c2s - r_iso
-        err_a = np.abs(c2s) + np.abs(r_iso)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mags = np.abs(roots)
+        tiny = np.finfo(float).tiny
+        spread = mags.max(axis=-1) / np.maximum(mags.min(axis=-1), tiny)
+        # written as "not <=" so that a NaN residual counts as bad
+        bad = ~np.all(resid <= bound, axis=-1) | (spread > 1e6)
+        if np.any(bad):
+            alt = _deflate(c2[bad], c1[bad], c0[bad], roots[bad])
+            roots = roots.copy()
+            roots[bad] = alt
+            bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
+            resid = np.abs(_horner(c2e, c1e, c0e, roots))
+
+        # Near-collisions leak first-order root noise into the pairwise symmetric
+        # function.  Rebuilding the close pair from the isolated root via the
+        # exact coefficient relations restores all three symmetric functions to
+        # rounding level (the isolated root is simple, hence fully accurate).
+        # Closeness is judged against the pair's own magnitude: root sets graded
+        # over many decades have an absolutely-tiny small pair that is not a
+        # collision at all, and rebuilding it from the dominant-scale coefficients
+        # would throw away the deflated answer.
+        mags = np.abs(roots)
+        d01 = np.abs(roots[..., 0] - roots[..., 1])
+        d02 = np.abs(roots[..., 0] - roots[..., 2])
+        d12 = np.abs(roots[..., 1] - roots[..., 2])
+        gaps = np.stack([d12, d02, d01], axis=-1)
+        iso_all = np.argmin(gaps, axis=-1)
+        pair_scale = np.where(
+            iso_all == 0,
+            np.maximum(mags[..., 1], mags[..., 2]),
+            np.where(
+                iso_all == 1,
+                np.maximum(mags[..., 0], mags[..., 2]),
+                np.maximum(mags[..., 0], mags[..., 1]),
+            ),
+        )
+        dmin = np.min(gaps, axis=-1)
+        # fire on genuine near-collisions, and also whenever the closest pair
+        # lives several decades below the dominant root: there the closed form
+        # computed it as a difference of dominant-scale quantities, and only the
+        # rebuild recovers it at its own scale
+        pair_floor = np.maximum(np.finfo(float).tiny, pair_scale)
+        close = (dmin <= 1e-3 * pair_floor) | (pair_scale <= 1e-3 * mags.max(axis=-1))
+        if np.any(close):
+            sub = roots[close]
+            iso = iso_all[close]
+            r_iso = np.take_along_axis(sub, iso[..., None], axis=-1)[..., 0]
+            c2s, c1s, c0s = c2[close], c1[close], c0[close]
+            for _ in range(2):
+                r_iso = _newton_step(c2s, c1s, c0s, r_iso)
+            ok_iso = np.abs(r_iso) > tiny
+            prod = np.where(ok_iso, -c0s / np.where(ok_iso, r_iso, 1.0), 0.0)
+            # two algebraically equal routes to the pair sum; their cancellation
+            # noise differs, so take the one with the smaller error estimate
+            sum_a = -c2s - r_iso
+            err_a = np.abs(c2s) + np.abs(r_iso)
             sum_b = np.where(ok_iso, (c1s - prod) / np.where(ok_iso, r_iso, 1.0), sum_a)
             err_b = (np.abs(c1s) + np.abs(prod)) / np.maximum(np.abs(r_iso), tiny)
-        ssum = np.where(err_a <= err_b, sum_a, sum_b)
-        t1, t2 = _pair_roots(ssum, prod)
-        rebuilt = np.stack([r_iso, t1, t2], axis=-1)
-        keep = ok_iso[..., None] & np.all(np.isfinite(rebuilt), axis=-1, keepdims=True)
-        roots[close] = np.where(keep, rebuilt, sub)
-        bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
-        resid = np.abs(_horner(c2e, c1e, c0e, roots))
+            ssum = np.where(err_a <= err_b, sum_a, sum_b)
+            t1, t2 = _pair_roots(ssum, prod)
+            rebuilt = np.stack([r_iso, t1, t2], axis=-1)
+            keep = ok_iso[..., None] & np.all(np.isfinite(rebuilt), axis=-1, keepdims=True)
+            roots[close] = np.where(keep, rebuilt, sub)
+            bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
+            resid = np.abs(_horner(c2e, c1e, c0e, roots))
 
-    if not np.all(resid <= bound):
-        worst = float(np.max(resid / np.maximum(bound, tiny)))
-        raise RootResidualError(f"cubic root residual {worst:.3g}x over bound")
-    return roots
+        if not np.all(resid <= bound):
+            worst = float(np.max(resid / np.maximum(bound, tiny)))
+            raise RootResidualError(f"cubic root residual {worst:.3g}x over bound")
+        return roots
 
 
 # ----------------------------------------------------------------------------

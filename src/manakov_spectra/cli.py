@@ -369,7 +369,7 @@ def cmd_qmomentum(p: Potential, args):
     lo, hi = args.interval
     sc = scan(p, lo, hi, step=args.step)
     prof = q_profile(p, sc)
-    mass = q0_integral(prof)
+    mass = q0_integral(p, sc.gaps)
     norm_sq = moments(p).b3
     fit = None
     fit_error = None

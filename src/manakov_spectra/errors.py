@@ -43,7 +43,3 @@ class BranchTrackingError(NumericalError):
 
 class SheetConflictError(NumericalError):
     """Sheet-count evidence is contradictory (e.g. flat trace difference but full-rank moments)."""
-
-
-class WindowTooSmallError(NumericalError):
-    """A window/tail estimate shows the requested window cannot support the computation."""

@@ -16,6 +16,25 @@ absorbs the square-root endpoint behaviour, and once from the coefficient of
 the ``1/nu`` term of the averaged map up the imaginary axis.  The two routes
 share no code path beyond the monodromy engine, so their agreement is a real
 cross-check and is surfaced as such rather than collapsed.
+
+The second route rests on a Herglotz premise: the mean of the three branch
+magnitudes is the imaginary part of an averaged quasimomentum ``k(lam) = lam
++ (1/pi) int q_avg(t) / (t - lam) dt + ...`` that maps the upper half plane
+into itself, so at ``lam = i nu`` it is ``nu + (1/(pi nu)) int q_avg dt +
+o(1/nu)``: the ``1/nu`` coefficient is the whole line's gap mass.
+
+That coefficient is ``norm_sq / 3``, with ``norm_sq = int_0^1 |v|^2``.  The
+generator ``-i lam J + i J V`` couples the ``J = +1`` entry (``-i lam``) to
+the ``J = -1`` block (``+i lam I``) through ``i v`` and ``-i v*``; removing
+the coupling to second order in ``1/lam`` shifts the entry by ``i |v|^2 /
+(2 lam)`` and the block by ``-i v* v^T / (2 lam)``, whose trace is the same
+amount with the opposite sign, as ``det psi = e^{i lam}`` requires.  At
+``lam = i nu`` the magnitudes are ``nu + norm_sq / (2 nu)`` and ``nu + mu_k /
+(2 nu)``, where ``mu_1 + mu_2 = norm_sq`` are the eigenvalues of ``int v*
+v^T``, so their mean is ``nu + norm_sq / (3 nu)``.  For a rank-one input this
+is two thirds of the 2x2 gap mass ``||u||^2 / 2``.  ``q0_integral`` reports
+the mass its window misses as this total less the integral; ``norm_sq`` is
+read from the canonical grid, the staircase the run propagated.
 """
 
 from __future__ import annotations
@@ -26,10 +45,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import BranchTrackingError, ConfigError, WindowTooSmallError
+from .errors import BranchTrackingError, ConfigError
 from .monodromy import monodromy_grid
 from .multipliers import lyapunov_triple
-from .potential import Potential
+from .potential import Potential, moments
 from .spectrum import SpectralScan, _line_data
 
 # quadrature controls for the per-gap integrals
@@ -37,11 +56,8 @@ QUAD_START_NODES = 64
 QUAD_MAX_NODES = 512
 QUAD_REL_TOL = 1e-6
 
-# a gap whose closure reaches this close to the scan edge is treated as cut off
-EDGE_MARGIN = math.pi
-
-# fraction of the total that the edge gaps may carry before the window is
-# declared too small to trust the integral
+# share of the trace-formula total that the window may miss before a
+# diagnostic says so
 EDGE_FRACTION = 0.01
 
 # extra profile samples per gap, graded toward its endpoints
@@ -103,7 +119,7 @@ def branch_magnitudes(p: Potential, lam: np.ndarray) -> tuple[np.ndarray, np.nda
 class QProfile:
     """Sampled magnitude profile over a scan window.
 
-    ``gap_attribution[i]`` is the index into ``gaps`` of the open gap
+    ``gap_attribution[i]`` is the index into the scan's ``gaps`` of the gap
     containing ``grid[i]``, or -1 for samples on bands or outside the window.
     """
 
@@ -111,8 +127,6 @@ class QProfile:
     q_branches: np.ndarray
     q_avg: np.ndarray
     gap_attribution: np.ndarray
-    gaps: list[tuple[float, float]]
-    potential: Potential
 
 
 def _endpoint_graded(a: float, b: float, m: int) -> np.ndarray:
@@ -147,8 +161,6 @@ def q_profile(p: Potential, sc: SpectralScan) -> QProfile:
         q_branches=q,
         q_avg=q.mean(axis=-1),
         gap_attribution=attribution,
-        gaps=list(sc.gaps),
-        potential=p,
     )
 
 
@@ -171,22 +183,16 @@ def _quad_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, w
 
 
-def q0_integral(profile: QProfile) -> GapMassResult:
-    """Adaptive per-gap quadrature of the averaged magnitude.
+def q0_integral(p: Potential, gaps: list[tuple[float, float]]) -> GapMassResult:
+    """Adaptive per-gap quadrature of the averaged magnitude over the scan's gaps.
 
     All still-active gaps share one batched evaluation per refinement round;
     a gap retires once doubling its node count moves its contribution by less
     than ``QUAD_REL_TOL`` relative to the running total, or once it reaches
-    ``QUAD_MAX_NODES`` nodes.  Gaps reaching within ``EDGE_MARGIN`` of the
-    window edge are treated as cut off: their mass feeds the tail estimate,
-    and if they carry more than ``EDGE_FRACTION`` of the total the window is
-    rejected outright.
+    ``QUAD_MAX_NODES`` nodes.  The tail is the mass the gaps miss of the
+    total ``norm_sq / 3`` (module notes); a note flags a tail above
+    ``EDGE_FRACTION`` of it, and an integral above it by ``QUAD_REL_TOL``.
     """
-    p = profile.potential
-    gaps = profile.gaps
-    if not gaps:
-        return GapMassResult(value=0.0, tail_estimate=0.0)
-
     contrib = [0.0] * len(gaps)
     # each unsettled gap's node count, in gap order
     active = dict.fromkeys(range(len(gaps)), QUAD_START_NODES)
@@ -207,35 +213,23 @@ def q0_integral(profile: QProfile) -> GapMassResult:
             else:
                 active[k] = 2 * m
 
-    total = sum(contrib)
-    lo, hi = profile.grid[0], profile.grid[-1]
-    edge = [
-        k
-        for k, (a, b) in enumerate(gaps)
-        if a <= lo + EDGE_MARGIN or b >= hi - EDGE_MARGIN
-    ]
+    value = sum(contrib) / math.pi
+    total = moments(p).b3 / 3.0
+    tail = max(total - value, 0.0)
     notes: list[str] = []
-    tail = 0.0
-    if edge:
-        edge_mass = sum(contrib[k] for k in edge)
-        if edge_mass > EDGE_FRACTION * total:
-            raise WindowTooSmallError(
-                "gaps at the scan edge carry %.3g of a total %.3g; widen the window"
-                % (edge_mass, total)
-            )
-        # geometric extrapolation per side using the outermost two contributions
-        for side_edge in sorted({edge[0], edge[-1]}):
-            g_last = contrib[side_edge]
-            neighbor = side_edge - 1 if side_edge == edge[-1] else side_edge + 1
-            if 0 <= neighbor < len(contrib) and contrib[neighbor] > g_last > 0.0:
-                r = g_last / contrib[neighbor]
-                tail += g_last * r / (1.0 - r)
-            else:
-                tail += g_last
-        notes.append("tail estimated from %d edge gap(s)" % len(edge))
+    if tail > EDGE_FRACTION * total:
+        notes.append(
+            f"gap-mass-shortfall: {tail:.3e} of the total norm_sq/3 = {total:.6g} "
+            "lies outside the window's gaps; widen the window or refine the step"
+        )
+    if value > total * (1.0 + QUAD_REL_TOL):
+        notes.append(
+            f"gap-mass-excess: integral {value:.6g} exceeds the total "
+            f"norm_sq/3 = {total:.6g} by more than the quadrature tolerance"
+        )
     return GapMassResult(
-        value=total / math.pi,
-        tail_estimate=tail / math.pi,
+        value=value,
+        tail_estimate=tail,
         per_gap=[c / math.pi for c in contrib],
         notes=notes,
     )

@@ -217,12 +217,15 @@ def test_qmomentum_report(capsys):
     assert rep["ratio_to_norm_sq"] > 0.0
 
 
-def test_qmomentum_window_too_small_exit(capsys):
-    rc, _, err = run_main(
+def test_qmomentum_narrow_window_holding_the_gap_exits_zero(capsys):
+    # the constant's one gap lies inside [-2, 2], so nothing is missing
+    rc, out, _ = run_main(
         ["qmomentum", "--potential", CONST, "--interval", "-2", "2"], capsys
     )
-    assert rc == 3
-    assert "widen the window" in err
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["report"]["tail_estimate"] <= 1e-15
+    assert doc["diagnostics"] == []
 
 
 def test_config_errors_exit_two(capsys):

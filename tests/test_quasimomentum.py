@@ -2,28 +2,38 @@
 
 The constant rank-one fixture gives exact targets: branch exponents
 (|u|, |u|, 0) at the gap center, average 2|u|/3, and a gap mass equal to
-two thirds of the 2x2 reference value.
+two thirds of the 2x2 reference value.  Every input's whole-line gap mass is
+``norm_sq / 3`` (the trace formula), which the tail estimate completes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from manakov_spectra import (
     ConfigError,
-    WindowTooSmallError,
     eps_map,
     herglotz_asymptotic,
+    moments,
     q0_integral,
     q_profile,
     scalar_reduction,
     scan,
     zs_q0_integral,
 )
-from manakov_spectra.quasimomentum import _magnitudes, branch_magnitudes
+from manakov_spectra.quasimomentum import QUAD_REL_TOL, _magnitudes, branch_magnitudes
 from manakov_spectra.cli import DEFAULT_NU, load_potential
 from conftest import CONST_JSON, cli_csv_rows
 from oracles import mp_herglotz_fit
 from test_golden import INPUTS
+
+# many-small step input 4 of the benchmark: two dyadic steps, so exact
+STEP_DYADIC = (
+    '{"kind":"piecewise","breakpoints":[0.0,0.5625,1.0],"values":'
+    "[[[0.20575697966748893,-0.10935731298711066],[0.0494328102324182,-0.15402280511198624]],"
+    "[[-0.08227103508011728,0.34119792123628906],[0.02978313414190797,-0.09587832650111391]]]}"
+)
 
 
 def test_eps_map_contracts(rng):
@@ -78,24 +88,59 @@ def test_constant_gap_center_exponents(pot_const):
 
 def test_gap_mass_two_thirds_of_reduced(pot_const):
     sc = scan(pot_const, -7.0, 7.0, step=0.01)
-    res = q0_integral(q_profile(pot_const, sc))
+    res = q0_integral(pot_const, sc.gaps)
     u, _ = scalar_reduction(pot_const)
     want = (2.0 / 3.0) * zs_q0_integral(u, -7.0, 7.0)
     assert abs(res.value - want) <= 1e-3 * want
-    assert res.tail_estimate == 0.0
+    assert res.tail_estimate <= 1e-15 * moments(pot_const).b3
     assert len(res.per_gap) == 1
+    assert res.notes == []
 
 
-def test_window_too_small_raises(pot_const):
+def test_narrow_window_holding_the_whole_gap_has_no_tail(pot_const):
+    # the window's edges lie in bands: the one gap carries the whole total
     sc = scan(pot_const, -2.0, 2.0, step=0.01)
-    prof = q_profile(pot_const, sc)
-    with pytest.raises(WindowTooSmallError):
-        q0_integral(prof)
+    res = q0_integral(pot_const, sc.gaps)
+    assert abs(res.value - moments(pot_const).b3 / 3.0) <= 1e-15
+    assert res.tail_estimate <= 1e-15
+    assert res.notes == []
+
+
+def test_tail_is_the_trace_formula_shortfall():
+    # a step potential's gaps shrink like 1/n, so [-16, 16] misses over 5% of
+    # the total; the tail is that shortfall, and a note names it
+    p = load_potential(STEP_DYADIC)
+    sc = scan(p, -16.0, 16.0, step=0.05)
+    res = q0_integral(p, sc.gaps)
+    total = moments(p).b3 / 3.0
+    assert abs(res.value + res.tail_estimate - total) <= QUAD_REL_TOL * total
+    assert res.tail_estimate > 0.05 * total
+    assert [n.split(":")[0] for n in res.notes] == ["gap-mass-shortfall"]
+
+
+def test_empty_window_misses_the_whole_total(pot_const):
+    sc = scan(pot_const, 2.0, 3.0, step=0.01)
+    assert sc.gaps == []
+    res = q0_integral(pot_const, sc.gaps)
+    assert res.value == 0.0 and res.per_gap == []
+    assert res.tail_estimate == moments(pot_const).b3 / 3.0
+    assert [n.split(":")[0] for n in res.notes] == ["gap-mass-shortfall"]
+
+
+def test_integral_above_the_total_is_flagged(pot_const, monkeypatch):
+    # no correct quadrature exceeds norm_sq / 3; halve the norm to see the note
+    m = moments(pot_const)
+    halved = replace(m, b3=0.5 * m.b3)
+    monkeypatch.setattr("manakov_spectra.quasimomentum.moments", lambda p: halved)
+    sc = scan(pot_const, -7.0, 7.0, step=0.01)
+    res = q0_integral(pot_const, sc.gaps)
+    assert res.tail_estimate == 0.0
+    assert [n.split(":")[0] for n in res.notes] == ["gap-mass-excess"]
 
 
 def test_herglotz_fit_matches_quadrature(pot_const):
     sc = scan(pot_const, -7.0, 7.0, step=0.01)
-    quad = q0_integral(q_profile(pot_const, sc)).value
+    quad = q0_integral(pot_const, sc.gaps).value
     fit = herglotz_asymptotic(pot_const, (12, 16, 20, 26, 34))
     assert abs(fit.q0 - quad) <= 0.1 * quad
     assert fit.residual_rms <= 1e-3

@@ -111,6 +111,14 @@ def test_band_indicator_agreement(pot_const):
     assert mismatch <= 1
 
 
+def test_reduced_gap_mass_is_half_the_norm(pot_const):
+    # the 2x2 trace formula, through a path that shares no code with the
+    # 3x3 quadrature: the whole-line gap mass is ||u||^2 / 2
+    u, _ = scalar_reduction(pot_const)
+    norm_sq = float(np.mean(np.abs(u) ** 2))
+    assert abs(zs_q0_integral(u, -7.0, 7.0) - 0.5 * norm_sq) <= 1e-12
+
+
 def test_reduced_gap_mass_quadrature_stability():
     u = np.full(64, 0.9, dtype=np.complex128)
     coarse = zs_q0_integral(u, -7.0, 7.0, nodes=128)
