@@ -9,7 +9,6 @@ two components are proportional.
 """
 
 from .errors import (
-    BranchTrackingError,
     ConfigError,
     ContourThroughZeroError,
     NonFiniteError,
@@ -23,7 +22,6 @@ from .monodromy import monodromy_grid
 from .multipliers import (
     derived_grid,
     identity_suite,
-    lyapunov_triple,
     multipliers_from_traces,
     unimodular_count,
 )
@@ -42,7 +40,6 @@ from .quasimomentum import (
     GapMassResult,
     HerglotzFit,
     QProfile,
-    eps_map,
     herglotz_asymptotic,
     q0_integral,
     q_profile,
@@ -55,6 +52,7 @@ from .spectrum import (
 )
 from .zs_oracle import (
     ReductionReport,
+    eps_map,
     reduction_check,
     scalar_reduction,
     zs_delta_grid,

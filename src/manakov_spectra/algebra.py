@@ -8,7 +8,10 @@ Contents:
 
 * ``adj3`` -- adjugate of (..., 3, 3) stacks.
 * ``cubic_roots_stack`` -- closed-form monic-cubic solver with one mandatory Newton
-  polish per root and a deflation fallback for badly scaled root sets.
+  polish per root and a deflation fallback for badly scaled root sets.  Its
+  only callers are ``multipliers.multipliers_from_traces`` and
+  ``periodic_eigen._moment_starts``; over the benchmark's seed-0 invocations
+  the deflation fired only in the latter, on 6 rows.
 * ``winding_count`` -- discrete argument-principle winding number with
   explicit undersampling and zero-proximity guards; the contours themselves
   belong to the caller (``periodic_eigen._windings`` samples circles and

@@ -37,9 +37,5 @@ class RootResidualError(NumericalError):
     """Polynomial root residual exceeded its bound even after fallback."""
 
 
-class BranchTrackingError(NumericalError):
-    """Branch continuity lost while following a quantity along a path (branch-tracking)."""
-
-
 class SheetConflictError(NumericalError):
     """Sheet-count evidence is contradictory (e.g. flat trace difference but full-rank moments)."""

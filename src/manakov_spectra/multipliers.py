@@ -20,8 +20,16 @@ Derived per-parameter scalars:
 * ``rho``  -- their pairwise-difference product
   ``(d1-d2)^2 (d1-d3)^2 (d2-d3)^2`` expressed through the symmetric functions.
 
+The averages themselves are never solved for: the quasimomentum magnitudes
+``|log|tau_j||`` read the multipliers directly (``quasimomentum`` module
+notes), so ``tcal``, ``t1`` and ``det_lambda`` serve only ``rho`` and the
+``dd2`` identity below.
+
 ``identity_suite`` evaluates the two internal consistency identities tying
-these together and reports scale-normalized residuals.
+these together and reports scale-normalized residuals.  Both are algebraic
+identities in ``(T, S, lam)``: they hold to rounding for any trace pair,
+whether or not a propagator has it, so they test the trace-polynomial
+formulas, not the propagation.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .algebra import cubic_roots_stack
 __all__ = [
     "derived_grid",
     "identity_suite",
-    "lyapunov_triple",
     "multipliers_from_traces",
     "unimodular_count",
 ]
@@ -74,8 +81,11 @@ def _phi(t, s, lam):
     return (t - s) / 2j - np.sin(lam)
 
 
-def _lyapunov_symmetric(t, s, lam):
-    """``(tcal, t1, det_lambda)`` from complex arrays of traces and ``lam``."""
+def derived_grid(t, s, lam) -> dict:
+    """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
+    t = np.asarray(t, dtype=np.complex128)
+    s = np.asarray(s, dtype=np.complex128)
+    lam = np.asarray(lam, dtype=np.complex128)
     ep = np.exp(1j * lam)
     em = np.exp(-1j * lam)
     tcal = (t + s) / 2.0
@@ -85,15 +95,6 @@ def _lyapunov_symmetric(t, s, lam):
     det_lambda = (
         2.0 * np.cos(lam) + ep * (s * s - 2.0 * em * t) + em * (t * t - 2.0 * ep * s)
     ) / 8.0
-    return tcal, t1, det_lambda
-
-
-def derived_grid(t, s, lam) -> dict:
-    """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
-    t = np.asarray(t, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    tcal, t1, det_lambda = _lyapunov_symmetric(t, s, lam)
     rho = (
         tcal**2 * t1**2
         - 4.0 * det_lambda * tcal**3
@@ -102,37 +103,13 @@ def derived_grid(t, s, lam) -> dict:
         - 27.0 * det_lambda**2
     )
     return {
-        "disc": _disc(t, s, np.exp(-1j * lam), np.exp(1j * lam)),
+        "disc": _disc(t, s, em, ep),
         "phi": _phi(t, s, lam),
         "tcal": tcal,
         "t1": t1,
         "det_lambda": det_lambda,
         "rho": rho,
     }
-
-
-def lyapunov_triple(t, s, lam) -> np.ndarray:
-    """Branch averages (tau + 1/tau)/2, solved from their own cubic.
-
-    Pairing each multiplier with its reciprocal loses all precision once
-    |Im lam| is large: the small pair of multipliers drowns in the absolute
-    rounding of the trace (their moduli span e^{-|Im lam|}..e^{+|Im lam|}).
-    The averages themselves all sit at the cos-lam scale, so the monic cubic
-    they satisfy -- elementary symmetric functions (tcal, t1, det_lambda) --
-    is well conditioned after dividing through by cos lam.  Returns shape
-    ``lam.shape + (3,)``.
-    """
-    t = np.asarray(t, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    tcal, t1, det_lambda = _lyapunov_symmetric(t, s, lam)
-    cosl = np.cos(lam)
-    unit = np.where(np.abs(cosl) > 1.0, cosl, 1.0)
-    c2 = -tcal / unit
-    c1 = t1 / unit**2
-    c0 = -det_lambda / unit**3
-    roots = cubic_roots_stack(c2, c1, c0)
-    return roots * unit[..., None]
 
 
 def identity_suite(t, s, lam) -> dict:

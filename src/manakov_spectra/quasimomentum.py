@@ -1,21 +1,23 @@
 """Quasimomentum magnitudes on the spectral line and the integrated gap mass.
 
-Everything in this module runs off the conformal map ``eps(z) = z + sqrt(z^2-1)``
-restricted to the branch with ``|eps| >= 1``.  Feeding the three Lyapunov
-averages through it gives per-branch magnitudes ``q_j = log|eps(delta_j)|``
-that vanish identically on triple-covered bands and open like square roots
-inside gaps.  Only moduli are used on the real line; the phase of ``eps`` is
-tracked just once, along the imaginary axis, where the large-parameter fit
-needs a continuous branch.  The magnitude profile reuses the multipliers the
-band/gap scan already holds for its grid and propagates only the extra
-samples it places inside gaps.
+A branch's magnitude is ``q_j = |log|tau_j||``, read straight from the
+multiplier ``tau_j``.  It is the ``log|eps(delta_j)|`` of the Lyapunov
+picture, where ``delta_j = (tau_j + 1/tau_j)/2`` is the branch average and
+``eps(z) = z + sqrt(z^2 - 1)`` is taken on its branch with ``|eps| >= 1``:
+the two solutions ``w`` of ``w + 1/w = 2 delta_j`` are ``tau_j`` and
+``1/tau_j``, so ``eps(delta_j)`` is whichever of them has modulus at least
+one, and ``log|eps(delta_j)| = max(log|tau_j|, -log|tau_j|)``.  The
+magnitudes vanish on triple-covered bands and open like square roots inside
+gaps.  The magnitude profile reuses the multipliers the band/gap scan
+already holds for its grid and propagates only the extra samples it places
+inside gaps.
 
 The integrated gap mass (the ``1/pi`` integral of the averaged magnitude) is
 computed twice by design: once by per-gap quadrature with a substitution that
 absorbs the square-root endpoint behaviour, and once from the coefficient of
-the ``1/nu`` term of the averaged map up the imaginary axis.  The two routes
-share no code path beyond the monodromy engine, so their agreement is a real
-cross-check and is surfaced as such rather than collapsed.
+the ``1/nu`` term of the averaged magnitude up the imaginary axis.  The two
+routes share no code path beyond the monodromy engine, so their agreement is
+a real cross-check and is surfaced as such rather than collapsed.
 
 The second route rests on a Herglotz premise: the mean of the three branch
 magnitudes is the imaginary part of an averaged quasimomentum ``k(lam) = lam
@@ -35,19 +37,35 @@ v^T``, so their mean is ``nu + norm_sq / (3 nu)``.  For a rank-one input this
 is two thirds of the 2x2 gap mass ``||u||^2 / 2``.  ``q0_integral`` reports
 the mass its window misses as this total less the integral; ``norm_sq`` is
 read from the canonical grid, the staircase the run propagated.
+
+Up the axis the mean needs one multiplier only.  At ``lam = i nu`` with
+``nu >= 10`` the propagator is close to the free ``diag(e^{nu}, e^{-nu},
+e^{-nu})``, so exactly one multiplier ``tau_1`` has modulus above one, and
+``tau_1 tau_2 tau_3 = det psi = e^{i lam}``.  The magnitudes are then
+``log|tau_1|``, ``-log|tau_2|`` and ``-log|tau_3|``, whose sum is
+``2 log|tau_1| - log|e^{i lam}| = 2 log|tau_1| + nu``: the mean is
+``(nu + 2 log|tau_1|)/3``, and its excess over ``nu`` is
+``(2/3) log|e^{i lam} tau_1|``, the logarithm of a number near one.
+``tau_1`` comes from the traces ``T`` of ``psi`` and ``S`` of its inverse.
+The cubic's middle coefficient ``tau_1 (tau_2 + tau_3) + tau_2 tau_3 =
+e^{i lam} S``, with ``tau_2 tau_3 = e^{i lam} / tau_1``, gives
+``tau_2 + tau_3 = e^{i lam} (S - 1/tau_1) / tau_1``, so
+``tau_1 = T - (tau_2 + tau_3)`` is a fixed point.  Started from ``tau = T``,
+whose relative error is the correction's size ``2 e^{-2 nu}`` (4.1e-9 at
+``nu = 10``), each step multiplies the error by about that factor again, so
+two steps reach ``tau_1`` to rounding.  The step is written with ``1/tau``,
+never ``tau^2``, which overflows a double above ``nu`` of about 354.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
-from .errors import BranchTrackingError, ConfigError
-from .monodromy import monodromy_grid
-from .multipliers import lyapunov_triple
+from .errors import ConfigError
+from .monodromy import IM_LIMIT, monodromy_grid
 from .potential import Potential, moments
 from .spectrum import SpectralScan, _line_data
 
@@ -63,42 +81,18 @@ EDGE_FRACTION = 0.01
 # extra profile samples per gap, graded toward its endpoints
 ENDPOINT_POINTS = 16
 
-# largest nu of the decay fit: the averages' cubic has coefficients up to
-# about e^{3 nu}/8, which overflows a double near nu = 236.5
-MAX_NU = 230.0
-
-
-def eps_map(z):
-    """Conformal map ``z + sqrt(z^2 - 1)`` on the branch with modulus >= 1.
-
-    Accepts scalars or arrays.  On the segment [-1, 1] the two candidate
-    values both have modulus one and the upper boundary value is returned.
-    The selection commutes with conjugation: ``eps_map(conj(z))`` equals
-    ``conj(eps_map(z))``.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    w = np.sqrt(z * z - 1.0)
-    plus = z + w
-    minus = z - w
-    out = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
 
 def _magnitudes(taus, disc, trace) -> tuple[np.ndarray, np.ndarray]:
     """``(q, q_avg)`` from real-axis multipliers, discriminant and trace."""
-    delta = 0.5 * (taus + 1.0 / taus)
-    q = np.log(np.abs(eps_map(delta)))
-    np.clip(q, 0.0, None, out=q)
+    q = np.abs(np.log(np.abs(taus)))
     # Wherever the modified discriminant is nonnegative all three multipliers
-    # are unimodular, so every branch average lies in [-1, 1] and q vanishes
-    # identically.  Enforcing that from the discriminant sign removes the
-    # noise floor that near-double multiplier roots would otherwise leave
-    # behind.  The sign test carries a tolerance scaled like the discriminant
-    # expression itself, because degenerate potentials make it identically
-    # zero and rounding then flips its sign at random.  On the real axis the
-    # inverse trace is conj(trace), so both trace factors share one modulus.
+    # are unimodular, so q vanishes identically.  Enforcing that from the
+    # discriminant sign removes the noise floor that near-double multiplier
+    # roots would otherwise leave behind.  The sign test carries a tolerance
+    # scaled like the discriminant expression itself, because degenerate
+    # potentials make it identically zero and rounding then flips its sign at
+    # random.  On the real axis the inverse trace is conj(trace), so both
+    # trace factors share one modulus.
     factor = (1.0 + np.abs(trace)) ** 2
     band = disc >= -5e-14 * (factor * factor) / 64.0
     q[band, :] = 0.0
@@ -108,8 +102,7 @@ def _magnitudes(taus, disc, trace) -> tuple[np.ndarray, np.ndarray]:
 def branch_magnitudes(p: Potential, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-branch magnitudes ``q_j`` and their average at real sample points.
 
-    Returns ``(q, q_avg)`` with ``q`` of shape ``(n, 3)``.  All entries are
-    clipped at zero; the map guarantees nonnegativity up to rounding.
+    Returns ``(q, q_avg)`` with ``q`` of shape ``(n, 3)``.
     """
     d = _line_data(p, lam)
     return _magnitudes(d["taus"], d["disc"], d["trace"])
@@ -237,60 +230,34 @@ def q0_integral(p: Potential, gaps: list[tuple[float, float]]) -> GapMassResult:
 
 @dataclass
 class HerglotzFit:
-    """Least-squares coefficient of the 1/nu decay of the averaged map."""
+    """Least-squares coefficient of the 1/nu decay of the averaged magnitude."""
 
     q0: float
     residual_rms: float
 
 
-def _match(tau: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Permute *tau* to minimize total distance to *reference*."""
-    best, best_cost = None, np.inf
-    for perm in permutations(range(3)):
-        cost = float(np.sum(np.abs(tau[list(perm)] - reference)))
-        if cost < best_cost:
-            best, best_cost = list(perm), cost
-    return tau[best]
-
-
-def _match_rows(delta: np.ndarray) -> np.ndarray:
-    """Reorder each row of a (n, 3) array to follow its predecessor."""
-    out = delta.copy()
-    for i in range(1, len(out)):
-        out[i] = _match(out[i], out[i - 1])
-    return out
-
-
 def herglotz_asymptotic(p: Potential, nu_list) -> HerglotzFit:
-    """Fit the decay coefficient of the averaged map along the imaginary axis.
+    """Fit the decay coefficient of the averaged magnitude along the imaginary axis.
 
-    Evaluates the three branch values at ``i*nu``, keeps them on a continuous
-    branch while ``nu`` increases, and fits ``c`` in
-    ``avg(nu) = nu + c/nu`` by least squares, where ``avg`` is the mean of the
-    three magnitudes.  A phase jump above pi/2 between consecutive samples
-    aborts with a branch-tracking error.
+    At each ``lam = i nu`` the mean of the three branch magnitudes is
+    ``(nu + 2 log|tau_1|)/3``, with ``tau_1`` the one multiplier of modulus
+    above one (module notes).  The fit is ``c`` in ``mean(nu) = nu + c/nu``,
+    by least squares.
     """
     nu = np.sort(np.asarray(nu_list, dtype=np.float64))
     if nu.size < 2:
         raise ConfigError("need at least two nu samples for the decay fit")
-    if not (nu[0] >= 10.0 and nu[-1] <= MAX_NU):  # NaN sorts last and fails the bound
-        raise ConfigError(f"nu samples must be finite and in [10, {MAX_NU:g}]; got {nu.tolist()}")
-    lam = 1j * nu
-    g = monodromy_grid(p, lam)
-    # the averages' own cubic stays conditioned far up the imaginary axis,
-    # where pairing each multiplier with its reciprocal loses every digit
-    delta = _match_rows(lyapunov_triple(g["trace"], g["trace_conj"], g["lam"]))
-    eps = eps_map(delta)
-    args = np.angle(eps)
-    jumps = np.abs(np.diff(args, axis=0))
-    jumps = np.minimum(jumps, 2.0 * math.pi - jumps)
-    if jumps.size and np.max(jumps) > 0.5 * math.pi:
-        raise BranchTrackingError(
-            "branch phase jumped by %.3g between consecutive nu samples"
-            % float(np.max(jumps))
-        )
-    mags = np.log(np.abs(eps))
-    r = np.mean(mags, axis=1) - nu
+    if not (nu[0] >= 10.0 and nu[-1] <= IM_LIMIT):  # NaN sorts last and fails the bound
+        raise ConfigError(f"nu samples must be finite and in [10, {IM_LIMIT:g}]; got {nu.tolist()}")
+    g = monodromy_grid(p, 1j * nu)
+    t, s = g["trace"], g["trace_conj"]
+    phase = np.exp(1j * g["lam"])
+    tau = t
+    for _ in range(2):
+        inv = 1.0 / tau
+        tau = t - phase * (inv * (s - inv))
+    # the mean's excess over nu, (2/3) log|e^{i lam} tau_1| (module notes)
+    r = (2.0 / 3.0) * np.log(np.abs(phase * tau))
     c = float(np.sum(r / nu) / np.sum(1.0 / nu**2))
     rms = float(np.sqrt(np.mean((r - c / nu) ** 2)))
     return HerglotzFit(q0=c, residual_rms=rms)

@@ -6,7 +6,10 @@ block directly -- its own step exponentials in closed form, sharing nothing
 with the 3x3 propagator beyond the sinh(z)/z kernel -- so it can serve as
 ground truth: branch averages, the modified discriminant, the half-period
 root functions, and the band/gap picture of the full pipeline must all
-collapse onto 2x2 quantities, and the checks here assert exactly that.
+collapse onto 2x2 quantities, and the checks here assert exactly that.  Its
+gap magnitude is ``log|eps(delta)|`` of the 2x2 branch average ``delta``, by
+the conformal map ``eps_map``, a route that shares no code with the
+``|log|tau||`` of ``quasimomentum``.
 
 The 2x2 step is exact per step: with ``M = [[lam, -conj(u)], [u, -lam]]`` one
 has ``M^2 = (lam^2 - |u|^2) I``, so the exponential is
@@ -25,7 +28,6 @@ from .monodromy import _sinch, monodromy_grid
 from .multipliers import derived_grid, multipliers_from_traces
 from .periodic_eigen import d_pm_from_traces
 from .potential import Potential, is_rank_one, moments
-from .quasimomentum import eps_map
 
 ENDPOINT_TOL = 1e-12
 # grid step of the 2x2 gap search
@@ -144,6 +146,24 @@ def zs_gaps(u: np.ndarray, lo: float, hi: float) -> list[tuple[float, float]]:
     if len(ends) % 2:
         ends.append(hi)
     return list(zip(ends[0::2], ends[1::2]))
+
+
+def eps_map(z):
+    """Conformal map ``z + sqrt(z^2 - 1)`` on the branch with modulus >= 1.
+
+    Accepts scalars or arrays.  On the segment [-1, 1] the two candidate
+    values both have modulus one and the upper boundary value is returned.
+    The selection commutes with conjugation: ``eps_map(conj(z))`` equals
+    ``conj(eps_map(z))``.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    w = np.sqrt(z * z - 1.0)
+    plus = z + w
+    minus = z - w
+    out = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+    if out.ndim == 0:
+        return complex(out)
+    return out
 
 
 def zs_q0_integral(u: np.ndarray, lo: float, hi: float, nodes: int = 256) -> float:

@@ -253,9 +253,11 @@ def mp_herglotz_fit(p: Potential, nu) -> float:
     """``herglotz_asymptotic``'s coefficient ``c`` with every step in 40 digits.
 
     The traces come from ``mp_psi``.  The branch averages are the roots of
-    their monic cubic, with ``multipliers.derived_grid``'s coefficients, as
-    ``lyapunov_triple`` has them; the fit is the same least squares.  The
-    mean over the three branches needs no branch tracking.
+    their monic cubic, with ``multipliers.derived_grid``'s coefficients, and
+    each magnitude is ``log|eps(delta)|`` of one of them: a route independent
+    of the production fit, which reads the one multiplier of modulus above
+    one.  The fit is the same least squares.  The mean over the three
+    branches needs no branch tracking.
     """
     with mpmath.workdps(MP_DIGITS):
         r = []

@@ -161,6 +161,25 @@ def test_verify_perturbed_trace_recovery_fails(monkeypatch, capsys):
     assert set(statuses.values()) == {"PASS"}
 
 
+def test_verify_trace_identities_pass_on_traces_of_no_propagator(monkeypatch, capsys, rng):
+    # derived-identities and trace-recovery are algebra in (T, S, lam): traces
+    # drawn at random, which no propagator has, pass both at rounding level
+    propagate = cli.monodromy_grid
+
+    def random_traces(p, lam, **kwargs):
+        g = propagate(p, lam, **kwargs)
+        n = len(g["lam"])
+        for key in ("trace", "trace_conj"):
+            g[key] = 3.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        return g
+
+    monkeypatch.setattr(cli, "monodromy_grid", random_traces)
+    _, out, _ = run_main(["verify", "--potential", CONST], capsys)
+    worst = {c["name"]: c["worst"] for c in json.loads(out)["checks"]}
+    assert worst["derived-identities"] <= 1e-13
+    assert worst["trace-recovery"] <= 1e-13
+
+
 # two runs of amplitude 6: a graded propagator, whose determinant by
 # cofactors is off by 2.2e-10, against 1.5e-11 by pivoted LU
 GRADED_STEP = (
@@ -306,13 +325,13 @@ def test_non_finite_nu_exits_two(capsys):
     assert out == "" and "nu samples must be finite" in err
 
 
-def test_nu_above_230_exits_two(capsys):
-    # the decay fit's cubic overflows a double near nu = 236.5
+def test_nu_above_the_engine_limit_exits_two(capsys):
+    # the fit reaches as far up the axis as the engine propagates
     args = ["qmomentum", "--potential", CONST, "--interval", "-16", "16"]
-    rc, out, err = run_main([*args, "--nu", "240", "250"], capsys)
+    rc, out, err = run_main([*args, "--nu", "200", "701"], capsys)
     assert rc == 2
-    assert out == "" and "nu samples must be finite and in [10, 230]" in err
-    rc, out, _ = run_main([*args, "--nu", "200", "230"], capsys)
+    assert out == "" and "nu samples must be finite and in [10, 700]" in err
+    rc, out, _ = run_main([*args, "--nu", "690", "700"], capsys)
     assert rc == 0
     rep = json.loads(out)["report"]
     assert rep["fit_error"] is None

@@ -10,12 +10,11 @@ import numpy as np
 from manakov_spectra import (
     derived_grid,
     identity_suite,
-    lyapunov_triple,
     monodromy_grid,
     multipliers_from_traces,
     unimodular_count,
 )
-from conftest import multiset_distance, random_potential
+from conftest import random_potential
 
 
 def free_traces(lam):
@@ -96,53 +95,6 @@ def test_rho_is_product_of_squared_differences(rng):
         )
         scale = max(1.0, np.abs(de).max() ** 6)
         assert abs(rho[k] - prod) <= 1e-8 * scale
-
-
-def test_delta_from_multiplier_pairing(rng):
-    # each branch average equals (tau + 1/tau) / 2
-    p = random_potential(rng, max_norm=1.0)
-    lam0 = 1.9 + 1.1j
-    g = monodromy_grid(p, np.array([lam0]))
-    taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])[0]
-    delta = lyapunov_triple(g["trace"], g["trace_conj"], g["lam"])[0]
-    want = (taus + 1.0 / taus) / 2.0
-    assert multiset_distance(delta, want) <= 1e-10
-
-
-def test_lyapunov_triple_matches_pairing(rng):
-    # solving the averages' own cubic must reproduce (tau + 1/tau) / 2
-    p = random_potential(rng, max_norm=1.2)
-    lam = np.concatenate(
-        [
-            rng.uniform(-8, 8, size=25),
-            rng.uniform(-5, 5, size=15) + 1j * rng.uniform(-1.5, 1.5, size=15),
-        ]
-    )
-    g = monodromy_grid(p, lam)
-    taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
-    paired = (taus + 1.0 / taus) / 2.0
-    stable = lyapunov_triple(g["trace"], g["trace_conj"], g["lam"])
-    for k in range(lam.size):
-        scale = max(1.0, np.abs(paired[k]).max())
-        assert multiset_distance(stable[k], paired[k]) <= 1e-8 * scale
-
-
-def test_lyapunov_triple_stays_bounded_off_axis(pot_two_mode):
-    # far up the imaginary axis the pairing route drowns in trace rounding,
-    # but the averages themselves stay at the cos-lam scale; the free triple
-    # root caps accuracy at roughly the cube root of machine precision
-    lam = np.array([0.3 + 30j, -1.5 + 25j])
-    t = np.exp(-1j * lam) + 2.0 * np.exp(1j * lam)
-    s = 2.0 * np.exp(-1j * lam) + np.exp(1j * lam)
-    got = lyapunov_triple(t, s, lam)
-    rel = np.abs(got - np.cos(lam)[:, None]) / np.abs(np.cos(lam))[:, None]
-    assert rel.max() <= 1e-4
-    # and on a genuine potential the deviation from cos-lam carries the
-    # mode content: finite, cos-scaled, not the e^{+Im lam} blowup
-    g = monodromy_grid(pot_two_mode, np.array([20j]))
-    vals = lyapunov_triple(g["trace"], g["trace_conj"], g["lam"])[0]
-    assert np.all(np.isfinite(vals))
-    assert np.abs(vals / np.cos(20j) - 1.0).max() <= 0.1
 
 
 def test_unimodular_count_band_gap(pot_const):

@@ -158,23 +158,37 @@ def test_herglotz_validation(pot_const):
 
 
 def test_herglotz_fit_does_not_overflow_up_to_max_nu():
-    # the fit reads the averages' symmetric functions only; the discriminant
-    # and the squared-difference product, of order e^{4 nu} and e^{6 nu},
-    # overflow here
+    # the fit reads one multiplier, of modulus about e^{nu}, and never forms
+    # its square, which would overflow above nu = 354
     p = load_potential(INPUTS["const"])
-    with np.errstate(over="raise", invalid="raise"):
-        fit = herglotz_asymptotic(p, (200.0, 230.0))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        fit = herglotz_asymptotic(p, (600.0, 700.0))
     assert np.isfinite(fit.q0)
 
 
-@pytest.mark.parametrize("name", ["const", "step"])
-def test_herglotz_fit_near_its_40_digit_value(name):
-    # the near-triple cubic of the branch averages magnifies the traces'
-    # rounding; the golden fourier input, left out for its 64 runs' mpmath
-    # cost, sits 2.0e-10 from its 40-digit fit
+@pytest.mark.parametrize(
+    "name,nu",
+    [("const", DEFAULT_NU), ("step", DEFAULT_NU), ("fourier", (12.0, 16.0))],
+    ids=["const", "step", "fourier"],
+)
+def test_herglotz_fit_near_its_40_digit_value(name, nu):
+    # the golden fourier input's 64 runs cost mpmath seconds a sample, so it
+    # takes two
     p = load_potential(INPUTS[name])
-    fit = herglotz_asymptotic(p, DEFAULT_NU).q0
-    assert abs(fit - mp_herglotz_fit(p, DEFAULT_NU)) <= 3e-10
+    fit = herglotz_asymptotic(p, nu).q0
+    assert abs(fit - mp_herglotz_fit(p, nu)) <= 1e-13
+
+
+def test_magnitudes_are_the_conformal_map_of_the_branch_averages(pot_two_mode):
+    # |log|tau|| is log|eps((tau + 1/tau)/2)|: the two roots of w + 1/w = 2 delta
+    # are tau and 1/tau, and eps picks the one of modulus at least one
+    sc = scan(pot_two_mode, -5.0, 5.0, step=0.01)
+    gap = sc.multiplicity == 1
+    assert np.count_nonzero(gap) >= 50
+    taus = sc.taus[gap]
+    q, _ = _magnitudes(taus, sc.disc[gap], sc.trace[gap])
+    old = np.clip(np.log(np.abs(eps_map(0.5 * (taus + 1.0 / taus)))), 0.0, None)
+    assert np.abs(q - old).max() <= 1e-12
 
 
 def test_envelope_bounds_generic(pot_two_mode):
