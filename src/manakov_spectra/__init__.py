@@ -22,7 +22,6 @@ from .monodromy import monodromy_grid
 from .multipliers import (
     derived_grid,
     identity_suite,
-    multipliers_from_traces,
     unimodular_count,
 )
 from .periodic_eigen import (

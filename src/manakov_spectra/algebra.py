@@ -1,17 +1,18 @@
-"""Small dense linear algebra used by the spectral machinery.
+"""Batched numerics used by the spectral machinery.
 
-Everything here is fixed-size (3x3 matrices, monic cubics) and
-batch-friendly: the hot paths operate on stacks of shape (..., 3, 3) so that
-grid sweeps over many spectral parameters amortize numpy dispatch overhead.
+Everything here is batch-friendly: the hot paths take stacks of monic
+cubics or sampled contours, so that grid sweeps over many spectral
+parameters amortize numpy dispatch overhead.
 
 Contents:
 
-* ``adj3`` -- adjugate of (..., 3, 3) stacks.
-* ``cubic_roots_stack`` -- closed-form monic-cubic solver with one mandatory Newton
-  polish per root and a deflation fallback for badly scaled root sets.  Its
-  only callers are ``multipliers.multipliers_from_traces`` and
-  ``periodic_eigen._moment_starts``; over the benchmark's seed-0 invocations
-  the deflation fired only in the latter, on 6 rows.
+* ``cubic_roots_stack`` -- closed-form monic-cubic solver with a Newton
+  polish per root and a deflation fallback for root sets whose moduli
+  spread over more than six decades.  Its one caller is
+  ``multipliers.multipliers``, which replaces the roots with the
+  propagator's eigenvalues where two of them nearly collide: there a
+  polynomial's root is good only to a fractional power of the rounding
+  error of its coefficients.
 * ``winding_count`` -- discrete argument-principle winding number with
   explicit undersampling and zero-proximity guards; the contours themselves
   belong to the caller (``periodic_eigen._windings`` samples circles and
@@ -30,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "adj3",
     "cubic_roots_stack",
     "winding_count",
 ]
@@ -45,29 +45,6 @@ def ensure_finite(arr, label: str):
     if not np.all(np.isfinite(np.asarray(arr))):
         raise NonFiniteError(f"non-finite entries in {label}")
     return arr
-
-
-# ----------------------------------------------------------------------------
-# batched 3x3 primitives
-# ----------------------------------------------------------------------------
-
-
-def adj3(m: np.ndarray) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix) of a (..., 3, 3) stack."""
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    out = np.empty_like(m)
-    out[..., 0, 0] = e * i - f * h
-    out[..., 0, 1] = c * h - b * i
-    out[..., 0, 2] = b * f - c * e
-    out[..., 1, 0] = f * g - d * i
-    out[..., 1, 1] = a * i - c * g
-    out[..., 1, 2] = c * d - a * f
-    out[..., 2, 0] = d * h - e * g
-    out[..., 2, 1] = b * g - a * h
-    out[..., 2, 2] = a * e - b * d
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -176,9 +153,9 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
     """Roots of ``t**3 + c2 t**2 + c1 t + c0`` for broadcastable coefficient arrays.
 
     Returns an array with one extra trailing axis of length 3 (unordered
-    roots, repeated according to multiplicity).  Closed form plus one Newton
-    polish per root; a deflation pass handles root sets whose magnitudes
-    spread over more than ~6 decades.  Raises ``RootResidualError`` if any
+    roots, repeated according to multiplicity).  Closed form plus three
+    safeguarded Newton steps per root; a deflation pass handles root sets
+    whose magnitudes spread over more than ~6 decades.  Raises ``RootResidualError`` if any
     residual exceeds its bound afterwards, or is NaN.
     """
     # on extreme coefficients Newton steps and the root spread overflow or
@@ -209,59 +186,6 @@ def cubic_roots_stack(c2, c1, c0) -> np.ndarray:
             alt = _deflate(c2[bad], c1[bad], c0[bad], roots[bad])
             roots = roots.copy()
             roots[bad] = alt
-            bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
-            resid = np.abs(_horner(c2e, c1e, c0e, roots))
-
-        # Near-collisions leak first-order root noise into the pairwise symmetric
-        # function.  Rebuilding the close pair from the isolated root via the
-        # exact coefficient relations restores all three symmetric functions to
-        # rounding level (the isolated root is simple, hence fully accurate).
-        # Closeness is judged against the pair's own magnitude: root sets graded
-        # over many decades have an absolutely-tiny small pair that is not a
-        # collision at all, and rebuilding it from the dominant-scale coefficients
-        # would throw away the deflated answer.
-        mags = np.abs(roots)
-        d01 = np.abs(roots[..., 0] - roots[..., 1])
-        d02 = np.abs(roots[..., 0] - roots[..., 2])
-        d12 = np.abs(roots[..., 1] - roots[..., 2])
-        gaps = np.stack([d12, d02, d01], axis=-1)
-        iso_all = np.argmin(gaps, axis=-1)
-        pair_scale = np.where(
-            iso_all == 0,
-            np.maximum(mags[..., 1], mags[..., 2]),
-            np.where(
-                iso_all == 1,
-                np.maximum(mags[..., 0], mags[..., 2]),
-                np.maximum(mags[..., 0], mags[..., 1]),
-            ),
-        )
-        dmin = np.min(gaps, axis=-1)
-        # fire on genuine near-collisions, and also whenever the closest pair
-        # lives several decades below the dominant root: there the closed form
-        # computed it as a difference of dominant-scale quantities, and only the
-        # rebuild recovers it at its own scale
-        pair_floor = np.maximum(np.finfo(float).tiny, pair_scale)
-        close = (dmin <= 1e-3 * pair_floor) | (pair_scale <= 1e-3 * mags.max(axis=-1))
-        if np.any(close):
-            sub = roots[close]
-            iso = iso_all[close]
-            r_iso = np.take_along_axis(sub, iso[..., None], axis=-1)[..., 0]
-            c2s, c1s, c0s = c2[close], c1[close], c0[close]
-            for _ in range(2):
-                r_iso = _newton_step(c2s, c1s, c0s, r_iso)
-            ok_iso = np.abs(r_iso) > tiny
-            prod = np.where(ok_iso, -c0s / np.where(ok_iso, r_iso, 1.0), 0.0)
-            # two algebraically equal routes to the pair sum; their cancellation
-            # noise differs, so take the one with the smaller error estimate
-            sum_a = -c2s - r_iso
-            err_a = np.abs(c2s) + np.abs(r_iso)
-            sum_b = np.where(ok_iso, (c1s - prod) / np.where(ok_iso, r_iso, 1.0), sum_a)
-            err_b = (np.abs(c1s) + np.abs(prod)) / np.maximum(np.abs(r_iso), tiny)
-            ssum = np.where(err_a <= err_b, sum_a, sum_b)
-            t1, t2 = _pair_roots(ssum, prod)
-            rebuilt = np.stack([r_iso, t1, t2], axis=-1)
-            keep = ok_iso[..., None] & np.all(np.isfinite(rebuilt), axis=-1, keepdims=True)
-            roots[close] = np.where(keep, rebuilt, sub)
             bound = 1e-10 * scale[..., None] + _horner_floor(c2e, c1e, c0e, roots)
             resid = np.abs(_horner(c2e, c1e, c0e, roots))
 

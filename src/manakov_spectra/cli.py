@@ -33,7 +33,7 @@ from .errors import ConfigError, NumericalError
 from .monodromy import J3, monodromy_grid
 from .multipliers import (
     identity_suite,
-    multipliers_from_traces,
+    multipliers,
     unimodular_count,
 )
 from .periodic_eigen import (
@@ -89,19 +89,18 @@ def _as_list(doc: dict, key: str) -> list:
     return x
 
 
-def potential_from_doc(doc: dict, resolution: int | None = None) -> Potential:
+def potential_from_doc(doc: dict) -> Potential:
     """Build a potential from its JSON description.
 
     ``kind`` selects the constructor: ``zero``, ``constant`` (``value``),
     ``fourier`` (``modes`` keyed by integer frequency index), ``piecewise``
     (``breakpoints`` + ``values``), or ``samples`` (``values`` on a uniform
-    grid).  Complex scalars are numbers or ``[re, im]`` pairs.  An explicit
-    ``resolution`` argument overrides the document's own.
+    grid).  Complex scalars are numbers or ``[re, im]`` pairs.
     """
     if not isinstance(doc, dict):
         raise ConfigError("potential description must be a JSON object")
     kind = doc.get("kind")
-    res = resolution if resolution is not None else doc.get("resolution")
+    res = doc.get("resolution")
     kw = {} if res is None else {"resolution": _as_resolution(res)}
     if kind == "zero":
         return Potential.zero(**kw)
@@ -126,7 +125,7 @@ def potential_from_doc(doc: dict, resolution: int | None = None) -> Potential:
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
-def load_potential(spec: str, resolution: int | None = None) -> Potential:
+def load_potential(spec: str) -> Potential:
     """Accept inline JSON (leading ``{``) or a path to a JSON file."""
     text = spec
     if not spec.lstrip().startswith("{"):
@@ -139,7 +138,7 @@ def load_potential(spec: str, resolution: int | None = None) -> Potential:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed potential JSON: {exc}") from exc
-    return potential_from_doc(doc, resolution)
+    return potential_from_doc(doc)
 
 
 def potential_hash(p: Potential) -> str:
@@ -310,7 +309,7 @@ def _verify_checks(p: Potential) -> list[dict]:
     wres = np.abs(w).max(axis=(-2, -1)) / grow**2
     checks.append(("wronskian", float(wres.max()), 1e-10))
 
-    taus = multipliers_from_traces(t, s, lam)
+    taus = multipliers(g)
     scale = np.maximum(1.0, np.abs(t))
     e_sum = np.abs(taus.sum(axis=-1) - t) / scale
     pairs = (
@@ -480,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--potential", required=True, help="inline JSON or path to a JSON file")
-        sp.add_argument("--resolution", type=int, default=None, help="override canonical step count")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -517,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        p = load_potential(args.potential, args.resolution)
+        p = load_potential(args.potential)
         body, rows, code = args.func(p, args)
         if args.format == "json":
             doc = {"command": args.command, "metadata": _metadata(p), **body}

@@ -28,9 +28,10 @@ reason; a test holds numpy to it).
 The generator has trace ``i lam``, so ``det psi = e^{i lam}`` in closed form,
 and the engine forms the propagator only.  The conjugate trace (trace of
 the inverse propagator) is ``conj(T)`` on the real axis.  Off it, for
-``0 < |Im lam| <= _ADJ_IM_LIMIT``, it is ``trace(adj psi) e^{-i lam}``, from
-the same propagator; past that, it comes from a second propagation at the
-conjugated spectral parameter, since the adjugate's minors cancel
+``0 < |Im lam| <= _ADJ_IM_LIMIT``, it is ``trace(adj psi) e^{-i lam}``, the
+sum of psi's three principal 2x2 minors, from the same propagator; past
+that, it comes from a second propagation at the conjugated spectral
+parameter, since the adjugate's minors cancel
 catastrophically once ``|Im lam|`` exceeds ~20, while the conjugated
 propagation stays accurate at full scale.
 
@@ -76,7 +77,6 @@ import os
 
 import numpy as np
 
-from .algebra import adj3
 from .errors import RangeOverflowError
 from .potential import Potential
 
@@ -574,8 +574,15 @@ def monodromy_grid(p: Potential, lam) -> dict:
     tt = np.conj(t).copy()
     mid = (lam.imag != 0.0) & ~big
     if np.any(mid):
-        adj = adj3(psis[:n][mid])
-        tt[mid] = np.trace(adj, axis1=-2, axis2=-1) * np.exp(-1j * lam[mid])
+        m = psis[:n][mid]
+        # trace(adj psi): the principal minors at (0, 0), (1, 1) and (2, 2),
+        # added left to right as np.trace adds a diagonal
+        adj_trace = (
+            (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+            + (m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0])
+            + (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+        )
+        tt[mid] = adj_trace * np.exp(-1j * lam[mid])
     if np.any(big):
         tt[big] = np.conj(traces[n:])
     return {"lam": lam, "trace": t, "trace_conj": tt, "psi": psis[:n]}

@@ -1,13 +1,26 @@
 """Floquet multipliers and scalar functions derived from the period traces.
 
 The multipliers at a spectral parameter ``lam`` are the eigenvalues of the
-period propagator, i.e. the roots of the monic cubic
+period propagator ``psi``, i.e. the roots of the monic cubic
 
     tau^3 - T tau^2 + e^{i lam} S tau - e^{i lam} = 0,
 
 where ``T`` is the propagator trace and ``S`` the trace of its inverse
 (``S(lam) = conj(T(conj lam))``; on the real axis simply ``conj(T)``).  The
 constant term reflects the fixed determinant ``e^{i lam}`` of the propagator.
+
+``multipliers`` solves the cubic, and on the rows where two roots lie
+within 1e-3 of their own modulus it takes ``psi``'s eigenvalues instead.  A
+k-fold root of a polynomial moves by the k-th root of its coefficients'
+rounding error, while the eigenvalues of a diagonalisable ``psi`` stay at
+rounding level: on the zero potential, whose three multipliers meet at
+``lam = 2 pi n``, the cubic's roots near ``+-2 pi`` are up to 8.6e-6 from
+their 40-digit values, and ``psi``'s eigenvalues within 3.3e-15.
+Elsewhere the cubic stays.  It costs about a quarter of ``eigvals`` a
+point, and on a graded propagator its deflation keeps the small
+multiplier: on the real axis of the constant (8, 2), where it falls to
+2.6e-4, every multiplier is within 8.5e-14 of its 40-digit value relative
+to its modulus, where ``eigvals`` alone is 3.2e-9 off.
 
 Derived per-parameter scalars:
 
@@ -36,12 +49,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import cubic_roots_stack
+from .algebra import cubic_roots_stack, ensure_finite
 
 __all__ = [
     "derived_grid",
     "identity_suite",
-    "multipliers_from_traces",
+    "multipliers",
     "unimodular_count",
 ]
 
@@ -49,16 +62,23 @@ __all__ = [
 UNIMODULAR_TOL = 1e-6
 
 
-def multipliers_from_traces(t, s, lam) -> np.ndarray:
-    """Unordered multiplier triples for broadcastable trace arrays.
+def multipliers(g: dict) -> np.ndarray:
+    """Unordered multiplier triples, shape ``(n, 3)``, at a ``monodromy_grid`` result's points.
 
-    Returns an array with trailing axis 3.  Residual guarantees come from the
-    underlying cubic solver.
+    The roots of the trace cubic, with residual guarantees from the cubic
+    solver; on rows whose closest pair of roots lies within 1e-3 of its own
+    modulus, the eigenvalues of ``g["psi"]`` (module notes).
     """
-    t = np.asarray(t, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    phase = np.exp(1j * np.asarray(lam, dtype=np.complex128))
-    return cubic_roots_stack(-t, phase * s, -phase)
+    phase = np.exp(1j * g["lam"])
+    taus = cubic_roots_stack(-g["trace"], phase * g["trace_conj"], -phase)
+    # gaps of the pairs (1, 2), (0, 2) and (0, 1): the closest pair leaves out root k
+    gaps = np.abs(taus[:, [1, 0, 0]] - taus[:, [2, 2, 1]])
+    k = np.argmin(gaps, axis=1)
+    pair = np.max(np.where(np.arange(3) == k[:, None], 0.0, np.abs(taus)), axis=1)
+    close = gaps[np.arange(len(k)), k] <= 1e-3 * np.maximum(pair, np.finfo(float).tiny)
+    if np.any(close):
+        taus[close] = np.linalg.eigvals(ensure_finite(g["psi"][close], "propagator"))
+    return taus
 
 
 def unimodular_count(taus: np.ndarray) -> np.ndarray:

@@ -9,14 +9,15 @@ table feeds the first-order asymptotic check.
 
 A disk's zeros come first from the circle that counted them: the FFT of its
 samples gives ``D'/D`` there, the trapezoid rule the power sums of the
-zeros, and Newton's identities a cubic whose roots approximate them
-(Delves & Lyness, Math. Comp. 21 (1967); Kravanja & Van Barel, LNM 1727
-(2000)).  A disk keeps these roots only if they certify: the moment count
-is 3, the three roots are distinct and inside the count circle, and a
-circle around each one counts exactly one zero.  The samples of that circle
-then place its root, below the noise at which Newton on D stops.  Other
-disks -- double roots, counts other than 3 -- are located by winding-count
-subdivision of their enclosing squares and polished by Newton from the leaves.
+zeros, and Newton's identities a cubic whose roots, the eigenvalues of its
+companion matrix, approximate them (Delves & Lyness, Math. Comp. 21
+(1967); Kravanja & Van Barel, LNM 1727 (2000)).  A disk keeps these roots
+only if they certify: the moment count is 3, the three roots are distinct
+and inside the count circle, and a circle around each one counts exactly
+one zero.  The samples of that circle then place its root, below the noise
+at which Newton on D stops.  Other disks -- double roots, counts other than
+3 -- are located by winding-count subdivision of their enclosing squares
+and polished by Newton from the leaves.
 
 Every zero count -- disks, certification circles, enclosing squares,
 subdivision cells and the multiplicity circles of polished clusters -- goes
@@ -38,13 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import cubic_roots_stack, winding_count
-from .errors import (
-    ConfigError,
-    ContourThroughZeroError,
-    RootResidualError,
-    UndersampledContourError,
-)
+from .algebra import winding_count
+from .errors import ConfigError, ContourThroughZeroError, UndersampledContourError
 from .monodromy import monodromy_grid
 from .potential import Potential, fourier_hat
 
@@ -495,8 +491,8 @@ def _moment_starts(samples: list[np.ndarray], centers, radii):
     ``u_j = e^{2 pi i j / N}``.  The FFT gives f's Taylor coefficients in u
     and so ``u f'/f`` on the circle; its trapezoid means against ``u^k``
     are the power sums s_k, k = 0..3, of the zeros' u inside the circle.
-    Newton's identities turn s_1..s_3 into the monic cubic of three zeros.
-    Raises ``RootResidualError`` when the cubic solve does.
+    Newton's identities turn s_1..s_3 into the monic cubic of three zeros,
+    whose roots are the eigenvalues of its companion matrix.
     """
     sums = []
     for f in samples:
@@ -506,7 +502,10 @@ def _moment_starts(samples: list[np.ndarray], centers, radii):
     e1 = s[:, 1]
     e2 = (e1 * s[:, 1] - s[:, 2]) / 2.0
     e3 = (e2 * s[:, 1] - e1 * s[:, 2] + s[:, 3]) / 3.0
-    u = cubic_roots_stack(-e1, e2, -e3)
+    companion = np.zeros((len(s), 3, 3), dtype=np.complex128)
+    companion[:, 0] = np.stack([e1, -e2, e3], axis=-1)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    u = np.linalg.eigvals(companion)
     return s[:, 0], np.asarray(centers)[:, None] + np.asarray(radii)[:, None] * u
 
 
@@ -528,10 +527,7 @@ def _moment_roots(
         return {}
     centers = np.pi * np.array(ns, dtype=float)
     radii = np.array([circles[n][0] for n in ns])
-    try:
-        s0, z = _moment_starts([circles[n][1] for n in ns], centers, radii)
-    except RootResidualError:
-        return {}
+    s0, z = _moment_starts([circles[n][1] for n in ns], centers, radii)
     signs = np.repeat(_sign(ns), 3).reshape(-1, 3)
     inside = np.abs(z - centers[:, None]) < radii[:, None]
     gaps = np.abs(z[:, :, None] - z[:, None, :]) + np.diag([np.inf] * 3)

@@ -32,7 +32,7 @@ from .multipliers import (
     UNIMODULAR_TOL,
     _disc,
     _phi,
-    multipliers_from_traces,
+    multipliers,
     unimodular_count,
 )
 from .potential import Potential, is_rank_one, moments
@@ -62,7 +62,7 @@ def _line_data(p: Potential, lam: np.ndarray) -> dict:
     """Discriminant, trace asymmetry, traces, multipliers and unimodular counts on real lam."""
     g = monodromy_grid(p, lam)
     t, s, lam = g["trace"], g["trace_conj"], g["lam"]
-    taus = multipliers_from_traces(t, s, lam)
+    taus = multipliers(g)
     return {
         "disc": np.real(_disc(t, s, np.exp(-1j * lam), np.exp(1j * lam))),
         "phi": np.real(_phi(t, s, lam)),
@@ -390,7 +390,7 @@ def sheet_count(p: Potential, sc: SpectralScan) -> SheetVerdict:
     if sc.gaps:
         mids = np.array([0.5 * (lo + hi) for lo, hi in sc.gaps])
         g = monodromy_grid(p, mids + 1e-6j)
-        taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
+        taus = multipliers(g)
         mags = np.sort(np.abs(taus), axis=1)
         # middle branch unimodular <=> its Lyapunov average stays real on the gap
         gap_mid_real = (np.abs(mags[:, 1] - 1.0) <= 10.0 * UNIMODULAR_TOL).tolist()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .monodromy import _sinch, monodromy_grid
-from .multipliers import derived_grid, multipliers_from_traces
+from .multipliers import derived_grid, multipliers
 from .periodic_eigen import d_pm_from_traces
 from .potential import Potential, is_rank_one, moments
 
@@ -219,7 +219,7 @@ def reduction_check(p: Potential, lam_grid) -> ReductionReport:
     delta = np.real(zs_delta_grid(u, lamc))
 
     g = monodromy_grid(p, lamc)
-    taus = multipliers_from_traces(g["trace"], g["trace_conj"], g["lam"])
+    taus = multipliers(g)
     ep = np.exp(1j * lamc)
     d_id = np.abs(taus - ep[:, None])
     idx = np.argmin(d_id, axis=-1)

@@ -13,9 +13,10 @@ routine computes by an independent method:
   and the product that ``pade_psi`` uses;
 * ``pade_psi`` -- the period propagator with every step exponential taken by
   Pade instead of the production spectral kernel;
-* ``mp_psi`` / ``mp_herglotz_fit`` -- the period propagator, and the decay
-  fit of the averaged map up the imaginary axis, in 40-digit arithmetic
-  (mpmath): the accuracy oracle for the engine's traces and the fit;
+* ``mp_psi`` / ``mp_herglotz_fit`` / ``mp_herglotz_tau1_fit`` -- the period
+  propagator, and the decay fit of the averaged map up the imaginary axis
+  by two routes, in 40-digit arithmetic (mpmath): the accuracy oracle for
+  the engine's traces and the fit;
 * ``picard_monodromy`` -- the propagator's expansion in powers of the
   potential, term by term;
 * ``trace_t2`` -- the second-order term of the propagator trace in closed
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from manakov_spectra.algebra import adj3
 from manakov_spectra.monodromy import _check_range, _runs_of, _split_runs
 from manakov_spectra.potential import Potential, _e1, moments
 from manakov_spectra.spectrum import (
@@ -94,9 +94,14 @@ def solve3(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     Intended for well-conditioned systems (Pade denominators); avoids the
     per-matrix LAPACK dispatch cost of ``np.linalg.solve`` on large stacks.
     """
-    a = adj3(q)
-    d = det3(q)
-    return np.matmul(a, p) / d[..., None, None]
+    a, b, c = q[..., 0, 0], q[..., 0, 1], q[..., 0, 2]
+    d, e, f = q[..., 1, 0], q[..., 1, 1], q[..., 1, 2]
+    g, h, i = q[..., 2, 0], q[..., 2, 1], q[..., 2, 2]
+    cofactors = [e * i - f * h, c * h - b * i, b * f - c * e,
+                 f * g - d * i, a * i - c * g, c * d - a * f,
+                 d * h - e * g, b * g - a * h, a * e - b * d]
+    adj = np.stack(cofactors, axis=-1).reshape(q.shape)
+    return np.matmul(adj, p) / det3(q)[..., None, None]
 
 
 def _pade13_stack(a: np.ndarray, a2: np.ndarray | None = None) -> np.ndarray:
@@ -274,9 +279,31 @@ def mp_herglotz_fit(p: Potential, nu) -> float:
                 root = mpmath.sqrt(d * d - 1)
                 mags.append(mpmath.log(max(abs(d + root), abs(d - root))))
             r.append(mpmath.fsum(mags) / 3 - x)
-        w = [1 / mpmath.mpf(x) for x in nu]
-        c = mpmath.fsum(ri * wi for ri, wi in zip(r, w)) / mpmath.fsum(wi * wi for wi in w)
-        return float(c)
+        return _mp_decay_fit(nu, r)
+
+
+def mp_herglotz_tau1_fit(p: Potential, nu) -> float:
+    """``herglotz_asymptotic``'s coefficient ``c`` from 40-digit eigenvalues.
+
+    At each ``lam = i nu``, tau_1 is the largest-modulus eigenvalue of
+    ``mp_psi`` (``mpmath.eig``), and the mean's excess over nu is
+    ``(2/3) log|e^{i lam} tau_1|``, as in production.  Unlike
+    ``mp_herglotz_fit``, whose root finder does not converge on the
+    averages' near-triple cubic from nu = 150, it reaches nu = 700.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        r = []
+        for x in nu:
+            lam = mpmath.mpc(0, x)
+            tau1 = max(mpmath.eig(mp_psi(p, lam), left=False, right=False), key=abs)
+            r.append(2 * mpmath.log(abs(mpmath.exp(1j * lam) * tau1)) / 3)
+        return _mp_decay_fit(nu, r)
+
+
+def _mp_decay_fit(nu, r) -> float:
+    """Least-squares ``c`` in ``r(nu) = c / nu``, in the working precision."""
+    w = [1 / mpmath.mpf(x) for x in nu]
+    return float(mpmath.fsum(ri * wi for ri, wi in zip(r, w)) / mpmath.fsum(wi * wi for wi in w))
 
 
 # ----------------------------------------------------------------------------

@@ -136,7 +136,9 @@ def _verify_statuses(capsys) -> dict:
 
 def test_verify_perturbed_propagator_fails_the_matrix_checks(monkeypatch, capsys):
     # psi off by 2e-6 in one entry, its traces untouched: the checks on the
-    # whole matrix fail, and those on the traces alone still hold
+    # whole matrix fail, and so do the multipliers' symmetric functions, whose
+    # near-collision points take psi's eigenvalues; the checks on the traces
+    # alone still hold
     propagate = cli.monodromy_grid
 
     def perturbed(p, lam, **kwargs):
@@ -148,7 +150,36 @@ def test_verify_perturbed_propagator_fails_the_matrix_checks(monkeypatch, capsys
     statuses = _verify_statuses(capsys)
     assert statuses.pop("determinant") == "FAIL"
     assert statuses.pop("wronskian") == "FAIL"
+    assert statuses.pop("multiplier-symmetric-functions") == "FAIL"
     assert set(statuses.values()) == {"PASS"}
+
+
+def test_verify_non_finite_propagator_exits_three(monkeypatch, capsys):
+    # an inf off the diagonal leaves the traces finite; the near-collision
+    # points hand psi to eigvals, which must see a typed error, not LAPACK's
+    propagate = cli.monodromy_grid
+
+    def broken(p, lam, **kwargs):
+        g = propagate(p, lam, **kwargs)
+        g["psi"][..., 0, 1] = np.inf
+        return g
+
+    monkeypatch.setattr(cli, "monodromy_grid", broken)
+    # the determinant and Wronskian checks meet the inf first, and numpy
+    # flags the nan they make; those checks fail, which is not at issue here
+    with np.errstate(invalid="ignore"):
+        rc, _, err = run_main(["verify", "--potential", CONST], capsys)
+    assert rc == 3
+    assert "numerical failure: non-finite entries in propagator" in err
+
+
+def test_verify_passes_on_the_zero_potential(capsys):
+    # its three multipliers meet at lam = 2 pi n, where the trace cubic's
+    # roots missed the reduction's tolerance
+    rc, out, _ = run_main(["verify", "--potential", '{"kind":"zero"}'], capsys)
+    assert rc == 0
+    worst = {c["name"]: c["worst"] for c in json.loads(out)["checks"]}
+    assert worst["rank-one-reduction"] <= 1e-13
 
 
 def test_verify_perturbed_trace_recovery_fails(monkeypatch, capsys):
@@ -420,13 +451,13 @@ def test_each_real_point_propagated_once(command, args, monkeypatch, capsys):
 def test_verify_solves_the_multiplier_cubic_once(monkeypatch, capsys):
     # the unimodular pattern reads the triples the symmetric-function check solved
     calls = []
-    solve = cli.multipliers_from_traces
+    solve = cli.multipliers
 
     def counting(*args):
         calls.append(1)
         return solve(*args)
 
-    monkeypatch.setattr(cli, "multipliers_from_traces", counting)
+    monkeypatch.setattr(cli, "multipliers", counting)
     rc, _, _ = run_main(["verify", "--potential", FOURIER], capsys)
     assert rc == 0
     assert len(calls) == 1

@@ -38,7 +38,7 @@ def _relative_imports(tree):
 
 def test_package_reexports_resolve():
     imported = _relative_imports(ast.parse(inspect.getsource(manakov_spectra)))
-    assert len(imported) == 43
+    assert len(imported) == 42
     for module, name, _ in imported:
         source = importlib.import_module(f"manakov_spectra.{module}")
         assert getattr(manakov_spectra, name) is getattr(source, name), (module, name)

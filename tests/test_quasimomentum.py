@@ -25,7 +25,7 @@ from manakov_spectra import (
 from manakov_spectra.quasimomentum import QUAD_REL_TOL, _magnitudes, branch_magnitudes
 from manakov_spectra.cli import DEFAULT_NU, load_potential
 from conftest import CONST_JSON, cli_csv_rows
-from oracles import mp_herglotz_fit
+from oracles import mp_herglotz_fit, mp_herglotz_tau1_fit
 from test_golden import INPUTS
 
 # many-small step input 4 of the benchmark: two dyadic steps, so exact
@@ -177,6 +177,23 @@ def test_herglotz_fit_near_its_40_digit_value(name, nu):
     p = load_potential(INPUTS[name])
     fit = herglotz_asymptotic(p, nu).q0
     assert abs(fit - mp_herglotz_fit(p, nu)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "name,nu,rel",
+    [
+        ("const", (100.0, 150.0, 200.0), 1e-10),
+        ("fourier", (100.0, 150.0, 200.0), 1e-10),
+        ("const", (600.0, 700.0), 1e-9),
+    ],
+    ids=["const-100-200", "fourier-100-200", "const-600-700"],
+)
+def test_herglotz_fit_far_up_the_axis_near_its_40_digit_value(name, nu, rel):
+    # the averages' cubic of mp_herglotz_fit does not converge from nu = 150;
+    # the 40-digit route reads tau_1 off psi's eigenvalues instead
+    p = load_potential(INPUTS[name])
+    want = mp_herglotz_tau1_fit(p, nu)
+    assert abs(herglotz_asymptotic(p, nu).q0 - want) <= rel * abs(want)
 
 
 def test_magnitudes_are_the_conformal_map_of_the_branch_averages(pot_two_mode):
