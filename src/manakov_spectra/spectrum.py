@@ -13,11 +13,11 @@ and gap-to-band alike, in one loop, and each engine call evaluates the next
 few levels of every bracket's bisection tree: the midpoint, the midpoints of
 both halves, and so on, each formed as ``0.5 * (lo + hi)`` from the ends the
 halving would give it.  The halvings are then replayed from these values
-under the plain bisection's loop condition, which each group of brackets
-keeps for itself.  The replay takes the same path, and so gives the same
-ends, bit for bit, as one engine call per halving would, since a point's
-bits depend on lam alone (see ``monodromy``).  How many levels a call takes
-is set by ``_REFINE_PAIRS``.
+under the plain bisection's rule for each bracket on its own: halve while
+its width exceeds ``ENDPOINT_ACCURACY``.  The replay takes the same path, and
+so gives the same ends, bit for bit, as one engine call per halving would,
+since a point's bits depend on lam alone (see ``monodromy``).  How many
+levels a call takes is set by ``_REFINE_PAIRS``.
 """
 
 from __future__ import annotations
@@ -138,44 +138,30 @@ def _resolve_boundary(cls: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_sign_changes(p: Potential, groups: list[list]) -> list[np.ndarray]:
-    """Bisect the bracketed sign changes ``(lo, hi, disc_lo)`` of every group at once.
+def _refine_sign_changes(p: Potential, lo, hi, disc_lo) -> np.ndarray:
+    """Bisect the sign changes in ``(lo, hi)``; ``disc_lo`` gives the sign at ``lo``.
 
-    Each group comes out as if bisected on its own: all its brackets are
-    halved, in step, until the widest is within ``ENDPOINT_ACCURACY``.
+    Each bracket is halved until its own width is within
+    ``ENDPOINT_ACCURACY``, whatever the others do; the midpoints of the final
+    brackets come back in order.  The loop is unbounded on purpose: from
+    ``|lam|`` of about 1e7 no bracket gets that narrow and it never ends
+    (ROADMAP D5.1), which the benchmark's hang guard uses as its fixture
+    until the loop gets its bound (D8).
     """
-    sizes = [len(g) for g in groups]
-    brackets = [b for g in groups for b in g]
-    if not brackets:
-        return [np.empty(0) for _ in groups]
-    lo, hi, disc_lo = (np.array(x, dtype=np.float64) for x in zip(*brackets))
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     sign_lo = np.sign(disc_lo)
-    counts = np.array([n for n in sizes if n])
     runs = len(_runs_of(p)[1])
-    while True:
-        widths = np.maximum.reduceat(hi - lo, np.cumsum(counts) - counts)
-        halving = widths > ENDPOINT_ACCURACY
-        if not halving.any():
-            break
-        live = np.flatnonzero(np.repeat(halving, counts))
-        live_counts = counts[halving]
-        lo[live], hi[live] = _halve_by_tree(
-            p,
-            lo[live],
-            hi[live],
-            sign_lo[live],
-            np.cumsum(live_counts) - live_counts,
-            _tree_depth(len(live), runs, float(widths[halving].min())),
-        )
-    return np.split(0.5 * (lo + hi), np.cumsum(sizes)[:-1])
+    while (live := np.flatnonzero(hi - lo > ENDPOINT_ACCURACY)).size:
+        depth = _tree_depth(live.size, runs, float(np.min(hi[live] - lo[live])))
+        lo[live], hi[live] = _halve_by_tree(p, lo[live], hi[live], sign_lo[live], depth)
+    return 0.5 * (lo + hi)
 
 
-def _halve_by_tree(p, lo, hi, sign_lo, starts, depth):
+def _halve_by_tree(p, lo, hi, sign_lo, depth):
     """Up to ``depth`` halvings of every bracket, from one engine call.
 
-    The groups start at ``starts`` and are all still being halved.  Returns
-    the new ends: those after ``depth`` halvings, or after fewer if a group
-    reaches ``ENDPOINT_ACCURACY`` sooner.
+    Every bracket is still being halved.  Returns the new ends: after
+    ``depth`` halvings, or fewer where a bracket is done sooner.
     """
     # every bracket's bisection tree in heap order: node i has the children
     # 2i + 1 (left half) and 2i + 2 (right half); the midpoints are formed
@@ -189,26 +175,21 @@ def _halve_by_tree(p, lo, hi, sign_lo, starts, depth):
         ends_hi.append(np.stack([mid, b], axis=2).reshape(len(lo), -1))
     node_lo = np.concatenate(ends_lo, axis=1)
     node_hi = np.concatenate(ends_hi, axis=1)
-    width = node_hi - node_lo
+    halving = node_hi - node_lo > ENDPOINT_ACCURACY
     dm = _disc_only(p, np.concatenate(mids, axis=1).ravel())
     go_right = np.sign(dm).reshape(len(lo), -1) == sign_lo[:, None]
     rows = np.arange(len(lo))
     node = np.zeros(len(lo), dtype=np.intp)
-    for level in range(depth):
-        if level and not np.all(
-            np.maximum.reduceat(width[rows, node], starts) > ENDPOINT_ACCURACY
-        ):
-            break
-        node = 2 * node + 1 + go_right[rows, node]
+    for _ in range(depth):
+        node = np.where(halving[rows, node], 2 * node + 1 + go_right[rows, node], node)
     return node_lo[rows, node], node_hi[rows, node]
 
 
 def _tree_depth(brackets: int, runs: int, width: float) -> int:
     """Halvings per engine call: as many tree levels as ``_REFINE_PAIRS`` allows.
 
-    At least one, and no more than the group with the narrowest widest
-    bracket still needs; those halvings are spread evenly over the calls
-    they take.
+    At least one, and no more than the narrowest bracket, ``width`` wide,
+    still needs; those halvings are spread evenly over the calls they take.
     """
     left = 0
     while width > ENDPOINT_ACCURACY:
@@ -288,13 +269,7 @@ def scan(p: Potential, a: float, b: float, step: float = 0.01) -> SpectralScan:
     i, j = snz[:-1], snz[1:]
     change = cls[i] != cls[j]
     i, j = i[change], j[change]
-    opens = cls[i] == 3  # band -> gap; the others are gap -> band
-    refined = _refine_sign_changes(
-        p, [list(zip(lam[i[m]], lam[j[m]], disc[i[m]])) for m in (opens, ~opens)]
-    )
-    ends = np.empty(i.size)
-    ends[opens], ends[~opens] = refined
-    ends = ends.tolist()
+    ends = _refine_sign_changes(p, lam[i], lam[j], disc[i]).tolist()
     if snz.size and cls[snz[0]] == 1:
         ends.insert(0, a)
         notes.append("gap continues past the left end of the scan interval")

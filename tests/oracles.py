@@ -26,8 +26,9 @@ routine computes by an independent method:
   (lam, run) pair and every division by a real number is a division;
 * ``series_length`` / ``point_series_lengths`` -- the step kernel's series
   cutoff by its scalar loop, point by point;
-* ``refine_sign_changes`` -- the plain bisection of a list of brackets, one
-  engine call per halving: the bit oracle for the scan's speculative one;
+* ``refine_sign_changes`` -- the plain bisection of every bracket on its
+  own, one engine call per halving: the bit oracle for the scan's
+  speculative one;
 * ``scan_bookkeeping`` -- a scan's gaps, edge notes and kissing points by
   per-point loops and a pairing state machine, against the scan's masks;
 * ``classify`` -- the multiplicity of one real spectral parameter on its
@@ -574,44 +575,46 @@ def trace_t2(p: Potential, lam) -> np.ndarray | complex:
 # ----------------------------------------------------------------------------
 
 
-def refine_sign_changes(p: Potential, brackets: list[tuple[float, float, float]]) -> np.ndarray:
-    """Bisect every bracketed sign change ``(lo, hi, disc_lo)`` of the discriminant in parallel."""
-    if not brackets:
-        return np.empty(0)
-    lo, hi, disc_lo = (np.array(x, dtype=np.float64) for x in zip(*brackets))
+def refine_sign_changes(p: Potential, lo, hi, disc_lo) -> np.ndarray:
+    """Bisect the discriminant's sign changes in ``(lo, hi)`` in parallel, one call a halving.
+
+    ``disc_lo`` gives the sign at ``lo``.  Each bracket is halved while its
+    own width exceeds ``ENDPOINT_ACCURACY``; only those brackets are
+    evaluated.
+    """
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     sign_lo = np.sign(disc_lo)
-    while float(np.max(hi - lo)) > ENDPOINT_ACCURACY:
-        mid = 0.5 * (lo + hi)
-        dm = _disc_only(p, mid)
-        go_right = np.sign(dm) == sign_lo
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
+    while (live := hi - lo > ENDPOINT_ACCURACY).any():
+        mid = 0.5 * (lo[live] + hi[live])
+        go_right = np.sign(_disc_only(p, mid)) == sign_lo[live]
+        lo[live] = np.where(go_right, mid, lo[live])
+        hi[live] = np.where(go_right, hi[live], mid)
     return 0.5 * (lo + hi)
 
 
-def scan_bookkeeping(sc, refined: list[np.ndarray]) -> tuple[list, list, list]:
+def scan_bookkeeping(sc, refined: np.ndarray) -> tuple[list, list, list]:
     """``(gaps, notes, kissing)`` of a scan from its grid, walked point by point.
 
-    ``refined`` holds the scan's refined band -> gap and gap -> band sign
-    changes, in that order.  Each sign change between consecutive strict
-    points takes the next refined end of its group; an opening end waits
-    for the next closing one, and a gap that reaches past an end of the
-    interval takes that end.  ``notes`` holds the edge notes only.
+    ``refined`` holds the scan's refined sign changes in grid order.  Each
+    sign change between consecutive strict points takes the next refined
+    end; an opening end waits for the next closing one, and a gap that
+    reaches past an end of the interval takes that end.  ``notes`` holds
+    the edge notes only.
     """
     (a, b), lam, disc = sc.interval, sc.lam, sc.disc
     tol = _local_tol(disc)
     cls = np.where(disc > tol, 3, np.where(disc < -tol, 1, 0))
     strict = [int(k) for k in np.flatnonzero(cls)]
-    opening, closing = iter(refined[0].tolist()), iter(refined[1].tolist())
+    ends = iter(refined.tolist())
     gaps, notes, pending = [], [], None
     if strict and cls[strict[0]] == 1:
         pending = a
         notes.append("gap continues past the left end of the scan interval")
     for i, j in zip(strict, strict[1:]):
         if cls[i] == 3 and cls[j] == 1:
-            pending = next(opening)
+            pending = next(ends)
         elif cls[i] == 1 and cls[j] == 3:
-            gaps.append((pending, next(closing)))
+            gaps.append((pending, next(ends)))
             pending = None
     if pending is not None:
         gaps.append((pending, b))

@@ -66,8 +66,8 @@ def test_scan_bookkeeping_matches_the_point_loops(monkeypatch, pot_const, pot_tw
     seen = []
     refine = spectrum._refine_sign_changes
 
-    def recording(p, groups):
-        seen.append(refine(p, groups))
+    def recording(p, *brackets):
+        seen.append(refine(p, *brackets))
         return seen[-1]
 
     monkeypatch.setattr(spectrum, "_refine_sign_changes", recording)
@@ -242,16 +242,14 @@ def _counting_disc(monkeypatch):
     return sizes
 
 
-def _same_endpoints(p, groups, monkeypatch):
-    """Both refinements of ``groups``: endpoints compared bit for bit, call sizes returned."""
+def _same_endpoints(p, brackets, monkeypatch):
+    """Both refinements of ``brackets``: endpoints compared bit for bit, call sizes returned."""
     sizes = _counting_disc(monkeypatch)
-    got = spectrum._refine_sign_changes(p, groups)
+    got = spectrum._refine_sign_changes(p, *brackets)
     new_sizes = sizes[:]
     sizes.clear()
-    want = [oracles.refine_sign_changes(p, g) for g in groups]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(_float_bits(g), _float_bits(w))
+    want = oracles.refine_sign_changes(p, *brackets)
+    assert np.array_equal(_float_bits(got), _float_bits(want))
     return new_sizes, sizes[:]
 
 
@@ -261,43 +259,57 @@ def test_speculative_bisection_keeps_every_endpoint_bit(monkeypatch, name):
     seen = []
     refine = spectrum._refine_sign_changes
 
-    def recording(p, groups):
-        seen.append(groups)
-        return refine(p, groups)
+    def recording(p, *brackets):
+        seen.append(brackets)
+        return refine(p, *brackets)
 
     monkeypatch.setattr(spectrum, "_refine_sign_changes", recording)
     scan(p, -10.0, 10.0, step=0.01)
-    (groups,) = seen
-    assert all(groups)  # gaps open and close inside the window
-    new_sizes, old_sizes = _same_endpoints(p, groups, monkeypatch)
-    # one loop for both groups halves the calls, a deeper tree cuts more
-    assert 2 * len(new_sizes) <= len(old_sizes)
+    (brackets,) = seen
+    lo, _, disc_lo = brackets
+    assert {1, -1} <= set(np.sign(disc_lo))  # gaps open and close inside the window
+    new_sizes, old_sizes = _same_endpoints(p, brackets, monkeypatch)
     if len(p.canonical().runs()[1]) < 512:
+        # a deeper tree takes several halvings a call
         assert 3 * len(new_sizes) <= len(old_sizes)
     else:
         # one tree level per call: the very points of the plain bisection
-        brackets = sum(len(g) for g in groups)
-        assert all(n <= brackets for n in new_sizes)
+        assert all(n <= lo.size for n in new_sizes)
         assert sum(new_sizes) == sum(old_sizes)
+
+
+def _brackets(p, ends):
+    lo, hi = np.array(ends).T
+    return lo, hi, spectrum._disc_only(p, lo)
 
 
 @pytest.mark.parametrize("depth", [None, 1, 5, 9])
 def test_speculative_bisection_groups_and_exact_zeros(monkeypatch, pot_const, depth):
-    # each group halves until its own widest bracket is done (a 0.2 bracket
-    # takes two halvings more than a 0.04 one), and at lam = 0.9, the
-    # midpoint of (0.8, 1.0), the discriminant is exactly zero; fixed tree
-    # depths end some rounds in the middle of a tree, where a group is done
+    # brackets of three widths in one list: each halves until its own width
+    # is done (28, 26 and 24 halvings for widths 0.2, 0.04 and 0.01), and at
+    # lam = 0.9, the midpoint of (0.8, 1.0), the discriminant is exactly
+    # zero; fixed tree depths end some rounds in the middle of a tree, where
+    # some brackets are done and others are not
     if depth is not None:
         monkeypatch.setattr(spectrum, "_tree_depth", lambda *args: depth)
     p = pot_const
     assert 0.5 * (0.8 + 1.0) == 0.9
-    d = spectrum._disc_only(p, np.array([0.8, 0.9, -0.92, -0.905]))
-    assert d[1] == 0.0 and d[0] != 0.0
-    groups = [
-        [(0.8, 1.0, d[0])],
-        [(-0.92, -0.88, d[2]), (-0.905, -0.895, d[3])],
-        [],
-    ]
-    new_sizes, old_sizes = _same_endpoints(p, groups, monkeypatch)
-    assert len(new_sizes) < len(old_sizes)
-    assert spectrum._refine_sign_changes(p, [[], []])[1].shape == (0,)
+    assert spectrum._disc_only(p, np.array([0.9]))[0] == 0.0
+    brackets = _brackets(p, [(0.8, 1.0), (-0.92, -0.88), (-0.905, -0.895)])
+    assert brackets[2][0] != 0.0
+    new_sizes, old_sizes = _same_endpoints(p, brackets, monkeypatch)
+    if depth == 1:
+        assert new_sizes == old_sizes  # one level a call is the plain bisection
+    else:
+        assert len(new_sizes) < len(old_sizes)
+    assert spectrum._refine_sign_changes(p, [], [], []).shape == (0,)
+
+
+def test_endpoint_bits_do_not_depend_on_other_brackets(pot_const):
+    # the gap edge -0.9 of the constant 0.9, refined alone and beside a
+    # wider bracket around the same edge
+    p = pot_const
+    alone = spectrum._refine_sign_changes(p, *_brackets(p, [(-0.905, -0.895)]))
+    pair = _brackets(p, [(-0.92, -0.88), (-0.905, -0.895)])
+    beside = spectrum._refine_sign_changes(p, *pair)
+    assert _float_bits(alone[0]) == _float_bits(beside[1])
