@@ -10,15 +10,17 @@ metadata block (library version, potential kind, declared resolution,
 potential hash).  Every command but ``verify`` carries a ``diagnostics``
 array in its body, the one way its warnings and notes leave the program; in
 CSV mode ``main`` prints them on stderr as ``diagnostic:`` lines, followed by
-``report:`` lines for ``qmomentum``'s report.  Exit codes: 0 success, 2
-configuration problem, 3 numerical failure or a failed ``verify`` check.
+``report:`` lines for ``qmomentum``'s report.  The JSON text is, byte for
+byte, what ``json.dumps(doc, indent=2)`` writes, plus a newline; lists of
+scalars go through ``json``'s C encoder, which ``indent`` would switch off.
+Exit codes: 0 success, 2 configuration problem, 3 numerical failure or a
+failed ``verify`` check.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -46,6 +48,16 @@ from .potential import Potential, is_rank_one, moments
 from .quasimomentum import herglotz_asymptotic, q0_integral, q_profile
 from .spectrum import scan, sheet_count
 from .zs_oracle import reduction_check, scalar_reduction, zs_q0_integral
+
+try:
+    # hashlib loads OpenSSL (3.5 MiB resident); try the interpreter's lean
+    # builtin module first
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 DEFAULT_NU = (12.0, 16.0, 20.0, 26.0, 34.0)
 
@@ -144,7 +156,7 @@ def load_potential(spec: str) -> Potential:
 def potential_hash(p: Potential) -> str:
     grid = p.canonical()
     payload = np.ascontiguousarray(grid.values, dtype=np.complex128).tobytes()
-    return hashlib.sha256(payload).hexdigest()[:16]
+    return _sha256(payload).hexdigest()[:16]
 
 
 def _metadata(p: Potential) -> dict:
@@ -189,9 +201,33 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+_SCALARS = (str, int, float, type(None))
+
+
+def _indented(node, pad: str) -> str:
+    """``node`` as ``json.dumps(node, indent=2)`` writes it after ``pad``.
+
+    ``pad`` is a newline and the enclosing indent.  Dicts with str keys and
+    lists are walked here; a list of scalars is one C-encoder call whose
+    separator carries the newline and indent, and any other node is
+    ``json.dumps`` with ``indent=2``, re-indented (a JSON string holds no
+    raw newline).
+    """
+    inner = pad + "  "
+    if isinstance(node, dict) and node and all(isinstance(k, str) for k in node):
+        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in node.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(node, (list, tuple)) and node:
+        if all(issubclass(t, _SCALARS) for t in set(map(type, node))):
+            flat = json.dumps(node, separators=("," + inner, ": "), allow_nan=False)
+            return "[" + inner + flat[1:-1] + pad + "]"
+        return "[" + inner + ("," + inner).join(_indented(v, inner) for v in node) + pad + "]"
+    return json.dumps(node, indent=2, allow_nan=False).replace("\n", pad)
+
+
 def _json_text(doc: dict) -> str:
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return _indented(doc, "\n") + "\n"
     except ValueError:
         _check_finite(doc)  # names the first non-finite value's path
         raise
@@ -222,10 +258,10 @@ def cmd_scan(p: Potential, args):
         "warnings": list(sc.warnings),
         "notes": list(sc.notes),
         "samples": {
-            "lam": [float(x) for x in sc.lam],
-            "disc": [float(x) for x in sc.disc],
-            "phi": [float(x) for x in sc.phi],
-            "multiplicity": [int(x) for x in sc.multiplicity],
+            "lam": sc.lam.tolist(),
+            "disc": sc.disc.tolist(),
+            "phi": sc.phi.tolist(),
+            "multiplicity": sc.multiplicity.tolist(),
         },
         "diagnostics": sc.warnings + sc.notes,
     }
@@ -259,8 +295,8 @@ def cmd_eigen(p: Potential, args):
             for e, d in zip(table.entries, dev)
         ],
         "asymptotics": {
-            "deviations": {str(n): [float(x) for x in arr] for n, arr in devs.items()},
-            "partial_sums": [float(x) for x in res["partial_sums"]],
+            "deviations": {str(n): arr.tolist() for n, arr in devs.items()},
+            "partial_sums": res["partial_sums"].tolist(),
             "summability_exponent": res["delta"],
             "decay_exponent": res["decay_exponent"],
         },
@@ -398,12 +434,12 @@ def cmd_qmomentum(p: Potential, args):
         "interval": [lo, hi],
         "grid_step": args.step,
         "profile": {
-            "lam": [float(x) for x in prof.grid],
-            "q1": [float(x) for x in prof.q_branches[:, 0]],
-            "q2": [float(x) for x in prof.q_branches[:, 1]],
-            "q3": [float(x) for x in prof.q_branches[:, 2]],
-            "q_avg": [float(x) for x in prof.q_avg],
-            "gap_attribution": [int(x) for x in prof.gap_attribution],
+            "lam": prof.grid.tolist(),
+            "q1": prof.q_branches[:, 0].tolist(),
+            "q2": prof.q_branches[:, 1].tolist(),
+            "q3": prof.q_branches[:, 2].tolist(),
+            "q_avg": prof.q_avg.tolist(),
+            "gap_attribution": prof.gap_attribution.tolist(),
         },
         "report": report,
         "diagnostics": sc.warnings + sc.notes + mass.notes,

@@ -1,19 +1,23 @@
 """Command-line surface: exit codes, formats, determinism, diagnostics."""
 
+import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import manakov_spectra
 from manakov_spectra import NumericalError, cli, monodromy
 from manakov_spectra.cli import _csv_text, _json_text, main
-from test_golden import INPUTS
+from test_golden import GOLDEN, INPUTS
 
 CONST = '{"kind":"constant","value":[0.9,0.0],"resolution":64}'
 ZERO = '{"kind":"zero","resolution":64}'
@@ -397,9 +401,74 @@ def test_json_rejects_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NumericalError, match=r"non-finite value at \$\.x$"):
             _json_text({"command": "scan", "x": bad})
+        # a list of scalars goes through the C encoder, a nested list does not
+        with pytest.raises(NumericalError, match=r"non-finite value at \$\.x\[2\]$"):
+            _json_text({"x": [0.5, None, np.float64(bad), True]})
+        with pytest.raises(NumericalError, match=r"non-finite value at \$\.x\[1\]\[0\]$"):
+            _json_text({"x": [[0.5], (bad, 1)]})
     doc["gaps"][1]["mass"] = np.float64("nan")
     with pytest.raises(NumericalError, match=r"non-finite value at \$\.gaps\[1\]\.mass$"):
         _json_text(doc)
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7]),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    st.text(),
+)
+_JSON_KEYS = st.one_of(st.text(), st.sampled_from(["é", "tab\t", 'q"\\', "\u2028", "\U0001f600"]))
+_JSON_DOCS = st.dictionaries(
+    _JSON_KEYS,
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=6),
+            st.lists(inner, max_size=6).map(tuple),
+            st.dictionaries(_JSON_KEYS, inner, max_size=4),
+        ),
+        max_leaves=30,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+@example({"a": {}, "b": [], "c": (), "d": [1.0, True, None, 2**64, -0.0, 5e-324, 1e16, 1e-7]})
+@example({"k": {1: [0.5], "1": (np.float64(0.1),)}, "e": [[], {}, [[]], "x\u00e9"]})
+def test_json_text_is_indent_2_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def test_import_loads_no_openssl():
+    # hashlib imports _hashlib, and with it OpenSSL, only to hash the potential
+    script = (
+        "import sys\n"
+        "import manakov_spectra, manakov_spectra.cli\n"
+        "assert '_hashlib' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_potential_hash_is_sha256(name):
+    p = cli.load_potential(INPUTS[name])
+    payload = np.ascontiguousarray(p.canonical().values, dtype=np.complex128).tobytes()
+    digest = cli.potential_hash(p)
+    assert digest == hashlib.sha256(payload).hexdigest()[:16]
+    golden = json.loads((GOLDEN / f"{name}-scan.json").read_text())
+    assert golden["metadata"]["potential_hash"] == digest
 
 
 def test_module_entry_point():
