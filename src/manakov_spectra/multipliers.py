@@ -39,10 +39,15 @@ notes), so ``tcal``, ``t1`` and ``det_lambda`` serve only ``rho`` and the
 ``dd2`` identity below.
 
 ``identity_suite`` evaluates the two internal consistency identities tying
-these together and reports scale-normalized residuals.  Both are algebraic
-identities in ``(T, S, lam)``: they hold to rounding for any trace pair,
-whether or not a propagator has it, so they test the trace-polynomial
-formulas, not the propagation.
+these together and reports scale-normalized residuals; ``verify`` judges
+them.  Both are algebraic identities in ``(T, S, lam)``: they hold to
+rounding for any trace pair, whether or not a propagator has it, so they
+test the trace-polynomial formulas, not the propagation.
+
+``rho`` is of degree six in ``T`` and ``S``, so it overflows once they pass
+about 1e51.  ``derived_grid`` and ``identity_suite`` let numpy's overflow
+and invalid value pass silently: the inf or NaN they leave is the answer,
+a residual that no tolerance accepts, not a warning.
 """
 
 from __future__ import annotations
@@ -101,6 +106,7 @@ def _phi(t, s, lam):
     return (t - s) / 2j - np.sin(lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def derived_grid(t, s, lam) -> dict:
     """Derived scalars for broadcastable arrays of traces; returns a dict of arrays."""
     t = np.asarray(t, dtype=np.complex128)
@@ -132,6 +138,7 @@ def derived_grid(t, s, lam) -> dict:
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def identity_suite(t, s, lam) -> dict:
     """Residuals of the two internal consistency identities, scale-normalized.
 
@@ -141,8 +148,8 @@ def identity_suite(t, s, lam) -> dict:
 
     Each residual is divided by the largest magnitude among the terms feeding
     it, so a value of order machine epsilon means exact agreement and order
-    one means a genuine violation.  Works on scalars or arrays; returns a dict
-    with residuals and the common tolerance verdict at 1e-8.
+    one means a genuine violation.  Works on scalars or arrays; returns the
+    residuals ``{"dd1": ..., "dd2": ...}``.
     """
     t = np.asarray(t, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
@@ -174,8 +181,4 @@ def identity_suite(t, s, lam) -> dict:
     )
     r2 = np.abs(lhs2 - rhs2) / np.maximum(scale2, 1e-30)
 
-    return {
-        "dd1": r1,
-        "dd2": r2,
-        "ok": bool(np.all(r1 <= 1e-8) and np.all(r2 <= 1e-8)),
-    }
+    return {"dd1": r1, "dd2": r2}

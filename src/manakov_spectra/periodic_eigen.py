@@ -365,40 +365,6 @@ def _newton_batch(p: Potential, z0: np.ndarray, signs: np.ndarray):
     return z, ok, strict
 
 
-def _muller(p: Potential, z0: complex, sign: int) -> tuple[complex, bool, bool]:
-    """Scalar Muller iteration, used when Newton stalls; same acceptance rule."""
-    h = 1e-4
-    xs = [z0 - h, z0, z0 + h]
-    fs = [complex(f) for f in d_pm_grid(p, np.array(xs), sign)]
-    best = min(zip((abs(f) for f in fs), range(3)))
-    fbest, zbest = best[0], xs[best[1]]
-    for _ in range(NEWTON_MAXIT):
-        x0, x1, x2 = xs
-        f0, f1, f2 = fs
-        h1, h2 = x1 - x0, x2 - x1
-        if h1 == 0 or h2 == 0:
-            break
-        d1, d2 = (f1 - f0) / h1, (f2 - f1) / h2
-        a = (d2 - d1) / (h2 + h1)
-        b = a * h2 + d2
-        disc = np.sqrt(b * b - 4.0 * f2 * a)
-        den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
-        if den == 0:
-            break
-        step = -2.0 * f2 / den
-        xn = x2 + step
-        fn = complex(d_pm_grid(p, np.array([xn]), sign)[0])
-        if abs(fn) < fbest:
-            fbest, zbest = abs(fn), xn
-        xs = [x1, x2, xn]
-        fs = [f1, f2, fn]
-        if abs(step) <= NEWTON_TOL:
-            return xn, True, True
-    if fbest <= NEWTON_ACCEPT * np.exp(abs(np.imag(zbest))):
-        return zbest, True, False
-    return xs[-1], False, False
-
-
 def _cluster(points: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
     """Group nearby converged iterates; returns member arrays."""
     groups: list[list[complex]] = []
@@ -422,13 +388,14 @@ def _multiplicity_by_contour(
 def _polish_leaves(
     p: Potential, leaves: list[_Cell], failures: list
 ) -> dict[int, list[tuple[complex, float]]]:
-    """Newton/Muller polishing of every leaf; returns roots per disk index.
+    """Newton polishing of every leaf; returns roots per disk index.
 
     A leaf of count w starts from its center and, for w > 1, from
     max(4, 2w) points on a ring around it.  The clusters of its converged
     iterates take the counts of their contours, up to w in all; roots that
     no cluster accounts for stay missing, so the caller reports the disk.
-    A leaf with no converged iterate gets a failure ``(n, text)``.  The
+    A start that Newton leaves unconverged is dropped, and a leaf with no
+    converged iterate gets a failure ``(n, text)``.  The
     residuals of every leaf's roots take one engine call.
     """
     starts: list[complex] = []
@@ -442,8 +409,6 @@ def _polish_leaves(
         ends.append(len(starts))
     signs = np.repeat(_sign([c.n for c in leaves]), np.diff([0, *ends]))
     zs, ok, strict = _newton_batch(p, np.array(starts, dtype=np.complex128), signs)
-    for i in np.flatnonzero(~ok):
-        zs[i], ok[i], strict[i] = _muller(p, starts[i], signs[i])
 
     out: dict[int, list[tuple[complex, float]]] = {}
     found: list[tuple[int, complex, int]] = []  # (disk index, root, multiplicity)

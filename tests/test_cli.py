@@ -140,9 +140,9 @@ def _verify_statuses(capsys) -> dict:
 
 def test_verify_perturbed_propagator_fails_the_matrix_checks(monkeypatch, capsys):
     # psi off by 2e-6 in one entry, its traces untouched: the checks on the
-    # whole matrix fail, and so do the multipliers' symmetric functions, whose
-    # near-collision points take psi's eigenvalues; the checks on the traces
-    # alone still hold
+    # whole matrix fail, and so do the multipliers' symmetric functions and
+    # the rank-one reduction, whose near-collision points take psi's
+    # eigenvalues; the checks on the traces alone still hold
     propagate = cli.monodromy_grid
 
     def perturbed(p, lam, **kwargs):
@@ -155,6 +155,7 @@ def test_verify_perturbed_propagator_fails_the_matrix_checks(monkeypatch, capsys
     assert statuses.pop("determinant") == "FAIL"
     assert statuses.pop("wronskian") == "FAIL"
     assert statuses.pop("multiplier-symmetric-functions") == "FAIL"
+    assert statuses.pop("rank-one-reduction") == "FAIL"
     assert set(statuses.values()) == {"PASS"}
 
 
@@ -243,6 +244,51 @@ def test_verify_determinant_sees_a_dropped_step(monkeypatch, capsys):
     assert rc == 3
     failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
     assert failed == ["determinant"]
+
+
+def test_verify_strong_constant_fails_without_warnings(capsys):
+    # the traces reach 1.5e71 and the trace polynomials overflow on three of
+    # the four non-real points: the NaN they leave fails derived-identities,
+    # with no numpy RuntimeWarning (an error under this suite's filterwarnings)
+    strong = '{"kind":"constant","value":[100,0]}'
+    rc, out, _ = run_main(["verify", "--potential", strong, "--format", "csv"], capsys)
+    assert rc == 3
+    assert "FAIL derived-identities  worst=nan  tol=1e-08" in out.splitlines()
+    rc, out, err = run_main(["verify", "--potential", strong], capsys)
+    assert rc == 3
+    assert out == ""
+    assert "numerical failure: non-finite value at $.checks[3].worst" in err
+
+
+def _statuses_with_nan(monkeypatch, name, put_nan) -> dict:
+    """``verify``'s statuses on CONST with ``cli.<name>``'s result passed through ``put_nan``."""
+    compute = getattr(cli, name)
+
+    def with_nan(*args):
+        out = compute(*args)
+        put_nan(out)
+        return out
+
+    monkeypatch.setattr(cli, name, with_nan)
+    return {c["name"]: c["status"] for c in cli._verify_checks(cli.load_potential(CONST))}
+
+
+def test_verify_nan_identity_residual_fails(monkeypatch):
+    def put_nan(ids):
+        ids["dd2"][7] = np.nan
+
+    statuses = _statuses_with_nan(monkeypatch, "identity_suite", put_nan)
+    assert statuses.pop("derived-identities") == "FAIL"
+    assert set(statuses.values()) == {"PASS"}
+
+
+def test_verify_nan_in_the_last_reduction_error_fails(monkeypatch):
+    def put_nan(rep):
+        rep.err_dminus[-1] = np.nan
+
+    statuses = _statuses_with_nan(monkeypatch, "reduction_check", put_nan)
+    assert statuses.pop("rank-one-reduction") == "FAIL"
+    assert set(statuses.values()) == {"PASS"}
 
 
 def test_sheets_verdicts(capsys):
@@ -494,7 +540,13 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize(
     "command,args",
-    [("qmomentum", ["--interval", "-16", "16", "--step", "0.05"]), ("verify", [])],
+    [
+        ("qmomentum", ["--interval", "-16", "16", "--step", "0.05"]),
+        ("verify", []),
+        # the later --potential wins: a rank-one input, whose reduction
+        # check reads the real propagators the other checks read
+        pytest.param("verify", ["--potential", CONST], id="verify-rank-one"),
+    ],
 )
 def test_each_real_point_propagated_once(command, args, monkeypatch, capsys):
     # every later stage reuses the samples an earlier stage propagated

@@ -89,7 +89,6 @@ def test_identity_suite_on_random_traces(rng):
     s = 3.0 * (rng.normal(size=200) + 1j * rng.normal(size=200))
     lam = rng.uniform(-30, 30, size=200)
     out = identity_suite(t, s, lam)
-    assert out["ok"]
     assert out["dd1"].max() <= 1e-10
     assert out["dd2"].max() <= 1e-10
 

@@ -391,30 +391,23 @@ def test_moment_path_evaluates_a_quarter_of_the_rows(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["step", "fourier"])
-def test_muller_rescues_stalled_newton(name, monkeypatch):
-    # every disk goes through the subdivision fallback, where each start
-    # that Newton leaves unconverged is handed to Muller
+def test_stalled_newton_reports_failures(name, monkeypatch):
+    # every disk goes through the subdivision fallback, where a start that
+    # Newton leaves unconverged is dropped: a leaf with none converged is a
+    # failure of its cell, and the disk reports the roots it misses
     monkeypatch.setattr(periodic_eigen, "_moment_roots", _reject_all)
-    p = load_potential(INPUTS[name])
-    newton = eigenvalues_in_window(p, 1, 3)
-    starts = []
-    muller = periodic_eigen._muller
 
     def stalled(p, z0, signs):
         z = np.array(z0, dtype=np.complex128)
         return z, np.zeros(z.size, bool), np.zeros(z.size, bool)
 
-    def counting(*args):
-        starts.append(args[1])
-        return muller(*args)
-
     monkeypatch.setattr(periodic_eigen, "_newton_batch", stalled)
-    monkeypatch.setattr(periodic_eigen, "_muller", counting)
-    rescued = eigenvalues_in_window(p, 1, 3)
-    assert starts
-    assert newton.failures == rescued.failures == []
-    assert [(e.n, e.j) for e in rescued.entries] == [(e.n, e.j) for e in newton.entries]
-    assert max(abs(a.z - b.z) for a, b in zip(newton.entries, rescued.entries)) <= 1e-7
+    tab = eigenvalues_in_window(load_potential(INPUTS[name]), 1, 3)
+    assert tab.entries == []
+    cells = [f for f in tab.failures if f.startswith("no converged root for cell near ")]
+    disks = sorted(f for f in tab.failures if f not in cells)
+    assert cells
+    assert disks == [f"disk n={n}: located 0 of 3 roots" for n in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("name", ["step", "fourier"])

@@ -83,21 +83,14 @@ def test_scalar_reduction_directions(rank_one_family):
 def test_reduction_check_family(rank_one_family):
     lam = np.linspace(-10.0, 10.0, 400)
     for p in rank_one_family:
-        rep = reduction_check(p, lam)
-        assert rep.ok
-        assert rep.n_failed == 0
-        assert max(
-            rep.err_multiplier.max(),
-            rep.err_average.max(),
-            rep.err_disc.max(),
-            rep.err_dplus.max(),
-            rep.err_dminus.max(),
-        ) <= rep.tol
+        for err in reduction_check(p, monodromy_grid(p, lam)):
+            assert err.max() <= 1e-7
 
 
 def test_reduction_check_refuses_generic(pot_two_mode):
+    lam = np.linspace(-3, 3, 50)
     with pytest.raises(ConfigError):
-        reduction_check(pot_two_mode, np.linspace(-3, 3, 50))
+        reduction_check(pot_two_mode, monodromy_grid(pot_two_mode, lam))
 
 
 def test_band_indicator_agreement(pot_const):
