@@ -29,8 +29,15 @@ All the disks of the window, of both parities, go through one
 ``_disk_roots`` call.  Each contour and Newton start takes its sign from its
 disk's index n, +1 for even n and -1 for odd n, so each round of the
 locator is one engine call for the whole window; ``MAX_WINDOW_DISKS``
-bounds the window's width and so a call's size.  The engine keeps no cache:
-a point that two contours share is propagated for each, with the same bits.
+bounds the window's width and so a call's size.
+
+``S(lam) = conj T(conj lam)`` makes ``D_s(conj lam) = -s e^{i conj lam}
+conj D_s(lam)``, so ``d_pm_grid`` propagates only the upper point of each
+exact conjugate pair of one call with one sign.  Disk circles and the
+squares that enclose disks are symmetric about the axis and cost half
+their points.  This is an identity of D within one call, not a cache:
+nothing is kept between calls, and a point that two contours share is
+still propagated for each, with the same bits.
 """
 
 from __future__ import annotations
@@ -78,10 +85,50 @@ def d_pm_from_traces(t, s, lam, sign) -> np.ndarray:
     return np.where(np.asarray(sign) > 0, (t - 1.0) - e * (s - 1.0), (t + 1.0) + e * (s + 1.0))
 
 
+def _conjugate_pairs(lam: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``(lower, upper)`` with ``lam[lower] == conj(lam[upper])`` and equal signs.
+
+    ``Im lam[upper] > 0``.  Points on the axis, and lower points whose
+    conjugate is not requested with their sign, are left out.
+    """
+    up = np.flatnonzero(lam.imag > 0)
+    lo = np.flatnonzero(lam.imag < 0)
+    if not (up.size and lo.size):
+        return lo[:0], up[:0]
+    # an upper point's key is the point, a lower one's its conjugate, and
+    # either key is conjugated for a negative sign: a pair shares its key
+    ku = lam[up]
+    ku = np.where(sign[up] > 0, ku, ku.conj())
+    kl = lam[lo]
+    kl = np.where(sign[lo] > 0, kl.conj(), kl)
+    order = np.argsort(ku)
+    j = order[np.searchsorted(ku[order], kl) % up.size]
+    hit = ku[j] == kl
+    return lo[hit], up[j[hit]]
+
+
 def d_pm_grid(p: Potential, lam, sign) -> np.ndarray:
-    """Characteristic function D(sign, lam) on an array of parameters."""
-    g = monodromy_grid(p, lam)
-    return d_pm_from_traces(g["trace"], g["trace_conj"], g["lam"], sign)
+    """Characteristic function D(sign, lam) on an array of parameters.
+
+    ``S(lam) = conj T(conj lam)`` (``multipliers`` module notes) gives
+    ``D_s(conj lam) = -s e^{i conj lam} conj D_s(lam)``.  Of the requested
+    points that come in exact conjugate pairs with the same sign, only the
+    upper one is propagated, and the lower one's value follows from it; an
+    axis-symmetric contour thus costs half its points.  This is not a
+    cache: the pairs are found among the points of this call alone, and
+    nothing is kept between calls.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.complex128)).ravel()
+    sign = np.broadcast_to(sign, lam.shape)
+    lower, upper = _conjugate_pairs(lam, sign)
+    asked = np.ones(lam.size, dtype=bool)
+    asked[lower] = False
+    g = monodromy_grid(p, lam[asked])
+    d = np.empty(lam.size, dtype=np.complex128)
+    d[asked] = d_pm_from_traces(g["trace"], g["trace_conj"], g["lam"], sign[asked])
+    flip = np.where(sign[lower] > 0, -1.0, 1.0)
+    d[lower] = flip * np.exp(1j * lam[lower]) * np.conj(d[upper])
+    return d
 
 
 def _envelope(lam: np.ndarray) -> np.ndarray:
@@ -102,8 +149,21 @@ def _sign(n):
 
 
 def _circle(center: complex, r: float):
-    """Sampler of the circle ``|lam - center| = r``: n points, counterclockwise."""
-    return lambda n: center + r * np.exp(2j * np.pi * np.arange(n) / n)
+    """Sampler of the circle ``|lam - center| = r``: n points, counterclockwise.
+
+    Sample ``n - k`` mirrors sample ``k`` about the center's horizontal, and
+    samples 0 and ``n / 2`` lie on it, so a circle around a real center is
+    made of exact conjugate pairs and two points on the axis.
+    """
+
+    def points(n: int) -> np.ndarray:
+        u = np.exp(2j * np.pi * np.arange(n) / n)
+        if n % 2 == 0:
+            u[n // 2] = -1.0
+        u[n // 2 + 1 :] = np.conj(u[1 : (n + 1) // 2][::-1])
+        return center + r * u
+
+    return points
 
 
 def _windings(p: Potential, contours: list, samples: list | None = None) -> list[int | None]:

@@ -22,7 +22,9 @@ and ``trace_conj``, with the records sorted by those bytes.
 the propagator; these digests do not.  The rows are the points the engine
 propagated: the points callers request, plus the conjugate of each with
 ``|Im lam| > 6``, which ``monodromy_grid`` propagates again for its
-``trace_conj``.
+``trace_conj``.  Of the points ``eigen`` asks ``d_pm_grid`` for, an exact
+conjugate pair with one sign is requested once, as its upper point
+(``periodic_eigen`` module notes).
 
 To check that a change leaves every output byte and every engine bit alone,
 run the script at both commits and compare::

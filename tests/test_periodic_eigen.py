@@ -77,14 +77,12 @@ def test_count_in_disk_parity(pot_zero):
     assert counts[2] == 0
 
 
-def test_escalated_contour_propagates_only_its_new_points(pot_const, monkeypatch):
-    # 4 samples of a circle around three zeros are undersampled, so the
-    # circle escalates to 16 and counts there: its 4 values are kept, the
-    # engine is asked for the 12 new points only, and the samples are those
-    # of a fresh evaluation, bit for bit.  A circle that counts at once
-    # shares the first round.
-    around = periodic_eigen._circle(2.0 * np.pi, 0.5)
-    at_once = periodic_eigen._circle(3.0 * np.pi, 0.5)
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.int64).tolist()
+
+
+def _recording_grid(monkeypatch) -> list:
+    """The lam arrays ``periodic_eigen.monodromy_grid`` is asked for from now on."""
     asked = []
     grid = periodic_eigen.monodromy_grid
 
@@ -93,23 +91,102 @@ def test_escalated_contour_propagates_only_its_new_points(pot_const, monkeypatch
         return grid(p, lam)
 
     monkeypatch.setattr(periodic_eigen, "monodromy_grid", recording)
-    samples = [None, None]
-    contours = [(around, (4, 16, 64), 1), (at_once, (64,), -1)]
-    assert periodic_eigen._windings(pot_const, contours, samples) == [3, 3]
-    monkeypatch.undo()
+    return asked
 
-    def bits(z):
-        return np.ascontiguousarray(z, dtype=np.complex128).view(np.int64).tolist()
+
+def _upper(z):
+    """The points of an axis-symmetric contour that are propagated: Im lam >= 0."""
+    return z[z.imag >= 0]
+
+
+def test_escalated_contour_propagates_only_its_new_points(pot_const, monkeypatch):
+    # 4 samples of a circle around three zeros are undersampled, so the
+    # circle escalates to 16 and counts there: its 4 values are kept, the
+    # engine is asked for the new points only, and the samples are those of
+    # a fresh evaluation, bit for bit.  A circle that counts at once shares
+    # the first round.  Of each conjugate pair only the upper point is asked.
+    around = periodic_eigen._circle(2.0 * np.pi, 0.5)
+    at_once = periodic_eigen._circle(3.0 * np.pi, 0.5)
+    with monkeypatch.context() as m:
+        asked = _recording_grid(m)
+        samples = [None, None]
+        contours = [(around, (4, 16, 64), 1), (at_once, (64,), -1)]
+        assert periodic_eigen._windings(pot_const, contours, samples) == [3, 3]
 
     new = np.ones(16, dtype=bool)
     new[::4] = False
-    assert [bits(a) for a in asked] == [
-        bits(np.concatenate([around(4), at_once(64)])),
-        bits(around(16)[new]),
+    assert [_bits(a) for a in asked] == [
+        _bits(_upper(np.concatenate([around(4), at_once(64)]))),
+        _bits(_upper(around(16)[new])),
     ]
-    assert bits(around(16)[::4]) == bits(around(4))
-    assert bits(samples[0]) == bits(d_pm_grid(pot_const, around(16), 1))
-    assert bits(samples[1]) == bits(d_pm_grid(pot_const, at_once(64), -1))
+    assert _bits(around(16)[::4]) == _bits(around(4))
+    assert _bits(samples[0]) == _bits(d_pm_grid(pot_const, around(16), 1))
+    assert _bits(samples[1]) == _bits(d_pm_grid(pot_const, at_once(64), -1))
+
+
+@pytest.mark.parametrize("count", [4, 16, 64])
+def test_circle_samples_are_exact_conjugates(count):
+    # around a real center, sample count - k is the conjugate of sample k,
+    # bit for bit, and samples 0 and count / 2 lie on the axis
+    z = periodic_eigen._circle(5.0 * np.pi, 0.5)(count)
+    k = np.array([k for k in range(1, count) if 2 * k != count])
+    assert _bits(z[count - k]) == _bits(np.conj(z[k]))
+    assert z[0].imag == z[count // 2].imag == 0.0
+    assert (z[k].imag != 0.0).all()
+
+
+def test_escalated_circle_keeps_its_earlier_samples():
+    # the schedules' power-of-two steps keep the coarser samples, bit for bit
+    around = periodic_eigen._circle(6.0 * np.pi, 0.5)
+    for coarse, fine in ((4, 16), (16, 64), (64, 8192)):
+        assert _bits(around(fine)[:: fine // coarse]) == _bits(around(coarse))
+
+
+def _disk_square(n: int):
+    """The enclosing square of disk n, sampled with 16 points an edge."""
+    cell = periodic_eigen._Cell(n, np.pi * n - 0.5, -0.5, 1.0, 1.0, 0)
+    return periodic_eigen._square(cell)[0](16)
+
+
+@pytest.mark.parametrize(
+    "contour",
+    [
+        pytest.param(lambda: periodic_eigen._circle(6 * np.pi, 0.5)(64), id="even-circle"),
+        pytest.param(lambda: periodic_eigen._circle(5 * np.pi, 0.5)(64), id="odd-circle"),
+        pytest.param(lambda: periodic_eigen._circle(5 * np.pi, 0.5 * 1.05)(64), id="nudged-circle"),
+        pytest.param(lambda: _disk_square(5), id="square"),
+    ],
+)
+def test_conjugate_pairs_are_propagated_once(contour, monkeypatch):
+    # on an axis-symmetric contour the engine is asked for each conjugate
+    # pair's upper point once and for each axis point once; pairs need the
+    # same sign, and a lower point without its conjugate is asked itself
+    p = load_potential(INPUTS["fourier"])
+    z = contour()
+    lone = np.array([z[z.imag < 0][0] + 1e-3])
+    with monkeypatch.context() as m:
+        asked = _recording_grid(m)
+        d = d_pm_grid(p, np.concatenate([z, z, lone]), np.repeat([1, -1, 1], [z.size, z.size, 1]))
+    assert np.count_nonzero(z.imag == 0.0) == 2 and np.count_nonzero(z.imag > 0) == z.size // 2 - 1
+    assert _bits(asked[0]) == _bits(np.concatenate([_upper(z), _upper(z), lone]))
+    each = [d_pm_grid(p, z, 1), d_pm_grid(p, z, -1), d_pm_grid(p, lone, 1)]
+    assert _bits(d) == _bits(np.concatenate(each))
+
+
+@pytest.mark.parametrize("n", [5, 6, 10])
+@pytest.mark.parametrize("radius", [0.5, 0.5 * 1.05])
+def test_lower_half_matches_its_direct_propagation(n, radius):
+    # D(sign, conj lam) from the upper point agrees with the lower point's
+    # own propagation to within the adjugate's noise; taking the other
+    # parity's sign for the conjugate factor is off by 2 relative
+    p = load_potential(INPUTS["fourier"])
+    z = periodic_eigen._circle(n * np.pi, radius)(64)
+    sign = periodic_eigen._sign(n)
+    lower = z.imag < 0
+    g = monodromy_grid(p, z[lower])
+    direct = periodic_eigen.d_pm_from_traces(g["trace"], g["trace_conj"], z[lower], sign)
+    derived = d_pm_grid(p, z, sign)[lower]
+    assert np.max(np.abs(derived - direct) / np.abs(direct)) <= 1e-11
 
 
 def test_free_counting_function_closed_forms(pot_zero):
